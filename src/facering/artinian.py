@@ -11,12 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .complexes import (
-    DEFAULT_BASIS_LIMIT,
-    SimplicialComplex,
-    count_degree_monomials,
-    degree_monomials,
-)
+from .complexes import DEFAULT_BASIS_LIMIT, SimplicialComplex, degree_monomials
 from .linalg import FieldSpec, Matrix, rank
 from .local_cohomology import GenericCoefficients, make_generic, vandermonde_coefficients
 
@@ -47,7 +42,7 @@ def reduction_hilbert(cx: SimplicialComplex, coeffs: GenericCoefficients, m: int
         raise ValueError("m out of range for the coefficient matrix")
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    theta_cols = [_column_in_field(coeffs, p, field) for p in range(m)]
+    theta_cols = [coeffs.column_in(p, field) for p in range(m)]
     faces = cx.faces()
     dims = [1]
     prev_basis = degree_monomials(cx, 0, limit=basis_limit)
@@ -72,13 +67,6 @@ def reduction_hilbert(cx: SimplicialComplex, coeffs: GenericCoefficients, m: int
         dims.append(len(basis) - ideal_rank)
         prev_basis = basis
     return ReductionHilbert(m, tuple(dims), coeffs)
-
-
-def _column_in_field(coeffs: GenericCoefficients, p: int, field: FieldSpec) -> list:
-    col = coeffs.column(p)
-    if field.p is not None and coeffs.matrix.field.is_rational:
-        return [int(x) % field.p for x in col]
-    return col
 
 
 def _trial_coefficients(n: int, m: int, field: FieldSpec, rng: random.Random) -> GenericCoefficients:
@@ -111,7 +99,3 @@ def determinacy_probe(cx: SimplicialComplex, m: int, trials: int, cutoff: int,
     constant = all(run.dims == runs[0].dims for run in runs[1:])
     return constant, runs
 
-
-def monomial_count(cx: SimplicialComplex, j: int) -> int:
-    """Dimension of the degree-j piece of the face ring itself."""
-    return count_degree_monomials(cx, j)

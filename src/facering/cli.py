@@ -279,10 +279,12 @@ def cmd_verify(args) -> int:
     pretty = [f"verify {args.input} over {field}: {len(records)} checks, {len(failed)} failed"]
     for rec in failed:
         pretty.append(f"  FAIL {rec.check} {rec.complex_name} {rec.params}: {rec.values}")
-    if not failed:
+    if report["passed"]:
         pretty.append("  all checks passed")
     _emit(report, args.format, tsv, pretty)
-    return EXIT_OK if not failed else EXIT_VERIFY_FAILED
+    if not records:
+        print("error: no checks ran for these parameters", file=sys.stderr)
+    return EXIT_OK if report["passed"] else EXIT_VERIFY_FAILED
 
 
 def cmd_sqfree(args) -> int:
@@ -331,6 +333,12 @@ def _parse_range(text: str):
 # ---------------------------------------------------------------------------
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="facering",
@@ -343,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--field", default="q", help="q or fp:<prime> (default q)")
         p.add_argument("--format", choices=("json", "tsv", "pretty"), default="pretty")
         p.add_argument("--seed", type=int, default=None, help="seed for prime-field sampling")
-        p.add_argument("--cutoff", type=int, default=cutoff_default, help="degree cutoff")
+        p.add_argument("--cutoff", type=_nonnegative_int, default=cutoff_default,
+                       help="degree cutoff (nonnegative)")
         if with_m:
             p.add_argument("--m", type=int, required=True, help="number of generic linear forms")
         if with_trials:

@@ -11,7 +11,6 @@ all).
 
 from __future__ import annotations
 
-import json
 from itertools import combinations
 from math import comb
 
@@ -36,7 +35,7 @@ class SimplicialComplex:
     __slots__ = ("n", "facets", "is_void", "_faces", "_hash")
 
     def __init__(self, n: int, facets, is_void: bool = False):
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError("vertex count must be a positive integer")
         clean = set()
         for f in facets:
@@ -44,7 +43,7 @@ class SimplicialComplex:
             if not fs:
                 raise ValueError("facets must be nonempty (use the void/empty flags)")
             for v in fs:
-                if not isinstance(v, int) or not 1 <= v <= n:
+                if isinstance(v, bool) or not isinstance(v, int) or not 1 <= v <= n:
                     raise ValueError(f"vertex index {v!r} out of range [1, {n}]")
             clean.add(fs)
         if is_void and clean:
@@ -75,15 +74,26 @@ class SimplicialComplex:
         return self.dim + 1
 
     def faces(self) -> frozenset:
+        """All faces; more than DEFAULT_BASIS_LIMIT of them raises SizeLimitError."""
         if self._faces is None:
             if self.is_void:
                 fs = frozenset()
             else:
                 acc = {frozenset()}
                 for f in self.facets:
+                    if 2 ** len(f) > DEFAULT_BASIS_LIMIT:
+                        raise SizeLimitError(
+                            f"a facet on {len(f)} vertices has 2^{len(f)} faces, "
+                            f"above the guard of {DEFAULT_BASIS_LIMIT}"
+                        )
                     members = sorted(f)
                     for k in range(1, len(members) + 1):
                         acc.update(frozenset(c) for c in combinations(members, k))
+                    if len(acc) > DEFAULT_BASIS_LIMIT:
+                        raise SizeLimitError(
+                            f"the complex has more than {DEFAULT_BASIS_LIMIT} faces, "
+                            "above the guard"
+                        )
                 fs = frozenset(acc)
             object.__setattr__(self, "_faces", fs)
         return self._faces
@@ -186,11 +196,6 @@ class SimplicialComplex:
 def from_facets(n: int, facets) -> SimplicialComplex:
     """The complex generated by the given faces; dominated entries are absorbed."""
     return SimplicialComplex(n, facets)
-
-
-def load_complex(path: str) -> SimplicialComplex:
-    with open(path, encoding="utf-8") as fh:
-        return SimplicialComplex.from_json(json.load(fh))
 
 
 def count_degree_monomials(cx: SimplicialComplex, r: int) -> int:

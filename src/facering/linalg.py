@@ -145,10 +145,6 @@ class Matrix:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zeros(field: FieldSpec, nrows: int, ncols: int) -> "Matrix":
-        return Matrix(field, [[0] * ncols for _ in range(nrows)], ncols)
-
-    @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
         return Matrix(field, [[int(i == j) for j in range(n)] for i in range(n)], n)
 
@@ -171,10 +167,6 @@ class Matrix:
 
     def tolist(self) -> list[list]:
         return [list(r) for r in self._rows]
-
-    def transpose(self) -> "Matrix":
-        rows = [[self._rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        return Matrix(self.field, rows, self.nrows)
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
         row_idx, col_idx = list(row_idx), list(col_idx)
@@ -211,9 +203,6 @@ class Matrix:
 
     def scaled(self, c) -> "Matrix":
         return Matrix(self.field, [[c * x for x in r] for r in self._rows], self.ncols)
-
-    def __neg__(self) -> "Matrix":
-        return self.scaled(-1)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -371,8 +360,8 @@ def _q_kernel_columns(rows, pivots, ncols) -> list[list[int]]:
 
 
 def _p_rref(a: np.ndarray, p: int, pivot_cols: int):
-    """Gauss-Jordan mod p; returns (rref array, pivot column list)."""
-    R = a.copy()
+    """Gauss-Jordan mod p in place on a; returns (rref array, pivot column list)."""
+    R = a
     m = R.shape[0]
     pivots: list[int] = []
     r = 0
@@ -461,38 +450,6 @@ def independent_column_indices(base: Matrix, extra: Matrix) -> list[int]:
     return [c - offset for c in pivots if c >= offset]
 
 
-def solve(M: Matrix, b) -> list | None:
-    """One solution of M x = b (free variables set to zero), or None."""
-    b = list(b)
-    if len(b) != M.nrows:
-        raise ValueError("rhs length mismatch")
-    if M.nrows == 0:
-        return [0] * M.ncols
-    aug = hstack(M, Matrix.from_columns(M.field, [b], M.nrows))
-    n = M.ncols
-    if M.field.is_rational:
-        rows, pivots = _q_echelon(_q_int_rows(aug._rows), n)
-        for r in range(len(pivots), len(rows)):
-            if rows[r][n]:
-                return None
-        x: list = [0] * n
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            row = rows[r]
-            s = sum(row[j] * x[j] for j in range(c + 1, n) if x[j])
-            x[c] = Fraction(row[n] - s, row[c])
-        return x
-    p = M.field.p
-    R, pivots = _p_rref(aug._np(), p, n)
-    for r in range(len(pivots), R.shape[0]):
-        if R[r, n]:
-            return None
-    x = [0] * n
-    for r, c in enumerate(pivots):
-        x[c] = int(R[r, n])
-    return x
-
-
 class Solver:
     """Reusable solver for M x = b: one elimination, many right-hand sides."""
 
@@ -541,32 +498,3 @@ class Solver:
             x[c] = y[r]
         return x
 
-
-def subspace_intersection(bases: list[Matrix]) -> Matrix:
-    """Basis of the intersection of the column spans, all in the same ambient space."""
-    if not bases:
-        raise ValueError("intersection of an empty list")
-    field, n = bases[0].field, bases[0].nrows
-    for B in bases:
-        if B.field != field or B.nrows != n:
-            raise ValueError("ambient space mismatch")
-    cur = image_basis(bases[0])
-    for B in bases[1:]:
-        if cur.ncols == 0:
-            break
-        K = kernel_basis(hstack(cur, -B))
-        if K.ncols == 0:
-            return Matrix(field, [[] for _ in range(n)], 0)
-        X = Matrix(field, K._rows[: cur.ncols], K.ncols)
-        cur = image_basis(cur @ X)
-    return cur
-
-
-def quotient_dim(ambient_basis: Matrix, sub_basis: Matrix) -> int:
-    """dim(span ambient / span sub); errors if sub is not inside ambient."""
-    if ambient_basis.nrows != sub_basis.nrows or ambient_basis.field != sub_basis.field:
-        raise ValueError("ambient space mismatch")
-    ra = rank(ambient_basis)
-    if rank(hstack(ambient_basis, sub_basis)) != ra:
-        raise ValueError("sub_basis is not contained in the ambient span")
-    return ra - rank(sub_basis)

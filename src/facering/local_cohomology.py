@@ -14,8 +14,9 @@ On top of that structure this module provides:
     denominator a power of (1 - t), with exact pole-order queries;
   * certified-generic coefficient matrices (positive Vandermonde over Q,
     sampled and minor-verified over prime fields);
-  * the intersected kernels of several multiplication maps, computed both by
-    brute-force exact linear algebra and by a closed binomial formula.
+  * the dimension of the common kernel of several multiplication maps,
+    computed both by brute force, as the rank of the stacked maps, and by a
+    closed binomial formula.
 """
 
 from __future__ import annotations
@@ -28,13 +29,11 @@ from math import comb
 
 from .cohomology import induced_map, relative_cohomology
 from .complexes import DEFAULT_BASIS_LIMIT, SimplicialComplex, degree_monomials
-from .linalg import (
-    FieldSpec,
-    Matrix,
-    kernel_basis,
-    rank,
-    subspace_intersection,
-)
+from .linalg import FieldSpec, Matrix, rank, vstack
+
+# Entries are ints keyed by (complex, l, m, i, coefficients, field); the checks
+# reuse a rank within a few consecutive (l, m, i) steps, far below this size.
+STACKED_RANK_CACHE_SIZE = 256
 
 
 def support(U) -> frozenset:
@@ -254,6 +253,13 @@ class GenericCoefficients:
         """Coefficients of the (p+1)-st linear form."""
         return self.matrix.column(p)
 
+    def column_in(self, p: int, field: FieldSpec) -> list:
+        """Coefficients of the (p+1)-st form in `field`: rationals reduce mod p."""
+        col = self.matrix.column(p)
+        if field.p is not None and self.matrix.field.is_rational:
+            return [int(x) % field.p for x in col]
+        return col
+
     def to_json(self) -> dict:
         entries = [
             [x if isinstance(x, int) else str(x) for x in row]
@@ -360,42 +366,40 @@ def theta_action_matrix(cx: SimplicialComplex, ell: int, i: int, theta, field: F
     return Matrix(field, entries, src.total_dim)
 
 
-def kernel_intersection_basis(cx, ell, m, i, coeffs: GenericCoefficients | None, field) -> Matrix:
-    """Basis of the common kernel of the first m multiplication maps at degree -(i+1).
+@lru_cache(maxsize=STACKED_RANK_CACHE_SIZE)
+def stacked_theta_rank(cx: SimplicialComplex, ell: int, m: int, i: int,
+                       coeffs: GenericCoefficients, field: FieldSpec) -> int:
+    """Rank of the first m multiplication maps, stacked, at degree -(i+1).
 
-    When no coefficients are supplied the rational default is the Vandermonde;
-    prime fields need an explicit (seeded) matrix to stay reproducible.
+    The kernel of the stack is the common kernel of the m maps, so kernel
+    dimensions and restricted ranks follow from these ranks by rank-nullity.
     """
-    if m < 0 or (coeffs is not None and m > coeffs.m):
-        raise ValueError("m out of range for the coefficient matrix")
-    src = graded_piece(cx, ell, i + 1, field)
     if m == 0:
-        return Matrix.identity(field, src.total_dim)
-    if coeffs is None:
-        if not field.is_rational:
-            raise ValueError("explicit generic coefficients are required over a prime field")
-        coeffs = make_generic(cx.n, m, field)
-    kernels = []
-    for p in range(m):
-        theta = _field_column(coeffs, p, field)
-        M = theta_action_matrix(cx, ell, i, theta, field)
-        kernels.append(kernel_basis(M))
-    return subspace_intersection(kernels)
-
-
-def _field_column(coeffs: GenericCoefficients, p: int, field: FieldSpec) -> list:
-    col = coeffs.column(p)
-    if field.p is not None and coeffs.matrix.field.is_rational:
-        return [int(x) % field.p for x in col]
-    return col
+        return 0
+    # a generator, so the single maps are freed before the stack is eliminated
+    stacked = vstack(*(theta_action_matrix(cx, ell, i, coeffs.column_in(p, field), field)
+                       for p in range(m)))
+    return rank(stacked)
 
 
 def kernel_dim_bruteforce(cx: SimplicialComplex, ell: int, m: int, i: int,
                           coeffs: GenericCoefficients | None, field: FieldSpec) -> int:
-    """Dimension of the intersected multiplication kernels, by exact elimination."""
+    """Dimension of the common kernel of the first m multiplication maps at degree -(i+1).
+
+    Computed by exact elimination of the stacked maps.  When no coefficients
+    are supplied the rational default is the Vandermonde; prime fields need an
+    explicit (seeded) matrix to stay reproducible.
+    """
     if i < 0:
         raise ValueError("i must be nonnegative")
-    return kernel_intersection_basis(cx, ell, m, i, coeffs, field).ncols
+    if m < 0 or (coeffs is not None and m > coeffs.m):
+        raise ValueError("m out of range for the coefficient matrix")
+    if coeffs is None:
+        if not field.is_rational:
+            raise ValueError("explicit generic coefficients are required over a prime field")
+        coeffs = make_generic(cx.n, m, field)
+    source_dim = graded_piece(cx, ell, i + 1, field).total_dim
+    return source_dim - stacked_theta_rank(cx, ell, m, i, coeffs, field)
 
 
 def kernel_dim_formula(cx: SimplicialComplex, ell: int, m: int, i: int, field: FieldSpec) -> int:
@@ -420,17 +424,15 @@ def restricted_theta_rank(cx: SimplicialComplex, ell: int, m: int, i: int,
     """Rank of the (m+1)-st multiplication map restricted to the m-fold kernel.
 
     For i >= m+1 this equals the kernel dimension one degree lower, i.e. the
-    map between consecutive kernel pieces is onto.
+    map between consecutive kernel pieces is onto.  By rank-nullity it is the
+    rank of the first m+1 maps stacked minus the rank of the first m.
     """
     if coeffs.m < m + 1:
         raise ValueError("coefficient matrix needs at least m+1 columns")
-    K = kernel_intersection_basis(cx, ell, m, i, coeffs, field)
-    if K.ncols == 0:
-        return 0
-    theta = _field_column(coeffs, m, field)
-    M = theta_action_matrix(cx, ell, i, theta, field)
-    return rank(M @ K)
+    return (stacked_theta_rank(cx, ell, m + 1, i, coeffs, field)
+            - stacked_theta_rank(cx, ell, m, i, coeffs, field))
 
 
 def clear_caches():
     graded_piece.cache_clear()
+    stacked_theta_rank.cache_clear()

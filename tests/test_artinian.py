@@ -2,8 +2,8 @@
 
 import pytest
 
-from facering.artinian import determinacy_probe, monomial_count, reduction_hilbert
-from facering.complexes import SizeLimitError
+from facering.artinian import determinacy_probe, reduction_hilbert
+from facering.complexes import SizeLimitError, count_degree_monomials
 from facering.linalg import GF, QQ
 from facering.local_cohomology import make_generic
 from facering.squarefree import sqfree_data_of_face_ring, sqfree_quotient_hilbert
@@ -33,13 +33,13 @@ def test_reduction_bounded_by_monomial_count(bowtie):
     A = make_generic(5, 2, QQ)
     red = reduction_hilbert(bowtie, A, 1, 5, QQ)
     for j, value in enumerate(red.dims):
-        assert 0 <= value <= monomial_count(bowtie, j)
+        assert 0 <= value <= count_degree_monomials(bowtie, j)
 
 
 def test_reduction_m_zero_is_face_ring_hilbert(bowtie):
     A = make_generic(5, 1, QQ)
     red = reduction_hilbert(bowtie, A, 0, 5, QQ)
-    assert red.dims == tuple(monomial_count(bowtie, j) for j in range(6))
+    assert red.dims == tuple(count_degree_monomials(bowtie, j) for j in range(6))
 
 
 def test_reduction_validation(cycle3):

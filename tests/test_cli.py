@@ -1,8 +1,11 @@
 """Command-line interface: reports, round trips, exit codes, determinism."""
 
+import hashlib
 import json
 
-from facering.cli import EXIT_INPUT_ERROR, EXIT_OK, main
+import pytest
+
+from facering.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFY_FAILED, main
 from facering.verification import CheckResult, ledger_json
 
 
@@ -126,8 +129,13 @@ def test_verify_single_check_with_ranges(capsys):
     assert {rec["params"]["l"] for rec in recs} == {3}
     assert {rec["params"]["m"] for rec in recs} == {1}
     assert {rec["params"]["i"] for rec in recs} == {1, 2, 3, 4}
-    for rec in recs:
+    equality = [rec for rec in recs if rec["check"] == "lemma-equality"]
+    assert {rec["params"]["i"] for rec in equality} == {1, 2, 3, 4}
+    for rec in equality:
         assert rec["values"]["bruteforce"] == rec["values"]["formula"]
+    surjectivity = [rec for rec in recs if rec["check"] == "lemma-surjectivity"]
+    assert {rec["params"]["i"] for rec in surjectivity} == {2, 3, 4}
+    assert all(rec["passed"] for rec in surjectivity)
 
 
 def test_verify_artinian_check_pinned_m(capsys):
@@ -163,6 +171,40 @@ def test_verify_exit_code_reflects_ledger():
     assert ledger_json([good])["passed"] is True
     assert ledger_json([good, bad])["passed"] is False
     assert ledger_json([good, bad])["summary"] == {"total": 2, "failed": 1}
+    assert ledger_json([])["passed"] is False
+
+
+def test_verify_empty_ledger_fails(capsys):
+    for extra in (
+        ["--check", "lemma-equality", "--i", "5..1"],
+        ["--check", "lemma-equality", "--m", "5"],
+        ["--check", "artinian-vs-sqfree", "--m", "0"],
+    ):
+        code, out, err = run_cli(capsys, "verify", "cycle3", *extra)
+        assert code == EXIT_VERIFY_FAILED
+        assert "all checks passed" not in out
+        assert "no checks ran" in err
+        code, out, _ = run_cli(capsys, "verify", "cycle3", *extra, "--format", "json")
+        assert code == EXIT_VERIFY_FAILED
+        report = json.loads(out)
+        assert report["summary"]["total"] == 0 and report["passed"] is False
+
+
+# SHA-256 of `verify corpus --format json` stdout; a refactor must keep these
+# ledgers byte-identical (943 records each).
+LEDGER_DIGESTS = {
+    ("--field", "q"): "490e75c926ce7e09546f41bbbb8d9e0469b2b1069236e12ee11ee3161e1e22bd",
+    ("--field", "fp:32003", "--seed", "1"):
+        "1e8f221f6bb56ab099f0b248f3624310d10f0175dcc0f148bb66259f0796f1ce",
+}
+
+
+@pytest.mark.parametrize("args", sorted(LEDGER_DIGESTS))
+def test_verify_corpus_ledger_digest(capsys, args):
+    code, out, _ = run_cli(capsys, "verify", "corpus", "--format", "json", *args)
+    assert code == EXIT_OK
+    assert json.loads(out)["summary"] == {"total": 943, "failed": 0}
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LEDGER_DIGESTS[args]
 
 
 def test_verify_json_deterministic(capsys):
@@ -225,6 +267,22 @@ def test_bad_vertex_index_is_input_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", str(path))
     assert code == EXIT_INPUT_ERROR
     assert "out of range" in err
+
+
+def test_huge_facet_is_input_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 40, "facets": [list(range(1, 41))]}))
+    code, _, err = run_cli(capsys, "analyze", str(path))
+    assert code == EXIT_INPUT_ERROR
+    assert "guard" in err
+
+
+def test_negative_cutoff_is_input_error(capsys):
+    for command in (["lc", "cycle3"], ["reduce", "cycle3", "--m", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--cutoff", "-3"])
+        assert exc.value.code == EXIT_INPUT_ERROR
+        assert "nonnegative" in capsys.readouterr().err
 
 
 def test_corpus_only_for_verify(capsys):

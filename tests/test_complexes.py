@@ -38,6 +38,22 @@ def test_vertex_out_of_range_rejected():
         from_facets(3, [{0, 1}])
 
 
+def test_bool_rejected_as_count_and_label():
+    with pytest.raises(ValueError):
+        SimplicialComplex(True, [[1]])
+    with pytest.raises(ValueError):
+        SimplicialComplex(2, [[True, 2]])
+
+
+def test_faces_size_guard():
+    # one facet whose 2^40 faces exceed the guard is refused before listing
+    with pytest.raises(SizeLimitError, match="2\\^40 faces"):
+        SimplicialComplex(40, [range(1, 41)]).faces()
+    # two facets of 2^17 faces each pass one by one but not together
+    with pytest.raises(SizeLimitError, match="more than"):
+        SimplicialComplex(34, [range(1, 18), range(18, 35)]).faces()
+
+
 def test_faces_of_dim_ordering(cycle3, bowtie):
     assert [sorted(F) for F in cycle3.faces_of_dim(1)] == [[1, 2], [1, 3], [2, 3]]
     assert [sorted(F) for F in bowtie.faces_of_dim(2)] == [[1, 2, 3], [3, 4, 5]]

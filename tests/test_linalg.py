@@ -16,10 +16,7 @@ from facering.linalg import (
     independent_column_indices,
     is_prime,
     kernel_basis,
-    quotient_dim,
     rank,
-    solve,
-    subspace_intersection,
     vstack,
 )
 
@@ -63,35 +60,6 @@ def test_kernel_all_ones_over_f5():
     M = Matrix(GF(5), [[1, 1, 1]])
     for j in range(K.ncols):
         assert all(x % 5 == 0 for x in M.matvec(K.column(j)))
-
-
-def test_intersection_of_plane_and_line():
-    B1 = Matrix.from_columns(QQ, [[1, 0], [0, 1]], 2)
-    B2 = Matrix.from_columns(QQ, [[1, 1]], 2)
-    I = subspace_intersection([B1, B2])
-    assert I.ncols == 1
-    assert Fraction(I.column(0)[0]) == Fraction(I.column(0)[1])
-
-
-def test_quotient_dim_and_containment_error():
-    ambient = Matrix.from_columns(QQ, [[1, 0, 0], [0, 1, 0]], 3)
-    sub = Matrix.from_columns(QQ, [[1, 1, 0]], 3)
-    assert quotient_dim(ambient, sub) == 1
-    outside = Matrix.from_columns(QQ, [[0, 0, 1]], 3)
-    with pytest.raises(ValueError):
-        quotient_dim(ambient, outside)
-
-
-def test_solve_consistent_and_inconsistent():
-    M = Matrix(QQ, [[1, 2], [2, 4]])
-    x = solve(M, [3, 6])
-    assert x is not None
-    assert M.matvec(x) == [3, 6]
-    assert solve(M, [3, 7]) is None
-    Mp = Matrix(GF(7), [[1, 2], [2, 4]])
-    xp = solve(Mp, [3, 6])
-    assert [v % 7 for v in Mp.matvec(xp)] == [3, 6]
-    assert solve(Mp, [3, 0]) is None
 
 
 def test_solver_reuse_matches_one_shot():
@@ -151,32 +119,6 @@ def test_prime_field_agrees_with_rationals_on_tiny_entries():
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         rows = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(m)]
         assert rank(Matrix(QQ, rows)) == rank(Matrix(GF(32003), rows))
-
-
-@pytest.mark.parametrize("field", [QQ, GF(32003)])
-def test_intersection_is_contained_in_every_factor(field):
-    rng = random.Random(7)
-    for _ in range(15):
-        n = rng.randint(2, 6)
-        B1 = _random_matrix(rng, field, n, rng.randint(1, n))
-        B2 = _random_matrix(rng, field, n, rng.randint(1, n))
-        I = subspace_intersection([B1, B2])
-        for B in (B1, B2):
-            assert rank(hstack(B, I)) == rank(B)
-        # symmetric
-        assert subspace_intersection([B2, B1]).ncols == I.ncols
-
-
-@pytest.mark.parametrize("field", [QQ, GF(32003)])
-def test_intersection_modular_dimension_identity(field):
-    # dim U + dim W = dim(U + W) + dim(U intersect W)
-    rng = random.Random(321)
-    for _ in range(40):
-        n = rng.randint(1, 6)
-        U = _random_matrix(rng, field, n, rng.randint(1, n), -3, 3)
-        W = _random_matrix(rng, field, n, rng.randint(1, n), -3, 3)
-        I = subspace_intersection([U, W])
-        assert I.ncols == rank(U) + rank(W) - rank(hstack(U, W))
 
 
 def test_independent_column_indices_extends_basis():
