@@ -8,7 +8,12 @@ independent brute-force linear algebra over Q or a prime field.
 
 from .complexes import SimplicialComplex, SizeLimitError, from_facets
 from .linalg import GF, QQ, FieldSpec, Matrix
-from .cohomology import induced_map, reduced_cohomology_dim, relative_cohomology
+from .cohomology import (
+    induced_map,
+    reduced_cohomology_dim,
+    relative_cohomology,
+    relative_cohomology_dim,
+)
 from .singularity import (
     NEG_INFINITY,
     cm_in_codim,
@@ -85,6 +90,7 @@ __all__ = [
     "reduced_cohomology_dim",
     "reduction_hilbert",
     "relative_cohomology",
+    "relative_cohomology_dim",
     "singularity_dimension",
     "sqfree_data_of_face_ring",
     "sqfree_hilbert",

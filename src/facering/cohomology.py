@@ -7,11 +7,15 @@ sign (-1)^(position of v in the sorted coface).  Taking tau = emptyset gives
 the reduced (augmented) complex, including the (-1)-cochain dual to the
 empty face, so H^{-1} of the one-face complex {emptyset} is the field.
 
-Cohomology spaces carry explicit cocycle bases so that the contravariant
-maps induced by contrastar inclusions (extend a relative cocycle by zero,
-then reduce modulo coboundaries) can be written down as matrices.
+Dimensions come from ranks alone: dim H^i = dim C^i - rank delta^i -
+rank delta^(i-1), with each rank memoized as an int per (complex, face,
+degree, field), so neighbouring degrees share it.  Explicit cocycle bases
+are built only where classes are used: for the contravariant maps induced by
+contrastar inclusions (extend a relative cocycle by zero, then reduce modulo
+coboundaries) and for the graded pieces the multiplication maps act on.
 
-All constructions are cached per (complex, face, degree, field); outputs are
+Coboundary matrices are not cached; cochain bases, ranks, cohomology spaces
+and induced maps are cached per (complex, face, degree, field).  Outputs are
 immutable, so a cache entry recomputed under a race is indistinguishable
 from the first result.
 """
@@ -29,6 +33,7 @@ from .linalg import (
     image_basis,
     independent_column_indices,
     kernel_basis,
+    rank,
 )
 
 
@@ -40,7 +45,6 @@ def relative_cochain_basis(cx: SimplicialComplex, tau: frozenset, k: int) -> tup
     return tuple(F for F in cx.faces_of_dim(k) if tau <= F)
 
 
-@lru_cache(maxsize=None)
 def coboundary_matrix(cx: SimplicialComplex, tau: frozenset, k: int, field: FieldSpec) -> Matrix:
     """Matrix of delta: C^k(X, cost tau) -> C^{k+1}(X, cost tau)."""
     source = relative_cochain_basis(cx, tau, k)
@@ -60,6 +64,23 @@ def coboundary_matrix(cx: SimplicialComplex, tau: frozenset, k: int, field: Fiel
             col[index[H]] = sign
         cols.append(col)
     return Matrix.from_columns(field, cols, len(target))
+
+
+@lru_cache(maxsize=None)
+def coboundary_rank(cx: SimplicialComplex, tau: frozenset, k: int, field: FieldSpec) -> int:
+    """rank of delta: C^k(X, cost tau) -> C^{k+1}(X, cost tau); 0 when either side is zero."""
+    if not relative_cochain_basis(cx, tau, k) or not relative_cochain_basis(cx, tau, k + 1):
+        return 0
+    return rank(coboundary_matrix(cx, tau, k, field))
+
+
+def relative_cohomology_dim(cx: SimplicialComplex, tau, i: int, field: FieldSpec) -> int:
+    """dim H^i(X, cost tau) = dim C^i - rank delta^i - rank delta^(i-1), with no basis."""
+    tau = frozenset(tau)
+    if tau not in cx:
+        raise ValueError(f"{sorted(tau)} is not a face")
+    return (len(relative_cochain_basis(cx, tau, i))
+            - coboundary_rank(cx, tau, i, field) - coboundary_rank(cx, tau, i - 1, field))
 
 
 class CohomologyClassSpace:
@@ -141,7 +162,7 @@ def reduced_cohomology_dim(cx: SimplicialComplex, i: int, field: FieldSpec) -> i
     """dim of reduced simplicial cohomology of the complex itself."""
     if cx.is_void:
         raise ValueError("reduced cohomology of the void complex")
-    return relative_cohomology(cx, frozenset(), i, field).dim
+    return relative_cohomology_dim(cx, frozenset(), i, field)
 
 
 def induced_map(cx: SimplicialComplex, f_big, f_small, i: int, field: FieldSpec) -> Matrix:
@@ -177,6 +198,6 @@ def _induced_map(cx: SimplicialComplex, f_big: frozenset, f_small: frozenset, i:
 def clear_caches():
     """Drop all memoized cohomology data (mostly for tests)."""
     relative_cochain_basis.cache_clear()
-    coboundary_matrix.cache_clear()
+    coboundary_rank.cache_clear()
     _relative_cohomology.cache_clear()
     _induced_map.cache_clear()

@@ -123,7 +123,11 @@ class Matrix:
     __slots__ = ("field", "nrows", "ncols", "_rows")
 
     def __init__(self, field: FieldSpec, rows, ncols: int | None = None):
-        rows = [list(r) for r in rows]
+        p = field.p
+        if p is None:
+            rows = [list(r) for r in rows]
+        else:
+            rows = [[_residue(x, p) for x in r] for r in rows]
         if ncols is None:
             if not rows:
                 raise ValueError("ncols is required for a matrix with no rows")
@@ -131,9 +135,6 @@ class Matrix:
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-        if field.p is not None:
-            p = field.p
-            rows = [[_residue(x, p) for x in r] for r in rows]
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)

@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .cohomology import induced_map, relative_cohomology
+from .cohomology import induced_map, relative_cohomology, relative_cohomology_dim
 from .complexes import DEFAULT_BASIS_LIMIT, SimplicialComplex, degree_monomials
 from .linalg import FieldSpec, Matrix, rank, vstack
 
@@ -93,7 +93,7 @@ def lc_fine_dim(cx: SimplicialComplex, ell: int, U, field: FieldSpec) -> int:
     s = support(U)
     if s not in cx.faces():
         return 0
-    return relative_cohomology(cx, s, ell - 1, field).dim
+    return relative_cohomology_dim(cx, s, ell - 1, field)
 
 
 def lc_coarse_dim(cx: SimplicialComplex, ell: int, j: int, field: FieldSpec) -> int:
@@ -101,13 +101,13 @@ def lc_coarse_dim(cx: SimplicialComplex, ell: int, j: int, field: FieldSpec) -> 
     if j > 0:
         raise ValueError("local cohomology of a face ring vanishes in positive Z-degrees")
     if j == 0:
-        return relative_cohomology(cx, frozenset(), ell - 1, field).dim
+        return relative_cohomology_dim(cx, frozenset(), ell - 1, field)
     i = -j - 1
     total = 0
     for F in cx.faces():
         c = binom0(i, len(F) - 1)
         if c:
-            total += c * relative_cohomology(cx, F, ell - 1, field).dim
+            total += c * relative_cohomology_dim(cx, F, ell - 1, field)
     return total
 
 
@@ -207,7 +207,7 @@ def lc_hilbert_series(cx: SimplicialComplex, i: int, field: FieldSpec) -> Hilber
         raise ValueError("cohomological degree above the Krull dimension")
     dims: dict[int, int] = {}
     for F in cx.faces():
-        h = relative_cohomology(cx, F, i - 1, field).dim
+        h = relative_cohomology_dim(cx, F, i - 1, field)
         if h:
             dims[len(F)] = dims.get(len(F), 0) + h
     if not dims:
@@ -298,11 +298,19 @@ def make_generic(n: int, m: int, field: FieldSpec, seed: int | None = None,
     Over Q this is the Vandermonde on nodes 1..n (no randomness, certificate
     analytic).  Over F_p entries are sampled uniformly and all square
     submatrices are checked; sampling retries a bounded number of times.
+    With m >= 2 no such matrix exists when n > p - 1: every entry must be
+    nonzero and no two rows proportional on a pair of columns, which leaves
+    at most p - 1 rows.
     """
     if field.is_rational:
         return vandermonde_coefficients(range(1, n + 1), m)
-    rng = random.Random(seed)
     p = field.p
+    if m >= 2 and n > p - 1:
+        raise ValueError(
+            f"no {n} x {m} matrix over F_{p} has all minors nonzero: with two or more "
+            f"columns it can have at most p - 1 = {p - 1} rows"
+        )
+    rng = random.Random(seed)
     for _ in range(max_tries):
         rows = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
         M = Matrix(field, rows, m)
@@ -415,7 +423,7 @@ def kernel_dim_formula(cx: SimplicialComplex, ell: int, m: int, i: int, field: F
     for F in cx.faces():
         c = binom0(i - m, len(F) - m - 1)
         if c:
-            total += c * relative_cohomology(cx, F, ell - 1, field).dim
+            total += c * relative_cohomology_dim(cx, F, ell - 1, field)
     return total
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import induced_map, relative_cohomology
+from .cohomology import induced_map, relative_cohomology_dim
 from .complexes import SimplicialComplex
 from .linalg import FieldSpec, Matrix, hstack, image_basis, rank
 from .local_cohomology import binom0
@@ -38,7 +38,7 @@ def quotient_lc_dim(cx: SimplicialComplex, m: int, ell: int, i: int, field: Fiel
     for F in cx.faces():
         c = binom0(i - 1, len(F) - m - 1)
         if c:
-            total += c * relative_cohomology(cx, F, ell + m - 1, field).dim
+            total += c * relative_cohomology_dim(cx, F, ell + m - 1, field)
     return total
 
 
@@ -53,7 +53,7 @@ def predicts_finite_lc(cx: SimplicialComplex, m: int, field: FieldSpec) -> bool:
         raise ValueError("m out of range")
     for ell in range(1, d - m):
         for F in cx.faces():
-            if len(F) >= m + 1 and relative_cohomology(cx, F, ell + m - 1, field).dim:
+            if len(F) >= m + 1 and relative_cohomology_dim(cx, F, ell + m - 1, field):
                 return False
     return True
 
@@ -120,7 +120,6 @@ def vertex_cohomology_map(cx: SimplicialComplex, i: int, theta, field: FieldSpec
         raise ValueError("complex must have a singular set of dimension at most 0")
     if not 0 <= i <= cx.dim:
         raise ValueError("degree out of range")
-    target = relative_cohomology(cx, frozenset(), i, field)
     blocks = []
     for t in range(1, cx.n + 1):
         if frozenset({t}) not in cx:
@@ -129,7 +128,8 @@ def vertex_cohomology_map(cx: SimplicialComplex, i: int, theta, field: FieldSpec
         if block.ncols:
             blocks.append(block.scaled(theta[t - 1]))
     if not blocks:
-        return Matrix(field, [[] for _ in range(target.dim)], 0)
+        nrows = relative_cohomology_dim(cx, frozenset(), i, field)
+        return Matrix(field, [[] for _ in range(nrows)], 0)
     return hstack(*blocks)
 
 
@@ -151,7 +151,7 @@ def isolated_quotient_dims(cx: SimplicialComplex, theta, i: int, field: FieldSpe
         coker = 0
     fi = vertex_cohomology_map(cx, i, theta, field)
     ker = fi.ncols - rank(fi)
-    h_global = relative_cohomology(cx, frozenset(), i, field).dim
+    h_global = relative_cohomology_dim(cx, frozenset(), i, field)
     return (0, coker + ker, h_global)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import relative_cohomology
+from .cohomology import relative_cohomology_dim
 from .complexes import SimplicialComplex
 from .linalg import FieldSpec
 from .local_cohomology import binom0
@@ -86,7 +86,7 @@ def sqfree_lc_data(cx: SimplicialComplex, j: int, field: FieldSpec) -> SqfreeDat
         raise ValueError("cohomological degree above the Krull dimension")
     table = {}
     for F in cx.faces():
-        h = relative_cohomology(cx, F, j - 1, field).dim
+        h = relative_cohomology_dim(cx, F, j - 1, field)
         if h:
             table[F] = h
     return SqfreeData.from_dict(cx.n, table)

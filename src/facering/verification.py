@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import artinian, quotient, singularity, squarefree
-from .cohomology import reduced_cohomology_dim, relative_cohomology
+from .cohomology import reduced_cohomology_dim, relative_cohomology_dim
 from .complexes import SimplicialComplex
 from .linalg import FieldSpec
 from .local_cohomology import (
@@ -64,7 +64,7 @@ def check_link_iso(name: str, cx: SimplicialComplex, field: FieldSpec) -> list[C
     for F in sorted(cx.faces(), key=lambda f: (len(f), tuple(sorted(f)))):
         link = cx.link(F)
         for i in range(0, cx.d + 1):
-            lhs = relative_cohomology(cx, F, i - 1, field).dim
+            lhs = relative_cohomology_dim(cx, F, i - 1, field)
             rhs = reduced_cohomology_dim(link, i - 1 - len(F), field)
             out.append(
                 _record(

@@ -207,6 +207,32 @@ def test_verify_corpus_ledger_digest(capsys, args):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LEDGER_DIGESTS[args]
 
 
+# SHA-256 of the concatenated `<command> <name> --field F --format json ...`
+# stdout over CORPUS_ORDER; fp:2 covers the 2-torsion of rp2_6.
+CORPUS_ORDER = ("cycle3", "bowtie", "pair_edges", "octahedron", "rp2_6")
+REPORT_DIGESTS = {
+    ("analyze", "q"): "aac440e21aa32baca57eeb9e44a659eec8f318734442b4207c670cec9e6f8bed",
+    ("analyze", "fp:2"): "9e3e8951488769c80764f5d32553bc164168628349d93308d5ff90fa099c07da",
+    ("lc", "q"): "d228cce04d9da75e003aad70f674a4f80e6b29cd221a5bcd2d51fa83eb17a9e9",
+    ("lc", "fp:2"): "2eb870f4c888be1f03b8bb06b7cc9271133f7dc046bba11e2cbf84f2cc0302c9",
+    ("predict", "q"): "6a2bc2b730925ed837fd8c15fa77bf1d9f056c042a7e4e8cfbb22edaa4c669e5",
+    ("predict", "fp:2"): "3c6dd38380bf8f54ef4bb374eeb83b8168e0b6acfa826c5d7239266f4d4e2403",
+}
+REPORT_EXTRA = {"analyze": (), "lc": ("--cutoff", "6"), "predict": ("--m", "1")}
+
+
+@pytest.mark.parametrize("command,field", sorted(REPORT_DIGESTS))
+def test_report_digest(capsys, command, field):
+    outs = []
+    for name in CORPUS_ORDER:
+        code, out, _ = run_cli(capsys, command, name, "--field", field, "--format", "json",
+                               *REPORT_EXTRA[command])
+        assert code == EXIT_OK
+        outs.append(out)
+    digest = hashlib.sha256("".join(outs).encode("utf-8")).hexdigest()
+    assert digest == REPORT_DIGESTS[command, field]
+
+
 def test_verify_json_deterministic(capsys):
     args = [
         "verify", "bowtie", "--field", "fp:32003", "--seed", "11",
@@ -283,6 +309,14 @@ def test_negative_cutoff_is_input_error(capsys):
             main([*command, "--cutoff", "-3"])
         assert exc.value.code == EXIT_INPUT_ERROR
         assert "nonnegative" in capsys.readouterr().err
+
+
+def test_generic_matrix_impossible_over_small_prime(capsys):
+    code, _, err = run_cli(capsys, "verify", "corpus", "--check", "lemma-equality",
+                           "--i", "2..3", "--m", "2", "--field", "fp:3", "--seed", "5")
+    assert code == EXIT_INPUT_ERROR
+    assert "at most p - 1 = 2 rows" in err
+    assert "tries" not in err
 
 
 def test_corpus_only_for_verify(capsys):

@@ -1,15 +1,19 @@
 """Relative cohomology: frozen dimensions, an independent rank oracle,
-the link isomorphism, functoriality of induced maps, Euler characteristics."""
+the rank route against the basis route, the link isomorphism (also on
+generated complexes), functoriality of induced maps, Euler characteristics."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facering.cohomology import (
     coboundary_matrix,
     induced_map,
     reduced_cohomology_dim,
     relative_cohomology,
+    relative_cohomology_dim,
 )
 from facering.complexes import SimplicialComplex
 from facering.linalg import GF, QQ, Matrix, hstack, rank
@@ -111,6 +115,8 @@ def test_relative_examples(bowtie, cycle3, octahedron):
     assert relative_cohomology(octahedron, {1}, 1, QQ).dim == 0
     with pytest.raises(ValueError):
         relative_cohomology(bowtie, {1, 4}, 1, QQ)
+    with pytest.raises(ValueError, match="not a face"):
+        relative_cohomology_dim(bowtie, {1, 4}, 1, QQ)
 
 
 def test_cocycle_bases_are_valid(complexes):
@@ -125,6 +131,36 @@ def test_cocycle_bases_are_valid(complexes):
                         assert (delta @ reps).is_zero()
                     combined = hstack(space.coboundary_image, reps)
                     assert rank(combined) == space.coboundary_image.ncols + reps.ncols
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)])
+def test_rank_route_matches_basis_route(complexes, field):
+    for cx in complexes.values():
+        for F in cx.faces():
+            for i in range(-2, cx.d + 1):
+                assert (
+                    relative_cohomology_dim(cx, F, i, field)
+                    == relative_cohomology(cx, F, i, field).dim
+                )
+
+
+@st.composite
+def small_complexes(draw):
+    n = draw(st.integers(1, 6))
+    facets = draw(st.lists(st.frozensets(st.integers(1, n), min_size=1), max_size=5))
+    return SimplicialComplex(n, facets)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(small_complexes())
+def test_generated_rank_route_and_link_iso(cx):
+    for field in (QQ, GF(2)):
+        for F in cx.faces():
+            link = cx.link(F)
+            for i in range(0, cx.d + 1):
+                got = relative_cohomology_dim(cx, F, i - 1, field)
+                assert got == relative_cohomology(cx, F, i - 1, field).dim
+                assert got == reduced_cohomology_dim(link, i - 1 - len(F), field)
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,11 @@ def test_make_generic_prime_field_verified_and_seeded():
 def test_make_generic_too_small_field_errors():
     with pytest.raises(ValueError):
         make_generic(6, 2, GF(2), seed=0)
+    # with two or more columns at most p - 1 rows can have all minors nonzero
+    with pytest.raises(ValueError, match="at most p - 1 = 2 rows"):
+        make_generic(3, 2, GF(3), seed=0)
+    assert all_minors_nonsingular(make_generic(2, 2, GF(3), seed=0).matrix)
+    assert all_minors_nonsingular(make_generic(5, 1, GF(3), seed=0).matrix)
 
 
 def test_column_with_all_nonzero_entries():
