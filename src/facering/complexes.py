@@ -32,7 +32,7 @@ def mixed_face_key(F) -> tuple:
 
 
 class SimplicialComplex:
-    __slots__ = ("n", "facets", "is_void", "_faces", "_hash")
+    __slots__ = ("n", "facets", "is_void", "_faces", "_by_dim", "_hash")
 
     def __init__(self, n: int, facets, is_void: bool = False):
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
@@ -54,6 +54,7 @@ class SimplicialComplex:
         object.__setattr__(self, "facets", frozenset(maximal))
         object.__setattr__(self, "is_void", bool(is_void))
         object.__setattr__(self, "_faces", None)
+        object.__setattr__(self, "_by_dim", None)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *_):
@@ -102,10 +103,18 @@ class SimplicialComplex:
         return frozenset(F) in self.faces()
 
     def faces_of_dim(self, k: int) -> list:
-        """All k-dimensional faces in lexicographic order; k = -1 gives [emptyset]."""
+        """All k-dimensional faces in lexicographic order; k = -1 gives [emptyset].
+
+        The faces are sorted once per complex; each call copies one bucket.
+        """
         if k < -1:
             raise ValueError("dimension below -1")
-        return sorted((f for f in self.faces() if len(f) == k + 1), key=face_key)
+        if self._by_dim is None:
+            buckets = {}
+            for f in sorted(self.faces(), key=face_key):
+                buckets.setdefault(len(f), []).append(f)
+            object.__setattr__(self, "_by_dim", buckets)
+        return list(self._by_dim.get(k + 1, ()))
 
     def vertices(self) -> list[int]:
         return sorted({v for f in self.facets for v in f})
@@ -125,22 +134,6 @@ class SimplicialComplex:
             return self
         over = [f - F for f in self.facets if F <= f]
         return SimplicialComplex(self.n, [g for g in over if g])
-
-    def contrastar(self, F) -> "SimplicialComplex":
-        """cost F: the subcomplex of faces not containing F; cost emptyset is void."""
-        F = frozenset(F)
-        if F not in self:
-            raise ValueError(f"{sorted(F)} is not a face")
-        if not F:
-            return SimplicialComplex(self.n, [], is_void=True)
-        new_facets = []
-        for H in self.facets:
-            if not F <= H:
-                new_facets.append(H)
-            else:
-                new_facets.extend(H - {v} for v in F if len(H) > 1)
-        new_facets = [g for g in new_facets if g]
-        return SimplicialComplex(self.n, new_facets)
 
     # -- enumeration ----------------------------------------------------------
 

@@ -210,12 +210,6 @@ class Matrix:
             raise ValueError("field mismatch")
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matmul")
-        p = self.field.p
-        if p is not None and self.nrows and other.ncols:
-            if p * p * max(self.ncols, 1) < 2**62:
-                a = self._np()
-                b = other._np()
-                return Matrix._from_np(self.field, (a @ b) % p, other.ncols)
         bcols = [other.column(j) for j in range(other.ncols)]
         rows = []
         for r in self._rows:
@@ -232,12 +226,6 @@ class Matrix:
 
     def _np(self) -> np.ndarray:
         return np.array(self._rows, dtype=np.int64).reshape(self.nrows, self.ncols)
-
-    @staticmethod
-    def _from_np(field: FieldSpec, a: np.ndarray, ncols: int | None = None) -> "Matrix":
-        if ncols is None:
-            ncols = a.shape[1]
-        return Matrix(field, [list(map(int, row)) for row in a], ncols)
 
 
 def hstack(*mats: Matrix) -> Matrix:

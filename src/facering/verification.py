@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import artinian, quotient, singularity, squarefree
 from .cohomology import reduced_cohomology_dim, relative_cohomology_dim
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, mixed_face_key
 from .linalg import FieldSpec
 from .local_cohomology import (
     GenericCoefficients,
@@ -61,7 +61,7 @@ def _record(check, name, field, params, values, passed) -> CheckResult:
 def check_link_iso(name: str, cx: SimplicialComplex, field: FieldSpec) -> list[CheckResult]:
     """Pair cohomology against link cohomology, all faces, all degrees up to d."""
     out = []
-    for F in sorted(cx.faces(), key=lambda f: (len(f), tuple(sorted(f)))):
+    for F in sorted(cx.faces(), key=mixed_face_key):
         link = cx.link(F)
         for i in range(0, cx.d + 1):
             lhs = relative_cohomology_dim(cx, F, i - 1, field)

@@ -233,6 +233,34 @@ def test_report_digest(capsys, command, field):
     assert digest == REPORT_DIGESTS[command, field]
 
 
+# The corpus is pure; these non-pure complexes have faces F with
+# dim lk F + |F| < dim, which the CM-along-a-face test must handle.
+NON_PURE = {
+    "pendant.json": {"n": 4, "facets": [[1, 2, 3], [3, 4]]},
+    "tetra_tail.json": {"n": 6, "facets": [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4],
+                                           [4, 5], [5, 6]]},
+    "mixed.json": {"n": 7, "facets": [[1, 2, 3, 4], [4, 5, 6], [6, 7], [1, 7]]},
+}
+NON_PURE_DIGESTS = {
+    "q": "2be7ad142015687bab7ba51fec579109d3aba1b4bc51b476300f376be88518ed",
+    "fp:2": "0a2dc12d3eb3368cdc2b5194d2fb33b1f69c1bd4634da6602468ccb1214a44ed",
+}
+
+
+@pytest.mark.parametrize("field", sorted(NON_PURE_DIGESTS))
+def test_non_pure_analyze_digest(capsys, tmp_path, monkeypatch, field):
+    monkeypatch.chdir(tmp_path)
+    outs = []
+    for name, data in NON_PURE.items():
+        with open(name, "w") as fh:
+            json.dump(data, fh)
+        code, out, _ = run_cli(capsys, "analyze", name, "--field", field, "--format", "json")
+        assert code == EXIT_OK
+        outs.append(out)
+    digest = hashlib.sha256("".join(outs).encode("utf-8")).hexdigest()
+    assert digest == NON_PURE_DIGESTS[field]
+
+
 def test_verify_json_deterministic(capsys):
     args = [
         "verify", "bowtie", "--field", "fp:32003", "--seed", "11",

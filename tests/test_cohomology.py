@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from facering.cohomology import (
     coboundary_matrix,
@@ -17,6 +16,8 @@ from facering.cohomology import (
 )
 from facering.complexes import SimplicialComplex
 from facering.linalg import GF, QQ, Matrix, hstack, rank
+
+from complex_strategies import small_complexes
 
 FIELDS = [QQ, GF(2), GF(3)]
 
@@ -142,13 +143,6 @@ def test_rank_route_matches_basis_route(complexes, field):
                     relative_cohomology_dim(cx, F, i, field)
                     == relative_cohomology(cx, F, i, field).dim
                 )
-
-
-@st.composite
-def small_complexes(draw):
-    n = draw(st.integers(1, 6))
-    facets = draw(st.lists(st.frozensets(st.integers(1, n), min_size=1), max_size=5))
-    return SimplicialComplex(n, facets)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)

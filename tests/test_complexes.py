@@ -1,4 +1,4 @@
-"""Simplicial complex combinatorics: construction, links, contrastars, counting."""
+"""Simplicial complex combinatorics: construction, faces by dimension, links, counting."""
 
 import json
 
@@ -78,43 +78,13 @@ def test_link_of_facet_is_empty_complex(bowtie):
     assert link.dim == -1
 
 
-def test_contrastar_examples(cycle3, bowtie):
-    assert {tuple(sorted(f)) for f in cycle3.contrastar({1}).facets} == {(2, 3)}
-    assert {tuple(sorted(f)) for f in bowtie.contrastar({3}).facets} == {(1, 2), (4, 5)}
-    minus_facet = bowtie.contrastar({1, 2, 3})
-    assert frozenset({1, 2, 3}) not in minus_facet.faces()
-    assert len(minus_facet.faces()) == len(bowtie.faces()) - 1
-    with pytest.raises(ValueError):
-        cycle3.contrastar({1, 2, 3})
-
-
-def test_contrastar_of_empty_face_is_void(cycle3):
-    void = cycle3.contrastar(frozenset())
-    assert void.is_void
-    assert void.faces() == frozenset()
-
-
-def test_contrastar_partitions_face_set(complexes):
+def test_link_downward_closed(complexes):
     for cx in complexes.values():
         for F in cx.faces():
-            if not F:
-                continue
-            cost = cx.contrastar(F)
-            above = {G for G in cx.faces() if F <= G}
-            assert cost.faces() | above == cx.faces()
-            assert cost.faces() & above == set()
-
-
-def test_link_and_contrastar_downward_closed(complexes):
-    for cx in complexes.values():
-        for F in cx.faces():
-            for derived in (cx.link(F), cx.contrastar(F) if F else None):
-                if derived is None or derived.is_void:
-                    continue
-                faces = derived.faces()
-                for G in faces:
-                    for v in G:
-                        assert G - {v} in faces
+            faces = cx.link(F).faces()
+            for G in faces:
+                for v in G:
+                    assert G - {v} in faces
 
 
 def test_link_dim_bound_and_purity(complexes):

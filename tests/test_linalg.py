@@ -142,6 +142,7 @@ def test_matmul_and_stacks():
     Ap = Matrix(GF(5), [[1, 2], [3, 4]])
     Bp = Matrix(GF(5), [[0, 1], [1, 0]])
     assert (Ap @ Bp).tolist() == [[2, 1], [4, 3]]
+    assert (Ap @ Ap).tolist() == [[2, 0], [0, 2]]  # [[7, 10], [15, 22]] mod 5
 
 
 def test_fraction_entries_are_exact():

@@ -1,7 +1,9 @@
 """Singular face classification and the codimension Cohen-Macaulay criteria."""
 
 import pytest
+from hypothesis import given, settings
 
+from facering.cohomology import reduced_cohomology_dim
 from facering.linalg import GF, QQ
 from facering.singularity import (
     NEG_INFINITY,
@@ -14,6 +16,8 @@ from facering.singularity import (
     singular_faces,
     singularity_dimension,
 )
+
+from complex_strategies import small_complexes
 
 FIELDS = [QQ, GF(2), GF(3)]
 
@@ -106,3 +110,28 @@ def test_pure_complex_link_shortcut(complexes, field):
                 is_cm(cx.link(F), field) for F in cx.faces_of_dim(r - c)
             )
             assert cm_in_codim(cx, c, field) == via_links
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(small_complexes())
+def test_generated_pair_route_matches_links(cx):
+    # reference: link complexes built explicitly, and links of links for CM;
+    # most drawn complexes are non-pure, so dim lk F + |F| < dim cx occurs
+    def singular(K, G, field):
+        link = K.link(G)
+        return any(reduced_cohomology_dim(link, i, field) for i in range(-1, K.dim - len(G)))
+
+    r = cx.dim
+    for field in (QQ, GF(2)):
+        sing = {F for F in cx.faces() if singular(cx, F, field)}
+        for F in cx.faces():
+            assert is_singular_face(cx, F, field) == (F in sing)
+            link = cx.link(F)
+            link_cm = not any(singular(link, G, field) for G in link.faces())
+            for i in range(-1, r + 2):
+                assert is_cm_along(cx, F, i, field) == (link.dim == i and link_cm)
+        assert is_buchsbaum(cx, field) == (cx.is_pure() and all(not F for F in sing))
+        sd = max((len(F) - 1 for F in sing), default=NEG_INFINITY)
+        assert singularity_dimension(cx, field) == sd
+        for m in range(0, r + 2):
+            assert (sd < m) == cm_in_codim(cx, r - m, field)
