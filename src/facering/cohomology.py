@@ -8,23 +8,21 @@ the reduced (augmented) complex, including the (-1)-cochain dual to the
 empty face, so H^{-1} of the one-face complex {emptyset} is the field.
 
 Dimensions come from ranks alone: dim H^i = dim C^i - rank delta^i -
-rank delta^(i-1), with each rank memoized as an int per (complex, face,
-degree, field), so neighbouring degrees share it.  Explicit cocycle bases
-are built only where classes are used: for the contravariant maps induced by
-contrastar inclusions (extend a relative cocycle by zero, then reduce modulo
-coboundaries) and for the graded pieces the multiplication maps act on.
+rank delta^(i-1), with each rank memoized as an int, so neighbouring degrees
+share it.  Explicit cocycle bases are built only where classes are used: for
+the contravariant maps induced by contrastar inclusions (extend a relative
+cocycle by zero, then reduce modulo coboundaries) and for the graded pieces
+the multiplication maps act on.
 
-Coboundary matrices are not cached; cochain bases, ranks, cohomology spaces
-and induced maps are cached per (complex, face, degree, field).  Outputs are
-immutable, so a cache entry recomputed under a race is indistinguishable
-from the first result.
+Coboundary matrices are not memoized; cochain bases, ranks, cohomology
+spaces and induced maps are memoized on the complex object (`per_complex`)
+and freed with it.  Outputs are immutable, so an entry recomputed under a
+race is indistinguishable from the first result.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, per_complex
 from .linalg import (
     FieldSpec,
     Matrix,
@@ -37,7 +35,7 @@ from .linalg import (
 )
 
 
-@lru_cache(maxsize=None)
+@per_complex
 def relative_cochain_basis(cx: SimplicialComplex, tau: frozenset, k: int) -> tuple:
     """k-dimensional faces containing tau, lexicographically ordered."""
     if k < -1:
@@ -66,7 +64,7 @@ def coboundary_matrix(cx: SimplicialComplex, tau: frozenset, k: int, field: Fiel
     return Matrix.from_columns(field, cols, len(target))
 
 
-@lru_cache(maxsize=None)
+@per_complex
 def coboundary_rank(cx: SimplicialComplex, tau: frozenset, k: int, field: FieldSpec) -> int:
     """rank of delta: C^k(X, cost tau) -> C^{k+1}(X, cost tau); 0 when either side is zero."""
     if not relative_cochain_basis(cx, tau, k) or not relative_cochain_basis(cx, tau, k + 1):
@@ -92,7 +90,6 @@ class CohomologyClassSpace:
     """
 
     __slots__ = (
-        "complex",
         "face",
         "degree",
         "field",
@@ -102,8 +99,7 @@ class CohomologyClassSpace:
         "_solver",
     )
 
-    def __init__(self, cx, tau, i, field, cochain_faces, cocycle_basis, coboundary_image):
-        self.complex = cx
+    def __init__(self, tau, i, field, cochain_faces, cocycle_basis, coboundary_image):
         self.face = tau
         self.degree = i
         self.field = field
@@ -141,7 +137,7 @@ def relative_cohomology(cx: SimplicialComplex, tau, i: int, field: FieldSpec) ->
     return _relative_cohomology(cx, frozenset(tau), i, field)
 
 
-@lru_cache(maxsize=None)
+@per_complex
 def _relative_cohomology(cx: SimplicialComplex, tau: frozenset, i: int, field: FieldSpec) -> CohomologyClassSpace:
     if tau not in cx:
         raise ValueError(f"{sorted(tau)} is not a face")
@@ -155,7 +151,7 @@ def _relative_cohomology(cx: SimplicialComplex, tau: frozenset, i: int, field: F
         bound = Matrix(field, [[] for _ in range(len(basis))], 0)
     chosen = independent_column_indices(bound, cocycles)
     reps = Matrix.from_columns(field, [cocycles.column(j) for j in chosen], len(basis))
-    return CohomologyClassSpace(cx, tau, i, field, basis, reps, bound)
+    return CohomologyClassSpace(tau, i, field, basis, reps, bound)
 
 
 def reduced_cohomology_dim(cx: SimplicialComplex, i: int, field: FieldSpec) -> int:
@@ -175,7 +171,7 @@ def induced_map(cx: SimplicialComplex, f_big, f_small, i: int, field: FieldSpec)
     return _induced_map(cx, frozenset(f_big), frozenset(f_small), i, field)
 
 
-@lru_cache(maxsize=None)
+@per_complex
 def _induced_map(cx: SimplicialComplex, f_big: frozenset, f_small: frozenset, i: int, field: FieldSpec) -> Matrix:
     if not f_small <= f_big:
         raise ValueError("the target face must be contained in the source face")
@@ -193,11 +189,3 @@ def _induced_map(cx: SimplicialComplex, f_big: frozenset, f_small: frozenset, i:
                 extended[index[F]] = value
         cols.append(target.express(extended))
     return Matrix.from_columns(field, cols, target.dim)
-
-
-def clear_caches():
-    """Drop all memoized cohomology data (mostly for tests)."""
-    relative_cochain_basis.cache_clear()
-    coboundary_rank.cache_clear()
-    _relative_cohomology.cache_clear()
-    _induced_map.cache_clear()

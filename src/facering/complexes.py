@@ -11,6 +11,7 @@ all).
 
 from __future__ import annotations
 
+from functools import wraps
 from itertools import combinations
 from math import comb
 
@@ -31,8 +32,29 @@ def mixed_face_key(F) -> tuple:
     return (len(F), tuple(sorted(F)))
 
 
+def per_complex(fn):
+    """Memoize fn(cx, *args) in cx's own memo, so the entries are freed with cx.
+
+    Entries are keyed by identity of the complex, not by value: two equal
+    complexes built separately share nothing.
+    """
+
+    @wraps(fn)
+    def memoized(cx, *args):
+        memo = cx._memo
+        key = (fn, args)
+        try:
+            return memo[key]
+        except KeyError:
+            pass
+        value = memo[key] = fn(cx, *args)
+        return value
+
+    return memoized
+
+
 class SimplicialComplex:
-    __slots__ = ("n", "facets", "is_void", "_faces", "_by_dim", "_hash")
+    __slots__ = ("n", "facets", "is_void", "_faces", "_by_dim", "_memo", "_hash")
 
     def __init__(self, n: int, facets, is_void: bool = False):
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
@@ -55,6 +77,7 @@ class SimplicialComplex:
         object.__setattr__(self, "is_void", bool(is_void))
         object.__setattr__(self, "_faces", None)
         object.__setattr__(self, "_by_dim", None)
+        object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *_):

@@ -174,9 +174,6 @@ class Matrix:
         rows = [[self._rows[i][j] for j in col_idx] for i in row_idx]
         return Matrix(self.field, rows, len(col_idx))
 
-    def is_zero(self) -> bool:
-        return all(not x for r in self._rows for x in r)
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -215,12 +212,6 @@ class Matrix:
         for r in self._rows:
             rows.append([sum(x * y for x, y in zip(r, c) if x and y) for c in bcols])
         return Matrix(self.field, rows, other.ncols)
-
-    def matvec(self, v) -> list:
-        v = list(v)
-        if len(v) != self.ncols:
-            raise ValueError("vector length mismatch")
-        return [sum(x * y for x, y in zip(r, v) if x and y) for r in self._rows]
 
     # -- numpy bridge (prime fields) ----------------------------------------
 

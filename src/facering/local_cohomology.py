@@ -23,17 +23,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 from .cohomology import induced_map, relative_cohomology, relative_cohomology_dim
-from .complexes import DEFAULT_BASIS_LIMIT, SimplicialComplex, degree_monomials
+from .complexes import DEFAULT_BASIS_LIMIT, SimplicialComplex, degree_monomials, per_complex
 from .linalg import FieldSpec, Matrix, rank, vstack
-
-# Entries are ints keyed by (complex, l, m, i, coefficients, field); the checks
-# reuse a rank within a few consecutive (l, m, i) steps, far below this size.
-STACKED_RANK_CACHE_SIZE = 256
 
 
 def support(U) -> frozenset:
@@ -56,10 +51,9 @@ def binom0(a: int, b: int) -> int:
 class GradedPiece:
     """The degree -r piece in cohomological degree l, as an ordered block sum."""
 
-    __slots__ = ("complex", "ell", "r", "field", "vectors", "spaces", "offsets", "total_dim", "_index")
+    __slots__ = ("ell", "r", "field", "vectors", "spaces", "offsets", "total_dim", "_index")
 
     def __init__(self, cx, ell, r, field):
-        self.complex = cx
         self.ell = ell
         self.r = r
         self.field = field
@@ -80,7 +74,7 @@ class GradedPiece:
         return self._index.get(tuple(U))
 
 
-@lru_cache(maxsize=None)
+@per_complex
 def graded_piece(cx: SimplicialComplex, ell: int, r: int, field: FieldSpec) -> GradedPiece:
     return GradedPiece(cx, ell, r, field)
 
@@ -374,7 +368,7 @@ def theta_action_matrix(cx: SimplicialComplex, ell: int, i: int, theta, field: F
     return Matrix(field, entries, src.total_dim)
 
 
-@lru_cache(maxsize=STACKED_RANK_CACHE_SIZE)
+@per_complex
 def stacked_theta_rank(cx: SimplicialComplex, ell: int, m: int, i: int,
                        coeffs: GenericCoefficients, field: FieldSpec) -> int:
     """Rank of the first m multiplication maps, stacked, at degree -(i+1).
@@ -439,8 +433,3 @@ def restricted_theta_rank(cx: SimplicialComplex, ell: int, m: int, i: int,
         raise ValueError("coefficient matrix needs at least m+1 columns")
     return (stacked_theta_rank(cx, ell, m + 1, i, coeffs, field)
             - stacked_theta_rank(cx, ell, m, i, coeffs, field))
-
-
-def clear_caches():
-    graded_piece.cache_clear()
-    stacked_theta_rank.cache_clear()

@@ -8,11 +8,15 @@ Reisner's criterion).  Buchsbaumness (Schenzel) and the codimension-c
 Cohen-Macaulay conditions are expressed through links as well.
 
 No link complex is built: H~^i(lk F) = H^(i+|F|)(X, cost F), so every link
-condition is read from the parent's pair cohomology.  lk F is Cohen-Macaulay
-when no face H of X containing F has pair cohomology in a degree below
-top = dim lk F + |F| (the largest facet over F has top + 1 vertices), since
-the link of H - F in lk F is lk H.  The link route lives only in the
-link-iso oracle of the verification ledger and in the tests.
+condition is read from the parent's pair cohomology.  One table per (complex,
+field) holds, for each face H, its depth, the least k >= |H| - 1 with
+H^k(X, cost H) != 0 (capped at dim X), and the least depth of a face
+containing H; it is filled from the largest faces down, so the second entry
+reads the cofaces H + {v}.  F is singular iff depth F < dim X.  lk F is
+Cohen-Macaulay iff no face H containing F has depth below top = dim lk F +
+|F| (the largest facet over F has top + 1 vertices), since the link of H - F
+in lk F is lk H.  The link route lives only in the link-iso oracle of the
+verification ledger and in the tests.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .cohomology import relative_cohomology_dim
-from .complexes import SimplicialComplex, mixed_face_key
+from .complexes import SimplicialComplex, mixed_face_key, per_complex
 from .linalg import FieldSpec
 
 NEG_INFINITY = -math.inf
@@ -44,9 +48,20 @@ class SingularityReport:
         }
 
 
-def _vanishes_below(cx: SimplicialComplex, H: frozenset, top: int, field: FieldSpec) -> bool:
-    """H^k(X, cost H) = 0 for |H| - 1 <= k < top, i.e. H~^j(lk H) = 0 for j < top - |H|."""
-    return not any(relative_cohomology_dim(cx, H, k, field) for k in range(len(H) - 1, top))
+@per_complex
+def _depths(cx: SimplicialComplex, field: FieldSpec) -> dict:
+    """Face H -> (depth H, least depth of a face containing H)."""
+    if cx.is_void:
+        return {}
+    r = cx.dim
+    vertices = cx.vertices()
+    table = {}
+    for size in range(r + 1, -1, -1):
+        for H in cx.faces_of_dim(size - 1):
+            depth = next((k for k in range(size - 1, r) if relative_cohomology_dim(cx, H, k, field)), r)
+            cofaces = (H | {v} for v in vertices if v not in H)
+            table[H] = (depth, min([depth, *(table[G][1] for G in cofaces if G in table)]))
+    return table
 
 
 def is_singular_face(cx: SimplicialComplex, F, field: FieldSpec) -> bool:
@@ -54,13 +69,12 @@ def is_singular_face(cx: SimplicialComplex, F, field: FieldSpec) -> bool:
     F = frozenset(F)
     if F not in cx:
         raise ValueError(f"{sorted(F)} is not a face")
-    return not _vanishes_below(cx, F, cx.dim, field)
+    return _depths(cx, field)[F][0] < cx.dim
 
 
 def singular_faces(cx: SimplicialComplex, field: FieldSpec) -> list:
-    return sorted(
-        (F for F in cx.faces() if is_singular_face(cx, F, field)), key=mixed_face_key
-    )
+    table = _depths(cx, field)
+    return sorted((F for F, (depth, _) in table.items() if depth < cx.dim), key=mixed_face_key)
 
 
 def singularity_dimension(cx: SimplicialComplex, field: FieldSpec):
@@ -91,9 +105,7 @@ def is_cm_along(cx: SimplicialComplex, F, i: int, field: FieldSpec) -> bool:
     if F not in cx:
         raise ValueError(f"{sorted(F)} is not a face")
     top = max((len(f) for f in cx.facets if F <= f), default=0) - 1
-    return top - len(F) == i and all(
-        _vanishes_below(cx, H, top, field) for H in cx.faces() if F <= H
-    )
+    return top - len(F) == i and _depths(cx, field)[F][1] >= top
 
 
 def cm_in_codim(cx: SimplicialComplex, c: int, field: FieldSpec) -> bool:

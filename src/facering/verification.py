@@ -311,19 +311,6 @@ def check_cm_anchor(name: str, cx: SimplicialComplex, field: FieldSpec,
     ]
 
 
-def check_determinacy(name: str, cx: SimplicialComplex, field: FieldSpec,
-                      m: int, trials: int, cutoff: int, seed: int | None) -> list[CheckResult]:
-    constant, runs = artinian.determinacy_probe(cx, m, trials, cutoff, field, seed=seed)
-    return [
-        _record(
-            "determinacy", name, field,
-            {"m": m, "trials": trials, "cutoff": cutoff, "seed": seed},
-            {"constant": constant, "hilbert_functions": sorted({run.dims for run in runs})},
-            constant,
-        )
-    ]
-
-
 SUITE_CHECKS = (
     "link-iso",
     "hochster-counts",

@@ -129,7 +129,7 @@ def test_cocycle_bases_are_valid(complexes):
                     delta = coboundary_matrix(cx, frozenset(F), i, field)
                     reps = space.cocycle_basis
                     if reps.ncols:
-                        assert (delta @ reps).is_zero()
+                        assert not any(x for row in (delta @ reps).tolist() for x in row)
                     combined = hstack(space.coboundary_image, reps)
                     assert rank(combined) == space.coboundary_image.ncols + reps.ncols
 

@@ -1,6 +1,9 @@
 """Simplicial complex combinatorics: construction, faces by dimension, links, counting."""
 
+import gc
 import json
+import random
+import tracemalloc
 
 import pytest
 
@@ -11,6 +14,9 @@ from facering.complexes import (
     degree_monomials,
     from_facets,
 )
+from facering.linalg import QQ
+from facering.local_cohomology import kernel_dim_bruteforce
+from facering.singularity import cm_in_codim, report
 
 
 def test_from_facets_cycle3_face_count(cycle3):
@@ -175,3 +181,25 @@ def test_degree_monomials_size_guard(octahedron):
     with pytest.raises(SizeLimitError):
         degree_monomials(octahedron, 6, limit=100)
     assert len(degree_monomials(octahedron, 6, limit=200)) == 146
+
+
+def test_memo_is_freed_with_its_complex():
+    # derived data lives on the complex: a process that analyses many complexes
+    # one after another must not keep the earlier ones' cohomology, graded
+    # pieces or stacked ranks
+    rng = random.Random(2024)
+    traced = {}
+    tracemalloc.start()
+    try:
+        for k in range(1, 41):
+            cx = SimplicialComplex(7, [rng.sample(range(1, 8), 3) for _ in range(8)])
+            report(cx, QQ)
+            cm_in_codim(cx, 1, QQ)
+            kernel_dim_bruteforce(cx, 2, 1, 1, None, QQ)
+            del cx
+            if k in (1, 10, 40):
+                gc.collect()
+                traced[k] = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert traced[40] - traced[10] < 64 * 1024, traced
