@@ -32,7 +32,6 @@ from .local_cohomology import (
     lc_fine_dim,
     lc_hilbert_series,
     make_generic,
-    pole_order,
     theta_action_matrix,
 )
 from .quotient import (
@@ -84,7 +83,6 @@ __all__ = [
     "lc_fine_dim",
     "lc_hilbert_series",
     "make_generic",
-    "pole_order",
     "predicts_finite_lc",
     "quotient_lc_dim",
     "reduced_cohomology_dim",

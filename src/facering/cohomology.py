@@ -12,27 +12,21 @@ rank delta^(i-1), with each rank memoized as an int, so neighbouring degrees
 share it.  Explicit cocycle bases are built only where classes are used: for
 the contravariant maps induced by contrastar inclusions (extend a relative
 cocycle by zero, then reduce modulo coboundaries) and for the graded pieces
-the multiplication maps act on.
+the multiplication maps act on.  The class representatives are the cocycles
+Z (a kernel basis of delta^i) at the pivot columns of [delta^(i-1) | Z] past
+delta^(i-1); the coordinates of a cocycle's class are the last dim entries
+of its solution by the memoized class solver for [delta^(i-1) | reps].
 
 Coboundary matrices are not memoized; cochain bases, ranks, cohomology
-spaces and induced maps are memoized on the complex object (`per_complex`)
-and freed with it.  Outputs are immutable, so an entry recomputed under a
-race is indistinguishable from the first result.
+spaces, class solvers and induced maps are memoized on the complex object
+(`per_complex`) and freed with it.  Outputs are immutable, so an entry
+recomputed under a race is indistinguishable from the first result.
 """
 
 from __future__ import annotations
 
 from .complexes import SimplicialComplex, per_complex
-from .linalg import (
-    FieldSpec,
-    Matrix,
-    Solver,
-    hstack,
-    image_basis,
-    independent_column_indices,
-    kernel_basis,
-    rank,
-)
+from .linalg import FieldSpec, Matrix, Solver, hstack, kernel_basis, pivot_columns, rank
 
 
 @per_complex
@@ -85,45 +79,21 @@ class CohomologyClassSpace:
     """Basis of cocycle representatives for H^i(X, cost tau).
 
     cocycle_basis columns are cocycles in the relative cochain basis and are
-    independent modulo coboundaries; coboundary_image columns span the image
-    of the previous coboundary.
+    independent modulo coboundaries.
     """
 
-    __slots__ = (
-        "face",
-        "degree",
-        "field",
-        "cochain_faces",
-        "cocycle_basis",
-        "coboundary_image",
-        "_solver",
-    )
+    __slots__ = ("face", "degree", "field", "cochain_faces", "cocycle_basis")
 
-    def __init__(self, tau, i, field, cochain_faces, cocycle_basis, coboundary_image):
+    def __init__(self, tau, i, field, cochain_faces, cocycle_basis):
         self.face = tau
         self.degree = i
         self.field = field
         self.cochain_faces = cochain_faces
         self.cocycle_basis = cocycle_basis
-        self.coboundary_image = coboundary_image
-        self._solver = None
 
     @property
     def dim(self) -> int:
         return self.cocycle_basis.ncols
-
-    def express(self, cochain) -> list:
-        """Coordinates of a cocycle's class in the chosen basis.
-
-        The input must be a cocycle; failure to lie in span(basis) +
-        span(coboundaries) indicates corrupted bases and raises.
-        """
-        if self._solver is None:
-            self._solver = Solver(hstack(self.cocycle_basis, self.coboundary_image))
-        x = self._solver.solve(cochain)
-        if x is None:
-            raise AssertionError("cocycle does not reduce against the stored bases")
-        return x[: self.cocycle_basis.ncols]
 
     def __repr__(self):
         return (
@@ -142,16 +112,19 @@ def _relative_cohomology(cx: SimplicialComplex, tau: frozenset, i: int, field: F
     if tau not in cx:
         raise ValueError(f"{sorted(tau)} is not a face")
     basis = relative_cochain_basis(cx, tau, i)
-    delta_out = coboundary_matrix(cx, tau, i, field)
-    cocycles = kernel_basis(delta_out)
-    if i - 1 >= -1 and relative_cochain_basis(cx, tau, i - 1):
-        delta_in = coboundary_matrix(cx, tau, i - 1, field)
-        bound = image_basis(delta_in)
-    else:
-        bound = Matrix(field, [[] for _ in range(len(basis))], 0)
-    chosen = independent_column_indices(bound, cocycles)
-    reps = Matrix.from_columns(field, [cocycles.column(j) for j in chosen], len(basis))
-    return CohomologyClassSpace(tau, i, field, basis, reps, bound)
+    cocycles = kernel_basis(coboundary_matrix(cx, tau, i, field))
+    delta_in = coboundary_matrix(cx, tau, i - 1, field)
+    pivots = pivot_columns(hstack(delta_in, cocycles))
+    reps = [cocycles.column(c - delta_in.ncols) for c in pivots if c >= delta_in.ncols]
+    return CohomologyClassSpace(tau, i, field, basis, Matrix.from_columns(field, reps, len(basis)))
+
+
+@per_complex
+def _class_solver(cx: SimplicialComplex, tau: frozenset, i: int, field: FieldSpec) -> Solver:
+    """Solver for [delta^(i-1) | representatives]: the last dim entries of a
+    cocycle's solution are the coordinates of its class."""
+    reps = _relative_cohomology(cx, tau, i, field).cocycle_basis
+    return Solver(hstack(coboundary_matrix(cx, tau, i - 1, field), reps))
 
 
 def reduced_cohomology_dim(cx: SimplicialComplex, i: int, field: FieldSpec) -> int:
@@ -179,6 +152,7 @@ def _induced_map(cx: SimplicialComplex, f_big: frozenset, f_small: frozenset, i:
     target = relative_cohomology(cx, f_small, i, field)
     if f_big == f_small:
         return Matrix.identity(field, source.dim)
+    solver = _class_solver(cx, f_small, i, field)
     index = {F: r for r, F in enumerate(target.cochain_faces)}
     cols = []
     for j in range(source.dim):
@@ -187,5 +161,8 @@ def _induced_map(cx: SimplicialComplex, f_big: frozenset, f_small: frozenset, i:
         for value, F in zip(rep, source.cochain_faces):
             if value:
                 extended[index[F]] = value
-        cols.append(target.express(extended))
+        x = solver.solve(extended)
+        if x is None:
+            raise AssertionError("cocycle does not reduce against the stored bases")
+        cols.append(x[solver.ncols - target.dim:])
     return Matrix.from_columns(field, cols, target.dim)

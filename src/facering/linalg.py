@@ -5,6 +5,10 @@ denominators row by row, which keeps every intermediate entry an integer.
 Prime-field matrices are reduced with vectorized modular row operations on
 int64 numpy arrays.  No floating point is used anywhere.
 
+Over Q, ranks and pivot columns need only the forward elimination.  Kernels
+and solving read off one reduced echelon form per field (`_q_rref` by exact
+Fraction back-substitution, `_p_rref` by Gauss-Jordan mod p).
+
 All pivot choices are "first nonzero", so every result (kernel bases,
 class representatives, ...) is deterministic.
 """
@@ -62,14 +66,6 @@ class FieldSpec:
     @property
     def is_rational(self) -> bool:
         return self.p is None
-
-    @staticmethod
-    def rational() -> "FieldSpec":
-        return FieldSpec(None)
-
-    @staticmethod
-    def prime(p: int) -> "FieldSpec":
-        return FieldSpec(p)
 
     @staticmethod
     def parse(text: str) -> "FieldSpec":
@@ -303,35 +299,24 @@ def _q_echelon(rows: list[list[int]], pivot_cols: int):
     return rows, pivots
 
 
-def _q_clear_column(vec: list[Fraction]) -> list[int]:
-    den = 1
-    for x in vec:
-        if isinstance(x, Fraction) and x.denominator != 1:
-            den = lcm(den, x.denominator)
-    ints = [int(x * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
+def _q_rref(rows: list[list[int]], pivot_cols: int):
+    """Reduced echelon form over Q: Bareiss forward, then exact back-substitution.
 
-
-def _q_kernel_columns(rows, pivots, ncols) -> list[list[int]]:
-    pivset = set(pivots)
-    cols = []
-    for fc in range(ncols):
-        if fc in pivset:
-            continue
-        v: list = [0] * ncols
-        v[fc] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            row = rows[r]
-            s = sum(row[j] * v[j] for j in range(c + 1, ncols) if v[j])
-            v[c] = Fraction(-s, row[c]) if s else Fraction(0)
-        cols.append(_q_clear_column([Fraction(x) for x in v]))
-    return cols
+    Returns (Fraction rows, pivot column list); row r has a 1 in column
+    pivots[r] and zeros in every other pivot column.
+    """
+    rows, pivots = _q_echelon(rows, pivot_cols)
+    rows = [[Fraction(x) for x in r] for r in rows]
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        piv = rows[r][c]
+        if piv != 1:
+            rows[r] = [x / piv for x in rows[r]]
+        for r2 in range(r):
+            f = rows[r2][c]
+            if f:
+                rows[r2] = [a - f * b for a, b in zip(rows[r2], rows[r])]
+    return rows, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -366,26 +351,27 @@ def _p_rref(a: np.ndarray, p: int, pivot_cols: int):
     return R, pivots
 
 
-def _p_kernel_columns(R: np.ndarray, pivots, ncols, p) -> list[list[int]]:
-    pivset = set(pivots)
-    cols = []
-    for fc in range(ncols):
-        if fc in pivset:
-            continue
-        v = [0] * ncols
-        v[fc] = 1
-        for r, c in enumerate(pivots):
-            v[c] = int(-R[r, fc]) % p
-        cols.append(v)
-    return cols
-
-
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
 
-def _echelon_pivots(M: Matrix) -> list[int]:
+def _rref(M: Matrix, pivot_cols: int):
+    """Reduced echelon form of M in its first pivot_cols columns: (rows, pivots).
+
+    Rows are lists; row r has a 1 in column pivots[r] and zeros in the other
+    pivot columns, and rows past len(pivots) vanish in those columns.
+    """
+    if M.nrows == 0 or pivot_cols == 0:
+        return M.tolist(), []
+    if M.field.is_rational:
+        return _q_rref(_q_int_rows(M._rows), pivot_cols)
+    R, pivots = _p_rref(M._np(), M.field.p, pivot_cols)
+    return R.tolist(), pivots
+
+
+def pivot_columns(M: Matrix) -> list[int]:
+    """Indices of the first maximal independent set of columns of M, in order."""
     if M.nrows == 0 or M.ncols == 0:
         return []
     if M.field.is_rational:
@@ -396,38 +382,26 @@ def _echelon_pivots(M: Matrix) -> list[int]:
 
 
 def rank(M: Matrix) -> int:
-    return len(_echelon_pivots(M))
+    return len(pivot_columns(M))
 
 
 def kernel_basis(M: Matrix) -> Matrix:
-    """Columns span ker M (as a subspace of the column-index space)."""
+    """Columns span ker M, one per free column: 1 there, 0 at the other free columns."""
     n = M.ncols
-    if n == 0:
-        return Matrix(M.field, [], 0)
-    if M.nrows == 0:
-        return Matrix.identity(M.field, n)
+    rows, pivots = _rref(M, n)
+    pivset = set(pivots)
+    cols = []
+    for free in range(n):
+        if free in pivset:
+            continue
+        v = [0] * n
+        v[free] = 1
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][free]
+        cols.append(v)
     if M.field.is_rational:
-        rows, pivots = _q_echelon(_q_int_rows(M._rows), n)
-        cols = _q_kernel_columns(rows, pivots, n)
-    else:
-        R, pivots = _p_rref(M._np(), M.field.p, n)
-        cols = _p_kernel_columns(R, pivots, n, M.field.p)
+        cols = _q_int_rows(cols)
     return Matrix.from_columns(M.field, cols, n)
-
-
-def image_basis(M: Matrix) -> Matrix:
-    """A maximal independent subset of the columns of M, in column order."""
-    pivots = _echelon_pivots(M)
-    return Matrix.from_columns(M.field, [M.column(j) for j in pivots], M.nrows)
-
-
-def independent_column_indices(base: Matrix, extra: Matrix) -> list[int]:
-    """Indices of columns of `extra` that extend span(base) to span(base)+span(extra)."""
-    if base.nrows != extra.nrows or base.field != extra.field:
-        raise ValueError("shape/field mismatch")
-    pivots = _echelon_pivots(hstack(base, extra)) if base.ncols else _echelon_pivots(extra)
-    offset = base.ncols
-    return [c - offset for c in pivots if c >= offset]
 
 
 class Solver:
@@ -437,36 +411,13 @@ class Solver:
         self.field = M.field
         self.nrows = M.nrows
         self.ncols = M.ncols
-        if M.nrows == 0:
-            self.pivots: list[int] = []
-            self._transform = []
-            return
-        aug = hstack(M, Matrix.identity(M.field, M.nrows))
-        if M.field.is_rational:
-            rows, pivots = _q_echelon(_q_int_rows(aug._rows), M.ncols)
-            frac_rows = [[Fraction(x) for x in r] for r in rows]
-            for r in range(len(pivots) - 1, -1, -1):
-                c = pivots[r]
-                piv = frac_rows[r][c]
-                if piv != 1:
-                    frac_rows[r] = [x / piv for x in frac_rows[r]]
-                for r2 in range(r):
-                    f = frac_rows[r2][c]
-                    if f:
-                        frac_rows[r2] = [a - f * b for a, b in zip(frac_rows[r2], frac_rows[r])]
-            self.pivots = pivots
-            self._transform = [row[M.ncols:] for row in frac_rows]
-        else:
-            R, pivots = _p_rref(aug._np(), M.field.p, M.ncols)
-            self.pivots = pivots
-            self._transform = [[int(x) for x in row[M.ncols:]] for row in R]
+        rows, self.pivots = _rref(hstack(M, Matrix.identity(M.field, M.nrows)), M.ncols)
+        self._transform = [row[M.ncols:] for row in rows]
 
     def solve(self, b) -> list | None:
         b = list(b)
         if len(b) != self.nrows:
             raise ValueError("rhs length mismatch")
-        if self.nrows == 0:
-            return [0] * self.ncols
         y = [sum(t * v for t, v in zip(row, b) if t and v) for row in self._transform]
         if self.field.p is not None:
             y = [v % self.field.p for v in y]
@@ -477,4 +428,3 @@ class Solver:
         for r, c in enumerate(self.pivots):
             x[c] = y[r]
         return x
-

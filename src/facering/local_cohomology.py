@@ -28,7 +28,7 @@ from math import comb
 
 from .cohomology import induced_map, relative_cohomology, relative_cohomology_dim
 from .complexes import DEFAULT_BASIS_LIMIT, SimplicialComplex, degree_monomials, per_complex
-from .linalg import FieldSpec, Matrix, rank, vstack
+from .linalg import QQ, FieldSpec, Matrix, rank, vstack
 
 
 def support(U) -> frozenset:
@@ -139,14 +139,13 @@ class HilbertSeries:
 
     numerator: tuple[int, ...]
     denom_power: int
-    reduced: bool = False
 
     def reduce(self) -> "HilbertSeries":
         """Cancel all factors of (1 - t); the zero series reduces to 0/(1-t)^0."""
         num = list(_strip(list(self.numerator)))
         e = self.denom_power
         if not num:
-            return HilbertSeries((), 0, True)
+            return HilbertSeries((), 0)
         while e > 0 and sum(num) == 0:
             # synthetic division by (1 - t): q_k = p_k + q_{k-1}
             q = []
@@ -157,8 +156,8 @@ class HilbertSeries:
             num = list(_strip(q))
             e -= 1
             if not num:
-                return HilbertSeries((), 0, True)
-        return HilbertSeries(tuple(num), e, True)
+                return HilbertSeries((), 0)
+        return HilbertSeries(tuple(num), e)
 
     @property
     def pole_order(self) -> int:
@@ -205,7 +204,7 @@ def lc_hilbert_series(cx: SimplicialComplex, i: int, field: FieldSpec) -> Hilber
         if h:
             dims[len(F)] = dims.get(len(F), 0) + h
     if not dims:
-        return HilbertSeries((), 0, True)
+        return HilbertSeries((), 0)
     e = max(dims)
     num = [0] * (e + 1)
     for size, total in dims.items():
@@ -213,10 +212,6 @@ def lc_hilbert_series(cx: SimplicialComplex, i: int, field: FieldSpec) -> Hilber
         for k, c in enumerate(term):
             num[k] += c
     return HilbertSeries(_strip(num), e).reduce()
-
-
-def pole_order(series: HilbertSeries) -> int:
-    return series.pole_order
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +267,7 @@ def vandermonde_coefficients(nodes, m: int) -> GenericCoefficients:
     if any(t <= 0 for t in nodes) or sorted(set(nodes)) != nodes:
         raise ValueError("nodes must be strictly increasing positive integers")
     rows = [[t ** p for p in range(m)] for t in nodes]
-    return GenericCoefficients(Matrix(FieldSpec.rational(), rows, m), True)
+    return GenericCoefficients(Matrix(QQ, rows, m), True)
 
 
 def all_minors_nonsingular(M: Matrix) -> bool:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .cohomology import induced_map, relative_cohomology_dim
 from .complexes import SimplicialComplex
-from .linalg import FieldSpec, Matrix, hstack, image_basis, rank
+from .linalg import FieldSpec, Matrix, hstack, rank
 from .local_cohomology import binom0
 from .singularity import singularity_dimension
 
@@ -73,12 +73,6 @@ class QuotientLcTable:
             for i in range(1, i_max + 1):
                 entries.append(((ell, i), quotient_lc_dim(cx, m, ell, i, field)))
         return QuotientLcTable(m, cx.d, tuple(entries))
-
-    def dim(self, ell: int, i: int) -> int:
-        for (l, j), value in self.entries:
-            if (l, j) == (ell, i):
-                return value
-        raise KeyError((ell, i))
 
     def to_json(self) -> dict:
         return {
@@ -164,18 +158,11 @@ def is_homologically_isolated(cx: SimplicialComplex, field: FieldSpec) -> bool:
     if singularity_dimension(cx, field) > 0:
         raise ValueError("complex must have a singular set of dimension at most 0")
     for i in range(0, cx.d - 1):
-        images = []
-        for t in range(1, cx.n + 1):
-            if frozenset({t}) not in cx:
-                continue
-            block = induced_map(cx, frozenset({t}), frozenset(), i, field)
-            img = image_basis(block)
-            if img.ncols:
-                images.append(img)
-        if not images:
-            continue
-        total = sum(img.ncols for img in images)
-        joint = rank(hstack(*images))
-        if joint != total:
+        blocks = [
+            induced_map(cx, frozenset({t}), frozenset(), i, field)
+            for t in range(1, cx.n + 1)
+            if frozenset({t}) in cx
+        ]
+        if blocks and rank(hstack(*blocks)) != sum(rank(b) for b in blocks):
             return False
     return True

@@ -73,8 +73,8 @@ def is_singular_face(cx: SimplicialComplex, F, field: FieldSpec) -> bool:
 
 
 def singular_faces(cx: SimplicialComplex, field: FieldSpec) -> list:
-    table = _depths(cx, field)
-    return sorted((F for F, (depth, _) in table.items() if depth < cx.dim), key=mixed_face_key)
+    r = cx.dim
+    return sorted((F for F, (depth, _) in _depths(cx, field).items() if depth < r), key=mixed_face_key)
 
 
 def singularity_dimension(cx: SimplicialComplex, field: FieldSpec):

@@ -1,7 +1,9 @@
 """Relative cohomology: frozen dimensions, an independent rank oracle,
 the rank route against the basis route, the link isomorphism (also on
-generated complexes), functoriality of induced maps, Euler characteristics."""
+generated complexes), functoriality of induced maps, Euler characteristics,
+and a digest of every class representative and codimension-one induced map."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,7 @@ from facering.cohomology import (
     relative_cohomology,
     relative_cohomology_dim,
 )
-from facering.complexes import SimplicialComplex
+from facering.complexes import SimplicialComplex, mixed_face_key
 from facering.linalg import GF, QQ, Matrix, hstack, rank
 
 from complex_strategies import small_complexes
@@ -130,8 +132,8 @@ def test_cocycle_bases_are_valid(complexes):
                     reps = space.cocycle_basis
                     if reps.ncols:
                         assert not any(x for row in (delta @ reps).tolist() for x in row)
-                    combined = hstack(space.coboundary_image, reps)
-                    assert rank(combined) == space.coboundary_image.ncols + reps.ncols
+                    delta_in = coboundary_matrix(cx, frozenset(F), i - 1, field)
+                    assert rank(hstack(delta_in, reps)) == rank(delta_in) + reps.ncols
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)])
@@ -222,3 +224,35 @@ def test_euler_characteristic(complexes, field):
             (-1) ** i * reduced_cohomology_dim(cx, i, field) for i in range(-1, cx.dim + 1)
         )
         assert coh_side == face_side
+
+
+# ---------------------------------------------------------------------------
+# class layer digest: representatives and coordinates, not only ranks
+# ---------------------------------------------------------------------------
+
+CLASS_LAYER_DIGEST = "d71bac84fbfa132e32526c2ad67a48c651e0971c24f438aef576a7c4eb7b696a"
+
+
+def _hash_matrix(h, M):
+    h.update(f"{M.nrows}x{M.ncols}:".encode())
+    h.update(",".join(str(Fraction(x)) for row in M.tolist() for x in row).encode())
+    h.update(b";")
+
+
+def test_class_layer_digest(complexes):
+    """SHA-256 over every cocycle basis and every codimension-one induced map
+    of the corpus over Q, F_2, F_3 and F_32003, pinned to known output."""
+    h = hashlib.sha256()
+    for name in sorted(complexes):
+        cx = complexes[name]
+        faces = sorted(cx.faces(), key=mixed_face_key)
+        for field in (QQ, GF(2), GF(3), GF(32003)):
+            for F in faces:
+                for i in range(-1, cx.dim + 1):
+                    h.update(f"{name} {field} {sorted(F)} {i}".encode())
+                    _hash_matrix(h, relative_cohomology(cx, F, i, field).cocycle_basis)
+                    for v in range(1, cx.n + 1):
+                        if v not in F and F | {v} in cx:
+                            h.update(f"<-{v}".encode())
+                            _hash_matrix(h, induced_map(cx, F | {v}, F, i, field))
+    assert h.hexdigest() == CLASS_LAYER_DIGEST
