@@ -3,11 +3,16 @@
 Rational matrices are eliminated fraction-free (Bareiss) after clearing
 denominators row by row, which keeps every intermediate entry an integer.
 Prime-field matrices are reduced with vectorized modular row operations on
-int64 numpy arrays.  No floating point is used anywhere.
+int64 numpy arrays.  Entries must be exact: an int enters F_p as `x % p`, a
+Fraction through the modular inverse of its denominator, and a float raises
+TypeError (over F_p when the matrix is built, over Q when it is eliminated).
+No floating point is used anywhere.
 
-Over Q, ranks and pivot columns need only the forward elimination.  Kernels
-and solving read off one reduced echelon form per field (`_q_rref` by exact
-Fraction back-substitution, `_p_rref` by Gauss-Jordan mod p).
+Ranks and pivot columns need only forward elimination in both engines
+(`_q_echelon`, `_p_echelon`), which clears the rows below each pivot in the
+columns from the pivot on.  Kernels and solving read off one reduced echelon
+form per field: `_q_rref` and `_p_rref` run that forward elimination, then
+back-substitution (exact Fractions over Q, modular inverses over F_p).
 
 All pivot choices are "first nonzero", so every result (kernel bases,
 class representatives, ...) is deterministic.
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 
 import numpy as np
 
@@ -101,12 +107,15 @@ def GF(p: int) -> FieldSpec:
 
 
 def _residue(x, p: int) -> int:
-    """Exact image of an int or Fraction in F_p."""
+    """Exact image of an integer or Fraction in F_p; other entries raise TypeError.
+
+    A Fraction whose denominator p divides raises ValueError.
+    """
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return x.numerator % p
         return x.numerator * pow(x.denominator, -1, p) % p
-    return int(x) % p
+    return index(x) % p
 
 
 class Matrix:
@@ -123,7 +132,7 @@ class Matrix:
         if p is None:
             rows = [list(r) for r in rows]
         else:
-            rows = [[_residue(x, p) for x in r] for r in rows]
+            rows = [[x % p if type(x) is int else _residue(x, p) for x in r] for r in rows]
         if ncols is None:
             if not rows:
                 raise ValueError("ncols is required for a matrix with no rows")
@@ -245,13 +254,20 @@ def vstack(*mats: Matrix) -> Matrix:
 
 
 def _q_int_rows(rows) -> list[list[int]]:
-    """Scale each row to integer entries and strip the content."""
+    """Scale each row to integer entries and strip the content.
+
+    Entries are integers or Fractions; anything else raises TypeError.
+    """
     out = []
     for r in rows:
         den = 1
         for x in r:
-            if isinstance(x, Fraction) and x.denominator != 1:
-                den = lcm(den, x.denominator)
+            if type(x) is not int:
+                if isinstance(x, Fraction):
+                    if x.denominator != 1:
+                        den = lcm(den, x.denominator)
+                else:
+                    index(x)
         ints = [int(x * den) for x in r] if den != 1 else [int(x) for x in r]
         g = 0
         for x in ints:
@@ -324,30 +340,48 @@ def _q_rref(rows: list[list[int]], pivot_cols: int):
 # ---------------------------------------------------------------------------
 
 
-def _p_rref(a: np.ndarray, p: int, pivot_cols: int):
-    """Gauss-Jordan mod p in place on a; returns (rref array, pivot column list)."""
-    R = a
+def _p_echelon(R: np.ndarray, p: int, pivot_cols: int):
+    """Forward elimination mod p in place on R; returns (R, pivot column list).
+
+    Row k of the result has its pivot in column pivots[k].  Rows at or below
+    the pivot row are zero left of the pivot column, so a step touches only
+    the rows below it that are nonzero there, and only the columns from it on.
+    Entries stay in [0, p) with p < 2^31, so every product is below 2^62.
+    """
     m = R.shape[0]
     pivots: list[int] = []
     r = 0
     for c in range(pivot_cols):
         if r == m:
             break
-        nz = np.nonzero(R[r:, c])[0]
+        nz = np.flatnonzero(R[r:, c])
         if nz.size == 0:
             continue
         k = r + int(nz[0])
         if k != r:
-            R[[r, k]] = R[[k, r]]
-        inv = pow(int(R[r, c]), -1, p)
-        R[r] = R[r] * inv % p
-        col = R[:, c].copy()
-        col[r] = 0
-        touched = np.nonzero(col)[0]
-        if touched.size:
-            R[touched] = (R[touched] - np.outer(col[touched], R[r])) % p
+            R[[r, k], c:] = R[[k, r], c:]
+        if nz.size > 1:
+            touched = r + nz[1:]
+            f = R[touched, c] * pow(int(R[r, c]), -1, p) % p
+            R[touched, c:] = (R[touched, c:] - np.outer(f, R[r, c:])) % p
         pivots.append(c)
         r += 1
+    return R, pivots
+
+
+def _p_rref(R: np.ndarray, p: int, pivot_cols: int):
+    """Reduced echelon form mod p in place on R: forward, then back-substitution.
+
+    Returns (R, pivot column list); row r has a 1 in column pivots[r] and zeros
+    in every other pivot column.
+    """
+    R, pivots = _p_echelon(R, p, pivot_cols)
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        R[r, c:] = R[r, c:] * pow(int(R[r, c]), -1, p) % p
+        above = np.flatnonzero(R[:r, c])
+        if above.size:
+            R[above, c:] = (R[above, c:] - np.outer(R[above, c], R[r, c:])) % p
     return R, pivots
 
 
@@ -377,7 +411,7 @@ def pivot_columns(M: Matrix) -> list[int]:
     if M.field.is_rational:
         _, pivots = _q_echelon(_q_int_rows(M._rows), M.ncols)
     else:
-        _, pivots = _p_rref(M._np(), M.field.p, M.ncols)
+        _, pivots = _p_echelon(M._np(), M.field.p, M.ncols)
     return pivots
 
 

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import facering
 from facering.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFY_FAILED, main
 from facering.verification import CheckResult, ledger_json
 
@@ -270,6 +275,20 @@ def test_verify_json_deterministic(capsys):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
+
+
+def test_verify_json_same_across_processes():
+    # string hashing is salted per process; the ledger must not depend on it
+    src = str(Path(facering.__file__).resolve().parents[1])
+    args = [sys.executable, "-m", "facering.cli", "verify", "bowtie", "--field", "fp:32003",
+            "--m-max", "2", "--seed", "1", "--format", "json"]
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(args, env=env, capture_output=True, timeout=120, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] and outs[0] == outs[1]
 
 
 def test_sqfree_command(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from facering.linalg import (
@@ -11,6 +12,7 @@ from facering.linalg import (
     FieldSpec,
     Matrix,
     Solver,
+    _rref,
     hstack,
     is_prime,
     kernel_basis,
@@ -115,6 +117,70 @@ def test_image_basis_spans_column_space(field):
         assert B.ncols == rank(M)
         assert rank(B) == B.ncols
         assert rank(hstack(B, M)) == B.ncols
+
+
+def _reference_pivots(rows, ncols, p):
+    """First-nonzero pivot columns by plain Gaussian elimination on Python ints."""
+    rows = [[x % p for x in r] for r in rows]
+    pivots, r = [], 0
+    for c in range(ncols):
+        k = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        for k2 in range(r + 1, len(rows)):
+            f = rows[k2][c] * inv % p
+            rows[k2] = [(x - f * y) % p for x, y in zip(rows[k2], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_prime_field_eliminations_agree(p):
+    # forward elimination (ranks, pivots) against the reduced echelon form
+    # (kernels, solving) and a plain-int reference; p = 2^31 - 1 takes entries
+    # up to p - 1, so the int64 row update meets products just below 2^62
+    field = GF(p)
+    rng = random.Random(p)
+    shapes = [(0, 0), (0, 5), (5, 0), (4, 4), (2, 9), (9, 2), (1, 1), (7, 7)]
+    shapes += [(rng.randint(0, 10), rng.randint(0, 10)) for _ in range(40)]
+    for m, n in shapes:
+        density = rng.choice([0.0, 0.2, 0.6, 1.0])
+        rows = [[rng.randrange(p) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(m)]
+        if m > 2 and n:  # a repeated row forces a rank drop
+            rows[-1] = list(rows[0])
+        M = Matrix(field, rows, n)
+        pivots = pivot_columns(M)
+        reduced, rref_pivots = _rref(M, n)
+        assert pivots == rref_pivots == _reference_pivots(rows, n, p)
+        for r, row in enumerate(reduced):
+            assert [row[c] for c in pivots] == [int(r == s) for s in range(len(pivots))]
+        K = kernel_basis(M)
+        assert rank(M) + K.ncols == n
+        for j in range(K.ncols):
+            assert all(v % p == 0 for v in _matvec(M, K.column(j)))
+
+
+def test_prime_field_entry_map():
+    # ints by x % p, Fractions by the inverse of the denominator, other
+    # integers (bool, numpy) through their index
+    row = [Fraction(1, 2), Fraction(6, 3), -1, True, 2**70, np.int64(7)]
+    assert Matrix(GF(5), [row]).tolist() == [[3, 2, 4, 1, 4, 2]]
+    with pytest.raises(ValueError):
+        Matrix(GF(5), [[Fraction(1, 5)]])
+
+
+def test_float_entries_are_rejected():
+    with pytest.raises(TypeError):
+        Matrix(GF(5), [[2.7]])
+    for entries in ([[0.5]], [[1, Fraction(1, 3), 2.0]]):
+        M = Matrix(QQ, entries)
+        for op in (rank, kernel_basis, Solver):
+            with pytest.raises(TypeError):
+                op(M)
 
 
 def test_prime_field_agrees_with_rationals_on_tiny_entries():

@@ -2,6 +2,8 @@
 multiplication matrices, and the kernel-dimension formula against brute force."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facering.linalg import GF, QQ, rank
 from facering.local_cohomology import (
@@ -20,6 +22,9 @@ from facering.local_cohomology import (
     theta_action_matrix,
     vandermonde_coefficients,
 )
+from facering.verification import check_lemma_equality
+
+from complex_strategies import small_complexes
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +263,17 @@ def test_lemma_equality_small(cycle3, bowtie, pair_edges, field):
                         kernel_dim_bruteforce(cx, ell, m, i, coeffs, field)
                         == kernel_dim_formula(cx, ell, m, i, field)
                     )
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(small_complexes(), st.integers(0, 2**16))
+def test_generated_lemma_equality_over_prime_field(cx, seed):
+    records = check_lemma_equality("generated", cx, GF(32003), m_values=(0, 1, 2),
+                                   i_extent=2, seed=seed)
+    assert {r.check for r in records} <= {"lemma-equality", "lemma-surjectivity"}
+    if cx.d >= 1:
+        assert {r.check for r in records} == {"lemma-equality", "lemma-surjectivity"}
+    assert all(r.passed for r in records)
 
 
 def test_surjectivity_rank(cycle3, bowtie):
