@@ -6,7 +6,7 @@ generic linear forms, and cross-checks every closed formula against
 independent brute-force linear algebra over Q or a prime field.
 """
 
-from .complexes import SimplicialComplex, SizeLimitError, from_facets
+from .complexes import SimplicialComplex, SizeLimitError
 from .linalg import GF, QQ, FieldSpec, Matrix
 from .cohomology import (
     induced_map,
@@ -69,7 +69,6 @@ __all__ = [
     "SqfreeData",
     "cm_in_codim",
     "determinacy_probe",
-    "from_facets",
     "induced_map",
     "is_buchsbaum",
     "is_cm",

@@ -209,11 +209,6 @@ class SimplicialComplex:
         return SimplicialComplex(data["n"], data["facets"], is_void=bool(data.get("void", False)))
 
 
-def from_facets(n: int, facets) -> SimplicialComplex:
-    """The complex generated by the given faces; dominated entries are absorbed."""
-    return SimplicialComplex(n, facets)
-
-
 def count_degree_monomials(cx: SimplicialComplex, r: int) -> int:
     """Number of degree-r monomials whose support is a face (compositions count)."""
     if r < 0:

@@ -8,11 +8,26 @@ Fraction through the modular inverse of its denominator, and a float raises
 TypeError (over F_p when the matrix is built, over Q when it is eliminated).
 No floating point is used anywhere.
 
-Ranks and pivot columns need only forward elimination in both engines
-(`_q_echelon`, `_p_echelon`), which clears the rows below each pivot in the
-columns from the pivot on.  Kernels and solving read off one reduced echelon
-form per field: `_q_rref` and `_p_rref` run that forward elimination, then
-back-substitution (exact Fractions over Q, modular inverses over F_p).
+Pivot columns need only forward elimination in both engines (`_q_echelon`,
+`_p_echelon`), which clears the rows below each pivot in the columns from the
+pivot on.  Kernels and solving read off one reduced echelon form per field:
+`_q_rref` and `_p_rref` run that forward elimination, then back-substitution
+(exact Fractions over Q, modular inverses over F_p).
+
+A rank over Q is proved modulo primes (`_q_rank`).  Let W be the integer
+matrix or its transpose, whichever has no more rows than columns (it touches
+fewer rows per pivot), and n its number of rows.  For every prime p, rank(W mod p) <= rank(W), so full
+row rank modulo one prime settles it.  Otherwise the r pivot columns of W mod
+p are independent over Q, and if the rank is r, the vectors y with y W = 0
+are exactly the kernel of C, the transpose of those columns.  The reduced
+echelon forms of C modulo a few primes with the same pivots give n - r such
+vectors, the identity at the free columns of C, lifted by CRT and rational
+reconstruction with one common denominator per vector (Wang 1981; Dixon
+1982).  If every y W is exactly zero, checked modulo small primes whose
+product exceeds twice the largest possible entry, these independent vectors
+prove rank <= r and the bounds meet.  When the lift or the check fails, or
+below `_BAREISS_CELLS` entries, Bareiss decides.  Pivot columns are never
+read modulo a prime: [[p, 1]] has pivot column 0 over Q and 1 modulo p.
 
 All pivot choices are "first nonzero", so every result (kernel bases,
 class representatives, ...) is deterministic.
@@ -21,12 +36,22 @@ class representatives, ...) is deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import index
 
 import numpy as np
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Certified rank over Q: matrices with fewer entries go to Bareiss (per call,
+# on the Q ranks of verify, analyze and reduce, the modular route wins on
+# average from about 4096 entries on), larger ones are eliminated modulo the
+# largest primes below 2^31, and kernel certificates are checked modulo the
+# largest primes below 2^20.
+_BAREISS_CELLS = 4096
+_RANK_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549)
+_CHECK_PRIMES = (1048573, 1048571, 1048559, 1048549, 1048517, 1048507, 1048447, 1048433,
+                 1048423, 1048391, 1048387, 1048367, 1048361, 1048357, 1048343, 1048309)
 
 
 def is_prime(p: int) -> bool:
@@ -256,22 +281,25 @@ def vstack(*mats: Matrix) -> Matrix:
 def _q_int_rows(rows) -> list[list[int]]:
     """Scale each row to integer entries and strip the content.
 
-    Entries are integers or Fractions; anything else raises TypeError.
+    Entries are integers or Fractions; anything else raises TypeError.  A row
+    that needs no change is returned as it is: the eliminations replace rows
+    of the returned list but never change one.
     """
     out = []
     for r in rows:
-        den = 1
-        for x in r:
-            if type(x) is not int:
-                if isinstance(x, Fraction):
-                    if x.denominator != 1:
-                        den = lcm(den, x.denominator)
-                else:
-                    index(x)
-        ints = [int(x * den) for x in r] if den != 1 else [int(x) for x in r]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
+        if set(map(type, r)) <= {int}:
+            ints = r
+        else:
+            den = 1
+            for x in r:
+                if type(x) is not int:
+                    if isinstance(x, Fraction):
+                        if x.denominator != 1:
+                            den = lcm(den, x.denominator)
+                    else:
+                        index(x)
+            ints = [int(x * den) for x in r] if den != 1 else [int(x) for x in r]
+        g = gcd(*ints)
         if g > 1:
             ints = [x // g for x in ints]
         out.append(ints)
@@ -363,10 +391,36 @@ def _p_echelon(R: np.ndarray, p: int, pivot_cols: int):
         if nz.size > 1:
             touched = r + nz[1:]
             f = R[touched, c] * pow(int(R[r, c]), -1, p) % p
-            R[touched, c:] = (R[touched, c:] - np.outer(f, R[r, c:])) % p
+            block = R[touched, c:]
+            block -= np.outer(f, R[r, c:])
+            block %= p
+            R[touched, c:] = block
         pivots.append(c)
         r += 1
     return R, pivots
+
+
+def _non_pivots(pivots: list[int], ncols: int) -> list[int]:
+    pivset = set(pivots)
+    return [c for c in range(ncols) if c not in pivset]
+
+
+def _p_reduced_block(R: np.ndarray, p: int, pivots: list[int], cols) -> np.ndarray:
+    """Rows 0..rank-1 of the reduced echelon form mod p at the non-pivot columns cols.
+
+    R is a forward echelon form.  Back-substitution runs from the last pivot
+    row up; a later step changes only columns right of its own pivot, so the
+    pivot column c of the rows above row r is still as R has it, and only the
+    columns cols need updating.
+    """
+    K = R[: len(pivots), cols]
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        K[r] = K[r] * pow(int(R[r, c]), -1, p) % p
+        above = np.flatnonzero(R[:r, c])
+        if above.size:
+            K[above] = (K[above] - np.outer(R[above, c], K[r])) % p
+    return K
 
 
 def _p_rref(R: np.ndarray, p: int, pivot_cols: int):
@@ -376,13 +430,124 @@ def _p_rref(R: np.ndarray, p: int, pivot_cols: int):
     in every other pivot column.
     """
     R, pivots = _p_echelon(R, p, pivot_cols)
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        R[r, c:] = R[r, c:] * pow(int(R[r, c]), -1, p) % p
-        above = np.flatnonzero(R[:r, c])
-        if above.size:
-            R[above, c:] = (R[above, c:] - np.outer(R[above, c], R[r, c:])) % p
+    if pivots:
+        rank = len(pivots)
+        cols = _non_pivots(pivots, R.shape[1])
+        R[:rank, cols] = _p_reduced_block(R, p, pivots, cols)
+        R[:rank, pivots] = np.eye(rank, dtype=np.int64)
     return R, pivots
+
+
+# ---------------------------------------------------------------------------
+# certified rank over Q (modular elimination, exact kernel check)
+# ---------------------------------------------------------------------------
+
+
+def _rational(y: int, N: int, bound: int):
+    """(a, b) with a = b*y mod N, |a| <= bound and 0 < b <= bound, or None (Wang)."""
+    r0, r1, t0, t1 = N, y, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _lift(images: list[list[int]], N: int):
+    """Integer vectors from rational images mod N: a list of (d, numerators), or None.
+
+    Each vector is its numerators over one common denominator d; the
+    denominator found so far multiplies each next entry before its
+    reconstruction, so it is mostly an integer by then.
+    """
+    bound = isqrt(N // 2)
+    vectors = []
+    for image in images:
+        d, nums = 1, []
+        for y in image:
+            ab = _rational(y * d % N, N, bound)
+            if ab is None:
+                return None
+            a, b = ab
+            if b != 1:
+                nums = [x * b for x in nums]
+                d *= b
+            nums.append(a)
+        vectors.append((d, nums))
+    return vectors
+
+
+def _annihilates(V: list[list[int]], residues, max_entry: int) -> bool:
+    """V W = 0 exactly, for integer rows V; residues(q) is W mod q, max_entry is max |W|.
+
+    An entry of V W is at most n max|V| max_entry in size (W has n rows), so it
+    is 0 once it vanishes modulo primes whose product exceeds twice that.  W
+    has no more rows than columns, so n is far below 2^23 and the int64 sums
+    of products below 2^40 cannot overflow.
+    """
+    V = np.array(V, dtype=object)
+    bound = 2 * V.shape[1] * max(V.max(), -V.min()) * max_entry
+    Q = 1
+    for q in _CHECK_PRIMES:
+        if ((V % q).astype(np.int64) @ residues(q) % q).any():
+            return False
+        Q *= q
+        if Q > bound:
+            return True
+    return False
+
+
+def _q_rank(rows: list[list[int]], ncols: int) -> int:
+    """Rank over Q of a nonempty integer matrix, proved modulo primes (see module docstring).
+
+    Arrays are built from the rows when needed, so no second copy of the
+    entries stays alive through an elimination.
+    """
+    nrows = len(rows)
+    if nrows * ncols < _BAREISS_CELLS:
+        return len(_q_echelon(rows, ncols)[1])
+
+    def wide(p, cols=None):
+        """W mod p, or C mod p: the transpose of the columns cols of W mod p."""
+        order = "F" if nrows > ncols else "C"  # W is C-ordered either way
+        try:
+            X = np.array(rows, dtype=np.int64, order=order)
+        except OverflowError:
+            X = np.array(rows, dtype=object, order=order)
+        X %= p
+        W = X.T if nrows > ncols else X  # the wide side: fewer rows touched per pivot
+        return np.ascontiguousarray(W if cols is None else W.T[cols], dtype=np.int64)
+
+    n = min(nrows, ncols)
+    cols = _p_echelon(wide(_RANK_PRIMES[0]), _RANK_PRIMES[0], max(nrows, ncols))[1]
+    if len(cols) == n:
+        return n
+    best = None
+    for p in _RANK_PRIMES:
+        R, pivots = _p_echelon(wide(p, cols), p, n)  # every y with y W = 0 is in ker C
+        if len(pivots) < len(cols) or (best is not None and pivots > best):
+            continue  # the rank or the pivots of C drop modulo p
+        if pivots != best:
+            best, images, N = pivots, [[0] * len(pivots)] * (n - len(pivots)), 1
+        free = _non_pivots(pivots, n)
+        block = (-_p_reduced_block(R, p, pivots, free) % p).T.tolist()
+        del R
+        inv = pow(N, -1, p)
+        images = [[x + N * ((y - x) * inv % p) for x, y in zip(xs, ys)]
+                  for xs, ys in zip(images, block)]
+        N *= p
+        vectors = _lift(images, N)
+        if vectors is None:
+            continue
+        V = [[0] * n for _ in vectors]
+        for row, f, (d, nums) in zip(V, free, vectors):
+            row[f] = d
+            for c, x in zip(pivots, nums):
+                row[c] = x
+        if _annihilates(V, wide, max(max(map(abs, r)) for r in rows)):
+            return len(cols)
+    return len(_q_echelon(rows, ncols)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +581,8 @@ def pivot_columns(M: Matrix) -> list[int]:
 
 
 def rank(M: Matrix) -> int:
+    if M.field.is_rational and M.nrows and M.ncols:
+        return _q_rank(_q_int_rows(M._rows), M.ncols)
     return len(pivot_columns(M))
 
 
@@ -423,11 +590,8 @@ def kernel_basis(M: Matrix) -> Matrix:
     """Columns span ker M, one per free column: 1 there, 0 at the other free columns."""
     n = M.ncols
     rows, pivots = _rref(M, n)
-    pivset = set(pivots)
     cols = []
-    for free in range(n):
-        if free in pivset:
-            continue
+    for free in _non_pivots(pivots, n):
         v = [0] * n
         v[free] = 1
         for r, c in enumerate(pivots):

@@ -285,8 +285,9 @@ def make_generic(n: int, m: int, field: FieldSpec, seed: int | None = None,
     """A verified-generic n x m coefficient matrix.
 
     Over Q this is the Vandermonde on nodes 1..n (no randomness, certificate
-    analytic).  Over F_p entries are sampled uniformly and all square
-    submatrices are checked; sampling retries a bounded number of times.
+    analytic).  Over F_p entries are sampled uniformly from the nonzero
+    residues (a zero draw is drawn again) and all square submatrices are
+    checked; sampling retries a bounded number of times.
     With m >= 2 no such matrix exists when n > p - 1: every entry must be
     nonzero and no two rows proportional on a pair of columns, which leaves
     at most p - 1 rows.
@@ -300,8 +301,15 @@ def make_generic(n: int, m: int, field: FieldSpec, seed: int | None = None,
             f"columns it can have at most p - 1 = {p - 1} rows"
         )
     rng = random.Random(seed)
+
+    def entry():  # a zero entry is a singular 1 x 1 minor: draw again
+        x = rng.randrange(p)
+        while not x:
+            x = rng.randrange(p)
+        return x
+
     for _ in range(max_tries):
-        rows = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
+        rows = [[entry() for _ in range(m)] for _ in range(n)]
         M = Matrix(field, rows, m)
         if all_minors_nonsingular(M):
             return GenericCoefficients(M, True)

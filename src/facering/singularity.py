@@ -12,11 +12,13 @@ condition is read from the parent's pair cohomology.  One table per (complex,
 field) holds, for each face H, its depth, the least k >= |H| - 1 with
 H^k(X, cost H) != 0 (capped at dim X), and the least depth of a face
 containing H; it is filled from the largest faces down, so the second entry
-reads the cofaces H + {v}.  F is singular iff depth F < dim X.  lk F is
-Cohen-Macaulay iff no face H containing F has depth below top = dim lk F +
-|F| (the largest facet over F has top + 1 vertices), since the link of H - F
-in lk F is lk H.  The link route lives only in the link-iso oracle of the
-verification ledger and in the tests.
+reads the cofaces H + {v}.  When the facets containing H share a vertex
+outside H, lk H is a cone, which is acyclic, so depth H = dim X with no
+elimination.  F is singular iff depth F < dim X.  lk F is Cohen-Macaulay iff
+no face H containing F has depth below top = dim lk F + |F| (the largest
+facet over F has top + 1 vertices), since the link of H - F in lk F is lk H.
+The link route lives only in the link-iso oracle of the verification ledger
+and in the tests.
 """
 
 from __future__ import annotations
@@ -58,7 +60,12 @@ def _depths(cx: SimplicialComplex, field: FieldSpec) -> dict:
     table = {}
     for size in range(r + 1, -1, -1):
         for H in cx.faces_of_dim(size - 1):
-            depth = next((k for k in range(size - 1, r) if relative_cohomology_dim(cx, H, k, field)), r)
+            over = [F for F in cx.facets if H <= F]
+            if over and frozenset.intersection(*over) - H:
+                depth = r  # lk H is a cone, acyclic over every field
+            else:
+                depth = next((k for k in range(size - 1, r)
+                              if relative_cohomology_dim(cx, H, k, field)), r)
             cofaces = (H | {v} for v in vertices if v not in H)
             table[H] = (depth, min([depth, *(table[G][1] for G in cofaces if G in table)]))
     return table

@@ -12,7 +12,6 @@ from facering.complexes import (
     SizeLimitError,
     count_degree_monomials,
     degree_monomials,
-    from_facets,
 )
 from facering.linalg import QQ
 from facering.local_cohomology import kernel_dim_bruteforce
@@ -29,19 +28,19 @@ def test_from_facets_bowtie_f_vector(bowtie):
 
 
 def test_absorption_and_dedup():
-    a = from_facets(3, [{1, 2}, {1, 2, 3}])
-    b = from_facets(3, [{1, 2, 3}])
+    a = SimplicialComplex(3, [{1, 2}, {1, 2, 3}])
+    b = SimplicialComplex(3, [{1, 2, 3}])
     assert a == b
-    assert from_facets(3, [{1, 2}, {1, 2}]).facets == frozenset({frozenset({1, 2})})
+    assert SimplicialComplex(3, [{1, 2}, {1, 2}]).facets == frozenset({frozenset({1, 2})})
 
 
 def test_vertex_out_of_range_rejected():
     with pytest.raises(ValueError):
-        from_facets(3, [{1, 4}])
+        SimplicialComplex(3, [{1, 4}])
     with pytest.raises(ValueError):
-        from_facets(0, [])
+        SimplicialComplex(0, [])
     with pytest.raises(ValueError):
-        from_facets(3, [{0, 1}])
+        SimplicialComplex(3, [{0, 1}])
 
 
 def test_bool_rejected_as_count_and_label():

@@ -1,17 +1,21 @@
 """Exact linear algebra: frozen examples plus randomized structural properties."""
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from facering import linalg
 from facering.linalg import (
     GF,
     QQ,
     FieldSpec,
     Matrix,
     Solver,
+    _q_echelon,
+    _q_int_rows,
     _rref,
     hstack,
     is_prime,
@@ -223,3 +227,118 @@ def test_fraction_entries_are_exact():
     K = kernel_basis(M)
     assert K.ncols == 1
     assert all(x == 0 for x in _matvec(M, K.column(0)))
+
+
+# ---------------------------------------------------------------------------
+# certified rank over Q
+# ---------------------------------------------------------------------------
+
+def _bareiss_rank(rows, ncols):
+    return len(_q_echelon(_q_int_rows(rows), ncols)[1])
+
+
+def _product(U, V, n):
+    return [[sum(u * row[j] for u, row in zip(urow, V)) for j in range(n)] for urow in U]
+
+
+def _count_bareiss(monkeypatch):
+    calls = []
+    monkeypatch.setattr(linalg, "_q_echelon", lambda *a: calls.append(a) or _q_echelon(*a))
+    return calls
+
+
+def test_certificate_primes():
+    assert all(is_prime(p) and 2**30 < p < 2**31 for p in linalg._RANK_PRIMES)
+    assert all(is_prime(q) and q < 2**20 for q in linalg._CHECK_PRIMES)
+    assert len(set(linalg._RANK_PRIMES + linalg._CHECK_PRIMES)) == (
+        len(linalg._RANK_PRIMES) + len(linalg._CHECK_PRIMES))
+
+
+def test_annihilation_check_is_exact():
+    # a product that vanishes modulo some check primes, or all of them, is not 0
+    def identity(q):
+        return np.eye(2, dtype=np.int64)
+
+    q = linalg._CHECK_PRIMES
+    assert linalg._annihilates([[0, 0], [0, 0]], identity, 1)
+    assert not linalg._annihilates([[q[0], 0]], identity, 1)
+    assert not linalg._annihilates([[0, q[0] * q[1] * q[2]]], identity, 1)
+    assert not linalg._annihilates([[math.prod(q), 0]], identity, 1)
+
+
+@pytest.mark.parametrize("scale", [2, 2**70])
+def test_certified_rank_agrees_with_bareiss(monkeypatch, scale):
+    # every nonempty shape takes the modular route; 2^70 is beyond int64
+    monkeypatch.setattr(linalg, "_BAREISS_CELLS", 0)
+    rng = random.Random(scale)
+    shapes = [(1, 1), (1, 9), (9, 1), (6, 6), (6, 14), (14, 6), (25, 40), (40, 25)]
+    shapes += [(rng.randint(1, 30), rng.randint(1, 30)) for _ in range(25)]
+    for m, n in shapes:
+        for r in sorted({0, rng.randint(0, min(m, n)), min(m, n)}):
+            U = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(m)]
+            V = [[rng.randint(-scale, scale) for _ in range(n)] for _ in range(r)]
+            rows = _product(U, V, n)
+            want = _bareiss_rank(rows, n)
+            assert rank(Matrix(QQ, rows, n)) == want
+            fractions = [[Fraction(x, k + 1) for x in row] for k, row in enumerate(rows)]
+            assert rank(Matrix(QQ, fractions, n)) == want
+    for m, n in ((0, 0), (0, 5), (5, 0)):
+        assert rank(Matrix(QQ, [[]] * m if n == 0 else [[0] * n] * m, n)) == 0
+
+
+def test_certified_rank_lifts_small_kernels(monkeypatch):
+    # rows past the first r are small combinations of them, so the kernel on
+    # the smaller side is small and the certificate needs no Bareiss; 2^70
+    # entries take the object-array path
+    calls = _count_bareiss(monkeypatch)
+    rng = random.Random(5)
+    for r, extra, n, scale in ((50, 20, 90, 3), (40, 30, 75, 2**70), (79, 1, 85, 3)):
+        A = [[rng.randint(-scale, scale) for _ in range(n)] for _ in range(r)]
+        T = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(extra)]
+        wide = A + _product(T, A, n)
+        for rows in (wide, [list(c) for c in zip(*wide)]):
+            assert len(rows) * len(rows[0]) >= linalg._BAREISS_CELLS
+            assert rank(Matrix(QQ, rows)) == r
+    assert not calls
+    assert rank(Matrix(QQ, [[1, 2], [2, 4]])) == 1  # below _BAREISS_CELLS entries
+    assert len(calls) == 1
+
+
+def test_certified_rank_lifts_over_several_primes(monkeypatch):
+    # the left kernel (T, -I) has entries near 2^70, so its lift takes five
+    # primes; columns 0 and 1 agree modulo the second prime, which drops the
+    # rank of C there and must be skipped, leaving exactly five
+    monkeypatch.setattr(linalg, "_BAREISS_CELLS", 0)
+    calls = _count_bareiss(monkeypatch)
+    rng = random.Random(11)
+    p1 = linalg._RANK_PRIMES[1]
+    A = [[rng.randint(-3, 3) for _ in range(8)] for _ in range(4)]
+    for i, row in enumerate(A):
+        row[1] = row[0] + (p1 if i == 0 else 0)
+    T = [[rng.randint(-2**70, 2**70) for _ in range(4)] for _ in range(2)]
+    rows = A + _product(T, A, 8)
+    assert _bareiss_rank(rows, 8) == 4
+    assert rank(Matrix(QQ, rows)) == 4
+    assert not calls
+
+
+def test_certified_rank_falls_back_to_bareiss(monkeypatch):
+    # the left kernel is spanned by (a, b, -1), near 2^400: past what the
+    # primes can lift, so Bareiss decides
+    monkeypatch.setattr(linalg, "_BAREISS_CELLS", 0)
+    calls = _count_bareiss(monkeypatch)
+    a, b = 3**252, 2**400 + 1
+    assert rank(Matrix(QQ, [[1, 0, 5], [0, 1, 7], [a, b, 5 * a + 7 * b]])) == 2
+    assert calls
+
+
+def test_certified_rank_survives_a_drop_modulo_the_first_prime(monkeypatch):
+    # the last column vanishes modulo p, but the determinant is p
+    monkeypatch.setattr(linalg, "_BAREISS_CELLS", 0)
+    p = linalg._RANK_PRIMES[0]
+    M = Matrix(QQ, [[1, 0, p], [0, 1, 2 * p], [1, 1, 4 * p]])
+    assert rank(Matrix(GF(p), M.tolist())) == 2
+    assert rank(M) == 3
+    # equal ranks do not give equal pivots, so pivots are never read mod p
+    assert pivot_columns(Matrix(QQ, [[p, 1]])) == [0]
+    assert pivot_columns(Matrix(GF(p), [[p, 1]])) == [1]

@@ -153,6 +153,13 @@ def test_make_generic_too_small_field_errors():
     assert all_minors_nonsingular(make_generic(5, 1, GF(3), seed=0).matrix)
 
 
+def test_make_generic_redraws_zero_entries():
+    # over F_2 the only certified 6 x 1 matrix is all ones; drawing zeros too
+    # made 64 tries fail for about 37% of seeds
+    for seed in range(20):
+        assert make_generic(6, 1, GF(2), seed=seed).matrix.tolist() == [[1]] * 6
+
+
 def test_column_with_all_nonzero_entries():
     A = make_generic(3, 1, GF(32003), seed=1)
     assert all(x != 0 for x in A.column(0))

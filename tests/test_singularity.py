@@ -3,10 +3,11 @@
 import pytest
 from hypothesis import given, settings
 
-from facering.cohomology import reduced_cohomology_dim
+from facering.cohomology import reduced_cohomology_dim, relative_cohomology_dim
 from facering.linalg import GF, QQ
 from facering.singularity import (
     NEG_INFINITY,
+    _depths,
     cm_in_codim,
     is_buchsbaum,
     is_cm,
@@ -135,3 +136,20 @@ def test_generated_pair_route_matches_links(cx):
         assert singularity_dimension(cx, field) == sd
         for m in range(0, r + 2):
             assert (sd < m) == cm_in_codim(cx, r - m, field)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(small_complexes())
+def test_depth_table_matches_pair_cohomology(cx):
+    # the cone shortcut skips elimination; every entry must still be the least
+    # k >= |H| - 1 with H^k(X, cost H) != 0, capped at dim X
+    r = cx.dim
+    for field in (QQ, GF(2)):
+        depth = {H: next((k for k in range(len(H) - 1, r)
+                          if relative_cohomology_dim(cx, H, k, field)), r)
+                 for H in cx.faces()}
+        table = _depths(cx, field)
+        assert set(table) == set(depth)
+        for H, (d, least) in table.items():
+            assert d == depth[H]
+            assert least == min(depth[G] for G in depth if H <= G)
