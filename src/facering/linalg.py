@@ -52,6 +52,12 @@ _BAREISS_CELLS = 4096
 _RANK_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549)
 _CHECK_PRIMES = (1048573, 1048571, 1048559, 1048549, 1048517, 1048507, 1048447, 1048433,
                  1048423, 1048391, 1048387, 1048367, 1048361, 1048357, 1048343, 1048309)
+# Entries per numpy call when an integer matrix is reduced to an array of
+# residues, and 16 times as many products per call in the kernel check: under
+# a millisecond each.  One call over a whole large matrix holds off Python
+# signal handlers (Ctrl-C, perfbench's SIGALRM sampler) for tens of
+# milliseconds; chunks of 32768 entries raised the peak RSS of verify by 0.3 MB.
+_CHUNK_CELLS = 1 << 13
 
 
 def is_prime(p: int) -> bool:
@@ -478,6 +484,18 @@ def _lift(images: list[list[int]], N: int):
     return vectors
 
 
+def _vanishes_mod(A: np.ndarray, B: np.ndarray, q: int) -> bool:
+    """A B = 0 mod q, for arrays of residues mod q < 2^20 (A may hold Python ints).
+
+    The product is taken a few columns of B at a time, 16 * _CHUNK_CELLS
+    int64 products per numpy call; the arrays die on return, so the caller
+    never holds two residue arrays of W at once.
+    """
+    A = A.astype(np.int64)
+    step = max(1, (_CHUNK_CELLS << 4) // A.size)
+    return not any((A @ B[:, j:j + step] % q).any() for j in range(0, B.shape[1], step))
+
+
 def _annihilates(V: list[list[int]], residues, max_entry: int) -> bool:
     """V W = 0 exactly, for integer rows V; residues(q) is W mod q, max_entry is max |W|.
 
@@ -490,12 +508,34 @@ def _annihilates(V: list[list[int]], residues, max_entry: int) -> bool:
     bound = 2 * V.shape[1] * max(V.max(), -V.min()) * max_entry
     Q = 1
     for q in _CHECK_PRIMES:
-        if ((V % q).astype(np.int64) @ residues(q) % q).any():
+        if not _vanishes_mod(V % q, residues(q), q):
             return False
         Q *= q
         if Q > bound:
             return True
     return False
+
+
+def _residues(rows: list[list[int]], ncols: int, p: int, transpose: bool, cols=None):
+    """The integer rows mod p at the columns cols (all by default) as a C-ordered
+    int64 array, transposed if asked; converted _CHUNK_CELLS entries at a time."""
+    width = ncols if cols is None else len(cols)
+    shape = (width, len(rows)) if transpose else (len(rows), width)
+    out = np.empty(shape, dtype=np.int64)
+    step = max(1, _CHUNK_CELLS // ncols)
+    for i in range(0, len(rows), step):
+        try:
+            X = np.array(rows[i:i + step], dtype=np.int64)
+        except OverflowError:
+            X = np.array(rows[i:i + step], dtype=object)
+        X %= p
+        if cols is not None:
+            X = X[:, cols]
+        if transpose:
+            out[:, i:i + step] = X.T
+        else:
+            out[i:i + step] = X
+    return out
 
 
 def _q_rank(rows: list[list[int]], ncols: int) -> int:
@@ -508,16 +548,15 @@ def _q_rank(rows: list[list[int]], ncols: int) -> int:
     if nrows * ncols < _BAREISS_CELLS:
         return len(_q_echelon(rows, ncols)[1])
 
+    tall = nrows > ncols  # then W is the transpose: fewer rows touched per pivot
+
     def wide(p, cols=None):
         """W mod p, or C mod p: the transpose of the columns cols of W mod p."""
-        order = "F" if nrows > ncols else "C"  # W is C-ordered either way
-        try:
-            X = np.array(rows, dtype=np.int64, order=order)
-        except OverflowError:
-            X = np.array(rows, dtype=object, order=order)
-        X %= p
-        W = X.T if nrows > ncols else X  # the wide side: fewer rows touched per pivot
-        return np.ascontiguousarray(W if cols is None else W.T[cols], dtype=np.int64)
+        if cols is None:
+            return _residues(rows, ncols, p, tall)
+        if tall:  # the columns of W are the rows of the matrix
+            return _residues([rows[c] for c in cols], ncols, p, False)
+        return _residues(rows, ncols, p, True, cols)
 
     n = min(nrows, ncols)
     cols = _p_echelon(wide(_RANK_PRIMES[0]), _RANK_PRIMES[0], max(nrows, ncols))[1]

@@ -286,10 +286,13 @@ def test_certified_rank_agrees_with_bareiss(monkeypatch, scale):
         assert rank(Matrix(QQ, [[]] * m if n == 0 else [[0] * n] * m, n)) == 0
 
 
-def test_certified_rank_lifts_small_kernels(monkeypatch):
+@pytest.mark.parametrize("chunk", [1, 1 << 13])
+def test_certified_rank_lifts_small_kernels(monkeypatch, chunk):
     # rows past the first r are small combinations of them, so the kernel on
     # the smaller side is small and the certificate needs no Bareiss; 2^70
-    # entries take the object-array path
+    # entries take the object-array path; chunk 1 converts one row and
+    # multiplies one column per numpy call
+    monkeypatch.setattr(linalg, "_CHUNK_CELLS", chunk)
     calls = _count_bareiss(monkeypatch)
     rng = random.Random(5)
     for r, extra, n, scale in ((50, 20, 90, 3), (40, 30, 75, 2**70), (79, 1, 85, 3)):
@@ -302,6 +305,24 @@ def test_certified_rank_lifts_small_kernels(monkeypatch):
     assert not calls
     assert rank(Matrix(QQ, [[1, 2], [2, 4]])) == 1  # below _BAREISS_CELLS entries
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("chunk", [1, 40, 1 << 13])
+def test_residue_arrays_in_chunks(monkeypatch, chunk):
+    # rows 1 and 4 are beyond int64 and take the object path in their chunk
+    monkeypatch.setattr(linalg, "_CHUNK_CELLS", chunk)
+    rng = random.Random(chunk)
+    rows = [[rng.randint(-50, 50) for _ in range(9)] for _ in range(7)]
+    rows[1][3] = rows[4][0] = -(2**80) - 3
+    p = linalg._RANK_PRIMES[0]
+    full = [[x % p for x in row] for row in rows]
+    cols = [0, 3, 4, 8]
+    assert linalg._residues(rows, 9, p, False).tolist() == full
+    assert linalg._residues(rows, 9, p, True).tolist() == [list(c) for c in zip(*full)]
+    assert linalg._residues(rows, 9, p, True, cols).tolist() == [
+        [row[c] for row in full] for c in cols]
+    assert linalg._residues(rows, 9, p, False, cols).tolist() == [
+        [row[c] for c in cols] for row in full]
 
 
 def test_certified_rank_lifts_over_several_primes(monkeypatch):
