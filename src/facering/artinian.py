@@ -3,7 +3,8 @@
 No Groebner bases: since the ideal generated by the forms lives in degree 1,
 its degree-j piece is spanned by (form) * (degree j-1 monomial basis of the
 face ring), reduced modulo the nonface monomials.  The quotient dimension in
-each degree is then a single exact rank computation in the monomial basis.
+each degree is then a single exact rank computation in the monomial basis,
+of a matrix written one row per degree-j monomial; the largest is sized first.
 """
 
 from __future__ import annotations
@@ -11,9 +12,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .complexes import DEFAULT_BASIS_LIMIT, SimplicialComplex, degree_monomials
+from .complexes import (DEFAULT_BASIS_LIMIT, SimplicialComplex, SizeLimitError,
+                        count_degree_monomials, degree_monomials)
 from .linalg import FieldSpec, Matrix, rank
 from .local_cohomology import GenericCoefficients, make_generic, vandermonde_coefficients
+
+REDUCTION_CELL_LIMIT = 5_000_000  # entries; the tests and benchmarks reach 501 x 812
 
 
 @dataclass(frozen=True)
@@ -42,31 +46,36 @@ def reduction_hilbert(cx: SimplicialComplex, coeffs: GenericCoefficients, m: int
         raise ValueError("m out of range for the coefficient matrix")
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
+    # the degree-j matrix is |R_j| x m |R_{j-1}|, nondecreasing in j
+    cells = m * count_degree_monomials(cx, cutoff - 1) * count_degree_monomials(cx, cutoff)
+    if cells > REDUCTION_CELL_LIMIT:
+        raise SizeLimitError(f"the degree-{cutoff} reduction matrix has {cells} entries, "
+                             f"above the guard of {REDUCTION_CELL_LIMIT}")
     theta_cols = [coeffs.column_in(p, field) for p in range(m)]
-    faces = cx.faces()
     dims = [1]
     prev_basis = degree_monomials(cx, 0, limit=basis_limit)
     for j in range(1, cutoff + 1):
         basis = degree_monomials(cx, j, limit=basis_limit)
-        index = {U: r for r, U in enumerate(basis)}
-        cols = []
-        for theta in theta_cols:
-            for mu in prev_basis:
-                col = [0] * len(basis)
-                for t in range(cx.n):
-                    a = theta[t]
-                    if not a:
-                        continue
-                    nu = list(mu)
-                    nu[t] += 1
-                    r = index.get(tuple(nu))
-                    if r is not None:
-                        col[r] = a
-                cols.append(col)
-        ideal_rank = rank(Matrix.from_columns(field, cols, len(basis))) if cols else 0
-        dims.append(len(basis) - ideal_rank)
+        ideal = Matrix(field, _ideal_rows(basis, prev_basis, theta_cols), m * len(prev_basis))
+        dims.append(len(basis) - rank(ideal))
         prev_basis = basis
     return ReductionHilbert(m, tuple(dims), coeffs)
+
+
+def _ideal_rows(basis, prev_basis, theta_cols):
+    """The rows of the degree-j matrix, one per monomial nu of `basis`, made one
+    at a time: theta_p[t] at column (p, nu - e_t) for each t in supp nu, where
+    nu - e_t is in `prev_basis` because its support is a face."""
+    width = len(prev_basis)
+    prev_index = {mu: c for c, mu in enumerate(prev_basis)}
+    for nu in basis:
+        row = [0] * (len(theta_cols) * width)
+        for t, u in enumerate(nu):
+            if u:
+                c = prev_index[nu[:t] + (u - 1,) + nu[t + 1:]]
+                for p, theta in enumerate(theta_cols):
+                    row[p * width + c] = theta[t]
+        yield row
 
 
 def _trial_coefficients(n: int, m: int, field: FieldSpec, rng: random.Random) -> GenericCoefficients:

@@ -57,7 +57,7 @@ def _load_inputs(spec: str, allow_corpus: bool) -> dict[str, SimplicialComplex]:
         raise InputError(f"{spec}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     try:
         cx = SimplicialComplex.from_json(data)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise InputError(f"{spec}: {exc}") from None
     return {spec: cx}
 

@@ -3,9 +3,11 @@
 The relative i-cochains of (X, cost tau) are spanned by the duals of the
 i-faces containing tau, in lexicographic order.  The coboundary of the
 cochain dual to a face G sends it to the sum of its cofaces G + {v} with
-sign (-1)^(position of v in the sorted coface).  Taking tau = emptyset gives
-the reduced (augmented) complex, including the (-1)-cochain dual to the
-empty face, so H^{-1} of the one-face complex {emptyset} is the field.
+sign (-1)^(position of v in the sorted coface); the matrix is written one
+row per coface H, from the faces H - {v} with v outside tau.  Taking
+tau = emptyset gives the reduced (augmented) complex, including the
+(-1)-cochain dual to the empty face, so H^{-1} of the one-face complex
+{emptyset} is the field.
 
 Dimensions come from ranks alone: dim H^i = dim C^i - rank delta^i -
 rank delta^(i-1), with each rank memoized as an int, so neighbouring degrees
@@ -38,24 +40,21 @@ def relative_cochain_basis(cx: SimplicialComplex, tau: frozenset, k: int) -> tup
 
 
 def coboundary_matrix(cx: SimplicialComplex, tau: frozenset, k: int, field: FieldSpec) -> Matrix:
-    """Matrix of delta: C^k(X, cost tau) -> C^{k+1}(X, cost tau)."""
+    """Matrix of delta: C^k(X, cost tau) -> C^{k+1}(X, cost tau), built by rows.
+
+    The row of a (k+1)-face H holds (-1)^(position of v in sorted H) at the
+    column of H - {v}, for each v in H - tau.
+    """
     source = relative_cochain_basis(cx, tau, k)
-    target = relative_cochain_basis(cx, tau, k + 1)
-    index = {F: i for i, F in enumerate(target)}
-    faces = cx.faces()
-    cols = []
-    for G in source:
-        col = [0] * len(target)
-        for v in range(1, cx.n + 1):
-            if v in G:
-                continue
-            H = G | {v}
-            if H not in faces:
-                continue
-            sign = (-1) ** sorted(H).index(v)
-            col[index[H]] = sign
-        cols.append(col)
-    return Matrix.from_columns(field, cols, len(target))
+    index = {G: c for c, G in enumerate(source)}
+    rows = []
+    for H in relative_cochain_basis(cx, tau, k + 1):
+        row = [0] * len(source)
+        for pos, v in enumerate(sorted(H)):
+            if v not in tau:
+                row[index[H - {v}]] = -1 if pos & 1 else 1
+        rows.append(row)
+    return Matrix(field, rows, len(source))
 
 
 @per_complex

@@ -187,17 +187,13 @@ class Matrix:
 
     @staticmethod
     def from_columns(field: FieldSpec, columns, nrows: int) -> "Matrix":
-        cols = [list(c) for c in columns]
-        for c in cols:
-            if len(c) != nrows:
-                raise ValueError("column length mismatch")
-        rows = [[c[i] for c in cols] for i in range(nrows)]
-        return Matrix(field, rows, len(cols))
+        """The matrix with the given columns, for results whose columns carry meaning."""
+        columns = list(columns)
+        if any(len(c) != nrows for c in columns):
+            raise ValueError("column length mismatch")
+        return Matrix(field, zip(*columns) if columns else [()] * nrows, len(columns))
 
     # -- access ------------------------------------------------------------
-
-    def row(self, i: int) -> list:
-        return list(self._rows[i])
 
     def column(self, j: int) -> list:
         return [r[j] for r in self._rows]
@@ -265,18 +261,6 @@ def hstack(*mats: Matrix) -> Matrix:
             raise ValueError("hstack shape/field mismatch")
     rows = [[x for m in mats for x in m._rows[i]] for i in range(nrows)]
     return Matrix(field, rows, sum(m.ncols for m in mats))
-
-
-def vstack(*mats: Matrix) -> Matrix:
-    mats = [m for m in mats]
-    if not mats:
-        raise ValueError("vstack of nothing")
-    field, ncols = mats[0].field, mats[0].ncols
-    for m in mats:
-        if m.field != field or m.ncols != ncols:
-            raise ValueError("vstack shape/field mismatch")
-    rows = [r for m in mats for r in m._rows]
-    return Matrix(field, rows, ncols)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ On top of that structure this module provides:
     sampled and minor-verified over prime fields);
   * the dimension of the common kernel of several multiplication maps,
     computed both by brute force, as the rank of the stacked maps, and by a
-    closed binomial formula.
+    closed binomial formula; the stack is written as one matrix, by rows.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from math import comb
 
 from .cohomology import induced_map, relative_cohomology, relative_cohomology_dim
 from .complexes import DEFAULT_BASIS_LIMIT, SimplicialComplex, degree_monomials, per_complex
-from .linalg import QQ, FieldSpec, Matrix, rank, vstack
+from .linalg import QQ, FieldSpec, Matrix, rank
 
 
 def support(U) -> frozenset:
@@ -321,54 +321,51 @@ def make_generic(n: int, m: int, field: FieldSpec, seed: int | None = None,
 # ---------------------------------------------------------------------------
 
 
-def theta_action_matrix(cx: SimplicialComplex, ell: int, i: int, theta, field: FieldSpec) -> Matrix:
-    """Matrix of multiplication by the linear form with coefficients theta.
+def _theta_rows(cx: SimplicialComplex, ell: int, i: int, thetas, field: FieldSpec) -> Matrix:
+    """The multiplication maps by the forms with coefficient columns thetas,
+    one row block per form, stacked in order into one matrix.
 
-    Maps the Z-degree -(i+1) piece (columns) to the -i piece (rows); the
-    block joining column vector U = T + e_t to row vector T is theta[t] times
-    the restriction map between the corresponding relative cohomology spaces,
-    and is the scaled identity when the supports agree.
+    Each block maps the Z-degree -(i+1) piece (columns) to the -i piece (rows).
+    The block structure is walked once for all forms: the sub-block joining
+    column vector U = T + e_t to row vector T is theta[t] times the induced
+    map between the corresponding relative cohomology spaces (the identity
+    when the supports agree), fetched once.
     """
-    theta = list(theta)
-    if len(theta) != cx.n:
+    if any(len(theta) != cx.n for theta in thetas):
         raise ValueError("coefficient column must have one entry per vertex")
     if i < 0:
         raise ValueError("target degree must be -i with i >= 0")
     src = graded_piece(cx, ell, i + 1, field)
     dst = graded_piece(cx, ell, i, field)
-    entries = [[0] * src.total_dim for _ in range(dst.total_dim)]
+    rows = [[0] * src.total_dim for _ in range(len(thetas) * dst.total_dim)]
     for kt, T in enumerate(dst.vectors):
-        dst_space = dst.spaces[kt]
-        if dst_space.dim == 0:
+        if dst.spaces[kt].dim == 0:
             continue
-        roff = dst.offsets[kt]
         sT = support(T)
+        roffs = [p * dst.total_dim + dst.offsets[kt] for p in range(len(thetas))]
         for t in range(cx.n):
-            a = theta[t]
-            if not a:
+            scales = [(roff, theta[t]) for roff, theta in zip(roffs, thetas) if theta[t]]
+            if not scales:
                 continue
-            U = list(T)
-            U[t] += 1
-            ku = src.block_index(tuple(U))
-            if ku is None:
-                continue
-            src_space = src.spaces[ku]
-            if src_space.dim == 0:
+            U = T[:t] + (T[t] + 1,) + T[t + 1:]
+            ku = src.block_index(U)
+            if ku is None or src.spaces[ku].dim == 0:
                 continue
             coff = src.offsets[ku]
-            sU = support(U)
-            if sU == sT:
-                for q in range(src_space.dim):
-                    entries[roff + q][coff + q] += a
-            else:
-                block = induced_map(cx, sU, sT, ell - 1, field)
-                for rr in range(block.nrows):
-                    row = block.row(rr)
-                    target = entries[roff + rr]
-                    for cc, val in enumerate(row):
-                        if val:
-                            target[coff + cc] += a * val
-    return Matrix(field, entries, src.total_dim)
+            block = induced_map(cx, support(U), sT, ell - 1, field)
+            for rr, block_row in enumerate(block.tolist()):
+                entries = [(coff + cc, val) for cc, val in enumerate(block_row) if val]
+                for roff, a in scales:
+                    target = rows[roff + rr]
+                    for c, val in entries:
+                        target[c] = a * val
+    return Matrix(field, rows, src.total_dim)
+
+
+def theta_action_matrix(cx: SimplicialComplex, ell: int, i: int, theta, field: FieldSpec) -> Matrix:
+    """Matrix of multiplication by the linear form with coefficients theta,
+    from the Z-degree -(i+1) piece (columns) to the -i piece (rows)."""
+    return _theta_rows(cx, ell, i, [list(theta)], field)
 
 
 @per_complex
@@ -381,10 +378,7 @@ def stacked_theta_rank(cx: SimplicialComplex, ell: int, m: int, i: int,
     """
     if m == 0:
         return 0
-    # a generator, so the single maps are freed before the stack is eliminated
-    stacked = vstack(*(theta_action_matrix(cx, ell, i, coeffs.column_in(p, field), field)
-                       for p in range(m)))
-    return rank(stacked)
+    return rank(_theta_rows(cx, ell, i, [coeffs.column_in(p, field) for p in range(m)], field))
 
 
 def kernel_dim_bruteforce(cx: SimplicialComplex, ell: int, m: int, i: int,

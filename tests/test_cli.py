@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -238,6 +239,27 @@ def test_report_digest(capsys, command, field):
     assert digest == REPORT_DIGESTS[command, field]
 
 
+# SHA-256 of the concatenated `reduce <name> --m 2 --cutoff 8 --format json ...`
+# stdout over CORPUS_ORDER; pins the reduction matrices past the ledger's cutoffs.
+REDUCE_DIGESTS = {
+    ("--field", "q"): "6c270c1fa4941cbbda20042e6dffd29ef0a4d83fd24805cae24323c70af524d9",
+    ("--field", "fp:32003", "--trials", "2", "--seed", "3"):
+        "3decdf52ee6eba8458d22d0dc8b324f5df1204d1096e77688133b2d8da0bdc89",
+}
+
+
+@pytest.mark.parametrize("args", sorted(REDUCE_DIGESTS))
+def test_reduce_digest(capsys, args):
+    outs = []
+    for name in CORPUS_ORDER:
+        code, out, _ = run_cli(capsys, "reduce", name, "--m", "2", "--cutoff", "8",
+                               *args, "--format", "json")
+        assert code == EXIT_OK
+        outs.append(out)
+    digest = hashlib.sha256("".join(outs).encode("utf-8")).hexdigest()
+    assert digest == REDUCE_DIGESTS[args]
+
+
 # The corpus is pure; these non-pure complexes have faces F with
 # dim lk F + |F| < dim, which the CM-along-a-face test must handle.
 NON_PURE = {
@@ -340,6 +362,24 @@ def test_bad_vertex_index_is_input_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", str(path))
     assert code == EXIT_INPUT_ERROR
     assert "out of range" in err
+
+
+@pytest.mark.parametrize("facets", [5, [5]])
+def test_malformed_facets_are_input_error(tmp_path, capsys, facets):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps({"n": 3, "facets": facets}))
+    code, _, err = run_cli(capsys, "analyze", str(path))
+    assert code == EXIT_INPUT_ERROR
+    assert "malformed.json" in err
+
+
+def test_oversized_reduction_is_refused_before_elimination(capsys):
+    # the degree-40 matrix of rp2_6 with two forms has 121,711,212 entries
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "reduce", "rp2_6", "--m", "2", "--cutoff", "40")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_INPUT_ERROR
+    assert "121711212 entries" in err and "guard" in err
 
 
 def test_huge_facet_is_input_error(tmp_path, capsys):

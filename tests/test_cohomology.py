@@ -147,6 +147,37 @@ def test_rank_route_matches_basis_route(complexes, field):
                 )
 
 
+def _reference_coboundary_rows(cx, tau, k, p):
+    """delta^k of (X, cost tau) by its definition: the column of a k-face G
+    holds (-1)^(position of v in sorted G + {v}) at every coface G + {v}."""
+    def cochains(dim):
+        return sorted((F for F in cx.faces() if len(F) == dim + 1 and tau <= F),
+                      key=lambda F: sorted(F))
+    source, target = cochains(k), cochains(k + 1)
+    cols = []
+    for G in source:
+        col = [0] * len(target)
+        for v in range(1, cx.n + 1):
+            H = G | {v}
+            if v not in G and H in cx.faces():
+                col[target.index(H)] = (-1) ** sorted(H).index(v)
+        cols.append(col)
+    rows = [[c[r] for c in cols] for r in range(len(target))]
+    return [[x % p for x in row] for row in rows] if p else rows, len(source)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(small_complexes())
+def test_generated_coboundary_matches_definition(cx):
+    for p, field in ((0, QQ), (2, GF(2))):
+        for tau in cx.faces():
+            for k in range(-2, cx.dim + 2):
+                M = coboundary_matrix(cx, tau, k, field)
+                rows, ncols = _reference_coboundary_rows(cx, tau, k, p)
+                assert (M.nrows, M.ncols) == (len(rows), ncols)
+                assert M.tolist() == rows
+
+
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(small_complexes())
 def test_generated_rank_route_and_link_iso(cx):
