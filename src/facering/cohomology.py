@@ -11,24 +11,24 @@ tau = emptyset gives the reduced (augmented) complex, including the
 
 Dimensions come from ranks alone: dim H^i = dim C^i - rank delta^i -
 rank delta^(i-1), with each rank memoized as an int, so neighbouring degrees
-share it.  Explicit cocycle bases are built only where classes are used: for
-the contravariant maps induced by contrastar inclusions (extend a relative
-cocycle by zero, then reduce modulo coboundaries) and for the graded pieces
-the multiplication maps act on.  The class representatives are the cocycles
-Z (a kernel basis of delta^i) at the pivot columns of [delta^(i-1) | Z] past
-delta^(i-1); the coordinates of a cocycle's class are the last dim entries
-of its solution by the memoized class solver for [delta^(i-1) | reps].
+share it.  Cocycle bases are built only for the contravariant maps induced by
+contrastar inclusions.  The class representatives are the cocycles Z (a
+kernel basis of delta^i) at the pivot columns of [delta^(i-1) | Z] past
+delta^(i-1).  A map is read off one `solve` of [delta^(i-1) | target reps]
+against all source representatives, extended by zero: the rows of the
+solution past delta^(i-1) are the coordinates of their classes, unique
+because the representatives are independent modulo coboundaries.
 
 Coboundary matrices are not memoized; cochain bases, ranks, cohomology
-spaces, class solvers and induced maps are memoized on the complex object
-(`per_complex`) and freed with it.  Outputs are immutable, so an entry
-recomputed under a race is indistinguishable from the first result.
+spaces and induced maps are memoized on the complex object (`per_complex`)
+and freed with it.  Outputs are immutable, so an entry recomputed under a
+race is indistinguishable from the first result.
 """
 
 from __future__ import annotations
 
 from .complexes import SimplicialComplex, per_complex
-from .linalg import FieldSpec, Matrix, Solver, hstack, kernel_basis, pivot_columns, rank
+from .linalg import FieldSpec, Matrix, hstack, kernel_basis, pivot_columns, rank, solve
 
 
 @per_complex
@@ -118,14 +118,6 @@ def _relative_cohomology(cx: SimplicialComplex, tau: frozenset, i: int, field: F
     return CohomologyClassSpace(tau, i, field, basis, Matrix.from_columns(field, reps, len(basis)))
 
 
-@per_complex
-def _class_solver(cx: SimplicialComplex, tau: frozenset, i: int, field: FieldSpec) -> Solver:
-    """Solver for [delta^(i-1) | representatives]: the last dim entries of a
-    cocycle's solution are the coordinates of its class."""
-    reps = _relative_cohomology(cx, tau, i, field).cocycle_basis
-    return Solver(hstack(coboundary_matrix(cx, tau, i - 1, field), reps))
-
-
 def reduced_cohomology_dim(cx: SimplicialComplex, i: int, field: FieldSpec) -> int:
     """dim of reduced simplicial cohomology of the complex itself."""
     if cx.is_void:
@@ -151,17 +143,12 @@ def _induced_map(cx: SimplicialComplex, f_big: frozenset, f_small: frozenset, i:
     target = relative_cohomology(cx, f_small, i, field)
     if f_big == f_small:
         return Matrix.identity(field, source.dim)
-    solver = _class_solver(cx, f_small, i, field)
     index = {F: r for r, F in enumerate(target.cochain_faces)}
-    cols = []
-    for j in range(source.dim):
-        rep = source.cocycle_basis.column(j)
-        extended = [0] * len(target.cochain_faces)
-        for value, F in zip(rep, source.cochain_faces):
-            if value:
-                extended[index[F]] = value
-        x = solver.solve(extended)
-        if x is None:
-            raise AssertionError("cocycle does not reduce against the stored bases")
-        cols.append(x[solver.ncols - target.dim:])
-    return Matrix.from_columns(field, cols, target.dim)
+    extended = [[0] * source.dim for _ in target.cochain_faces]
+    for F, row in zip(source.cochain_faces, source.cocycle_basis.tolist()):
+        extended[index[F]] = row
+    delta_in = coboundary_matrix(cx, f_small, i - 1, field)
+    X = solve(hstack(delta_in, target.cocycle_basis), Matrix(field, extended, source.dim))
+    if X is None:
+        raise AssertionError("cocycle does not reduce against the stored bases")
+    return X.submatrix(range(delta_in.ncols, X.nrows), range(source.dim))

@@ -10,9 +10,13 @@ No floating point is used anywhere.
 
 Pivot columns need only forward elimination in both engines (`_q_echelon`,
 `_p_echelon`), which clears the rows below each pivot in the columns from the
-pivot on.  Kernels and solving read off one reduced echelon form per field:
-`_q_rref` and `_p_rref` run that forward elimination, then back-substitution
-(exact Fractions over Q, modular inverses over F_p).
+pivot on.  A rank over F_p is the same forward elimination on the wide side
+(the matrix or its transpose, whichever has no more rows than columns), which
+touches fewer rows per pivot.  `kernel_basis` and `solve` (M X = B for a whole
+matrix B at once) read off one reduced echelon form per field: `_q_rref` and
+`_p_rref` run that forward elimination, then back-substitution (exact
+Fractions over Q, modular inverses over F_p).  Prime-field arrays are always
+built by `_residues`, a few thousand entries per numpy call.
 
 A rank over Q is proved modulo primes (`_q_rank`).  Let W be the integer
 matrix or its transpose, whichever has no more rows than columns (it touches
@@ -244,11 +248,6 @@ class Matrix:
         for r in self._rows:
             rows.append([sum(x * y for x, y in zip(r, c) if x and y) for c in bcols])
         return Matrix(self.field, rows, other.ncols)
-
-    # -- numpy bridge (prime fields) ----------------------------------------
-
-    def _np(self) -> np.ndarray:
-        return np.array(self._rows, dtype=np.int64).reshape(self.nrows, self.ncols)
 
 
 def hstack(*mats: Matrix) -> Matrix:
@@ -588,7 +587,8 @@ def _rref(M: Matrix, pivot_cols: int):
         return M.tolist(), []
     if M.field.is_rational:
         return _q_rref(_q_int_rows(M._rows), pivot_cols)
-    R, pivots = _p_rref(M._np(), M.field.p, pivot_cols)
+    p = M.field.p
+    R, pivots = _p_rref(_residues(M._rows, M.ncols, p, False), p, pivot_cols)
     return R.tolist(), pivots
 
 
@@ -599,14 +599,19 @@ def pivot_columns(M: Matrix) -> list[int]:
     if M.field.is_rational:
         _, pivots = _q_echelon(_q_int_rows(M._rows), M.ncols)
     else:
-        _, pivots = _p_echelon(M._np(), M.field.p, M.ncols)
+        p = M.field.p
+        _, pivots = _p_echelon(_residues(M._rows, M.ncols, p, False), p, M.ncols)
     return pivots
 
 
 def rank(M: Matrix) -> int:
-    if M.field.is_rational and M.nrows and M.ncols:
+    """Rank of M; over F_p the wide side (M or its transpose) is eliminated."""
+    if M.nrows == 0 or M.ncols == 0:
+        return 0
+    if M.field.is_rational:
         return _q_rank(_q_int_rows(M._rows), M.ncols)
-    return len(pivot_columns(M))
+    p, tall = M.field.p, M.nrows > M.ncols
+    return len(_p_echelon(_residues(M._rows, M.ncols, p, tall), p, max(M.nrows, M.ncols))[1])
 
 
 def kernel_basis(M: Matrix) -> Matrix:
@@ -625,27 +630,17 @@ def kernel_basis(M: Matrix) -> Matrix:
     return Matrix.from_columns(M.field, cols, n)
 
 
-class Solver:
-    """Reusable solver for M x = b: one elimination, many right-hand sides."""
+def solve(M: Matrix, B: Matrix) -> Matrix | None:
+    """X with M X = B, zero at the non-pivot columns of M, or None if there is none.
 
-    def __init__(self, M: Matrix):
-        self.field = M.field
-        self.nrows = M.nrows
-        self.ncols = M.ncols
-        rows, self.pivots = _rref(hstack(M, Matrix.identity(M.field, M.nrows)), M.ncols)
-        self._transform = [row[M.ncols:] for row in rows]
-
-    def solve(self, b) -> list | None:
-        b = list(b)
-        if len(b) != self.nrows:
-            raise ValueError("rhs length mismatch")
-        y = [sum(t * v for t, v in zip(row, b) if t and v) for row in self._transform]
-        if self.field.p is not None:
-            y = [v % self.field.p for v in y]
-        for r in range(len(self.pivots), self.nrows):
-            if y[r]:
-                return None
-        x: list = [0] * self.ncols
-        for r, c in enumerate(self.pivots):
-            x[c] = y[r]
-        return x
+    One reduced echelon form of [M | B] in the columns of M: row r gives row
+    pivots[r] of X, and a nonzero row past the pivots of M has no solution.
+    """
+    n = M.ncols
+    rows, pivots = _rref(hstack(M, B), n)
+    if any(any(row[n:]) for row in rows[len(pivots):]):
+        return None
+    X = [[0] * B.ncols for _ in range(n)]
+    for row, c in zip(rows, pivots):
+        X[c] = row[n:]
+    return Matrix(M.field, X, B.ncols)

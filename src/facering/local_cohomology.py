@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .cohomology import induced_map, relative_cohomology, relative_cohomology_dim
+from .cohomology import induced_map, relative_cohomology_dim
 from .complexes import DEFAULT_BASIS_LIMIT, SimplicialComplex, degree_monomials, per_complex
-from .linalg import QQ, FieldSpec, Matrix, rank
+from .linalg import QQ, FieldSpec, Matrix, _residue, rank
 
 
 def support(U) -> frozenset:
@@ -51,21 +51,21 @@ def binom0(a: int, b: int) -> int:
 class GradedPiece:
     """The degree -r piece in cohomological degree l, as an ordered block sum."""
 
-    __slots__ = ("ell", "r", "field", "vectors", "spaces", "offsets", "total_dim", "_index")
+    __slots__ = ("ell", "r", "field", "vectors", "dims", "offsets", "total_dim", "_index")
 
     def __init__(self, cx, ell, r, field):
         self.ell = ell
         self.r = r
         self.field = field
         self.vectors = tuple(degree_monomials(cx, r, limit=DEFAULT_BASIS_LIMIT))
-        self.spaces = tuple(
-            relative_cohomology(cx, support(U), ell - 1, field) for U in self.vectors
+        self.dims = tuple(
+            relative_cohomology_dim(cx, support(U), ell - 1, field) for U in self.vectors
         )
         offsets = []
         total = 0
-        for space in self.spaces:
+        for dim in self.dims:
             offsets.append(total)
-            total += space.dim
+            total += dim
         self.offsets = tuple(offsets)
         self.total_dim = total
         self._index = {U: k for k, U in enumerate(self.vectors)}
@@ -178,16 +178,9 @@ class HilbertSeries:
             if k <= j
         )
 
-    def is_zero(self) -> bool:
-        return not _strip(list(self.numerator))
-
     def to_json(self) -> dict:
         red = self.reduce()
         return {"numerator": list(red.numerator), "denom_power": red.denom_power}
-
-    @staticmethod
-    def from_json(data: dict) -> "HilbertSeries":
-        return HilbertSeries(tuple(data["numerator"]), data["denom_power"]).reduce()
 
 
 def lc_hilbert_series(cx: SimplicialComplex, i: int, field: FieldSpec) -> HilbertSeries:
@@ -246,7 +239,7 @@ class GenericCoefficients:
         """Coefficients of the (p+1)-st form in `field`: rationals reduce mod p."""
         col = self.matrix.column(p)
         if field.p is not None and self.matrix.field.is_rational:
-            return [int(x) % field.p for x in col]
+            return [_residue(x, field.p) for x in col]
         return col
 
     def to_json(self) -> dict:
@@ -339,7 +332,7 @@ def _theta_rows(cx: SimplicialComplex, ell: int, i: int, thetas, field: FieldSpe
     dst = graded_piece(cx, ell, i, field)
     rows = [[0] * src.total_dim for _ in range(len(thetas) * dst.total_dim)]
     for kt, T in enumerate(dst.vectors):
-        if dst.spaces[kt].dim == 0:
+        if dst.dims[kt] == 0:
             continue
         sT = support(T)
         roffs = [p * dst.total_dim + dst.offsets[kt] for p in range(len(thetas))]
@@ -349,7 +342,7 @@ def _theta_rows(cx: SimplicialComplex, ell: int, i: int, thetas, field: FieldSpe
                 continue
             U = T[:t] + (T[t] + 1,) + T[t + 1:]
             ku = src.block_index(U)
-            if ku is None or src.spaces[ku].dim == 0:
+            if ku is None or src.dims[ku] == 0:
                 continue
             coff = src.offsets[ku]
             block = induced_map(cx, support(U), sT, ell - 1, field)

@@ -82,20 +82,6 @@ class QuotientLcTable:
             ],
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "QuotientLcTable":
-        entries = tuple(
-            ((e["l"], e["i"]), e["dim"]) for e in data["entries"]
-        )
-        d = max((l for (l, _), _ in entries), default=0) + data["m"]
-        return QuotientLcTable(data["m"], d, entries)
-
-    def to_tsv(self) -> str:
-        lines = ["l\ti\tdim"]
-        for (l, i), value in sorted(self.entries):
-            lines.append(f"{l}\t{i}\t{value}")
-        return "\n".join(lines) + "\n"
-
 
 def vertex_cohomology_map(cx: SimplicialComplex, i: int, theta, field: FieldSpec) -> Matrix:
     """Weighted sum of the restriction maps from vertex-level into global cohomology.

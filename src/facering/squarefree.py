@@ -63,13 +63,17 @@ class SqfreeData:
     @staticmethod
     def from_json(data: dict) -> "SqfreeData":
         n = data["n"]
+        if type(n) is not int or n < 0:
+            raise ValueError(f"vertex count {n!r} is not a nonnegative integer")
         table = {}
         for entry in data["dims"]:
-            vec = entry["F"]
-            if len(vec) != n or any(x not in (0, 1) for x in vec):
+            vec, dim = entry["F"], entry["dim"]
+            if len(vec) != n or any(type(x) is not int or x not in (0, 1) for x in vec):
                 raise ValueError("squarefree degree must be a 0/1 vector of length n")
+            if type(dim) is not int:
+                raise ValueError(f"dimension {dim!r} is not an integer")
             F = frozenset(v + 1 for v, x in enumerate(vec) if x)
-            table[F] = table.get(F, 0) + int(entry["dim"])
+            table[F] = table.get(F, 0) + dim
         return SqfreeData.from_dict(n, table)
 
 

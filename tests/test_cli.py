@@ -336,6 +336,23 @@ def test_sqfree_command(tmp_path, capsys):
     assert "caveat" in report
 
 
+@pytest.mark.parametrize("data", [
+    {"n": 2, "dims": [{"F": [1, 0], "dim": 1.9}]},
+    {"n": 2, "dims": [{"F": [1, 0], "dim": "2"}]},
+    {"n": 2, "dims": [{"F": [1, 0], "dim": True}]},
+    {"n": 2, "dims": [{"F": [True, False], "dim": 1}]},
+    {"n": True, "dims": [{"F": [1], "dim": 1}]},
+    {"n": 2.0, "dims": []},
+    {"n": -1, "dims": []},
+])
+def test_sqfree_rejects_non_integer_entries(tmp_path, capsys, data):
+    path = tmp_path / "sq.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "sqfree", str(path), "--m", "1", "--cutoff", "3")
+    assert code == EXIT_INPUT_ERROR
+    assert not out and "error" in err
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run_cli(capsys, "analyze", "/no/such/file.json")
     assert code == EXIT_INPUT_ERROR

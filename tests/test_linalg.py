@@ -13,7 +13,6 @@ from facering.linalg import (
     QQ,
     FieldSpec,
     Matrix,
-    Solver,
     _q_echelon,
     _q_int_rows,
     _rref,
@@ -22,6 +21,7 @@ from facering.linalg import (
     kernel_basis,
     pivot_columns,
     rank,
+    solve,
 )
 
 FIELDS = [QQ, GF(2), GF(3), GF(32003)]
@@ -72,19 +72,21 @@ def test_kernel_all_ones_over_f5():
         assert all(x % 5 == 0 for x in _matvec(M, K.column(j)))
 
 
-def test_solver_reuse_matches_one_shot():
-    for field in FIELDS:
-        M = Matrix(field, [[1, 2, 0], [0, 1, 1]])
-        solver = Solver(M)
-        for b in ([1, 0], [0, 1], [3, 4]):
-            x1 = solver.solve(b)
-            got = _matvec(M, x1)
-            if field.p is not None:
-                got = [v % field.p for v in got]
-                want = [v % field.p for v in b]
-            else:
-                want = list(b)
-            assert got == want
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)])
+def test_solve_rank_deficient_and_inconsistent(field):
+    # row 3 = row 1 + row 2, so M has rank 2 and M X has third row = first + second
+    M = Matrix(field, [[1, 2, 0, 1], [0, 1, 1, 1], [1, 3, 1, 2]])
+    B = M @ Matrix(field, [[1, 0, 5], [2, 1, 0], [0, 3, 1], [-1, 1, 1]])
+    X = solve(M, B)
+    assert (X.nrows, X.ncols) == (4, 3) and M @ X == B
+    pivots = pivot_columns(M)
+    assert len(pivots) == 2
+    assert all(X.column(j)[c] == 0 for j in range(3) for c in range(4) if c not in pivots)
+    assert solve(M, Matrix(field, [[1, 0], [0, 0], [0, 1]])) is None  # column 2 is outside
+    assert solve(M, Matrix(field, [[], [], []], 0)).ncols == 0
+    empty = Matrix(field, [[], []], 0)
+    assert solve(empty, Matrix(field, [[0], [0]])).nrows == 0
+    assert solve(empty, Matrix(field, [[0], [1]])) is None
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +161,33 @@ def test_prime_field_eliminations_agree(p):
         pivots = pivot_columns(M)
         reduced, rref_pivots = _rref(M, n)
         assert pivots == rref_pivots == _reference_pivots(rows, n, p)
+        assert rank(M) == len(pivots)
         for r, row in enumerate(reduced):
             assert [row[c] for c in pivots] == [int(r == s) for s in range(len(pivots))]
         K = kernel_basis(M)
         assert rank(M) + K.ncols == n
         for j in range(K.ncols):
             assert all(v % p == 0 for v in _matvec(M, K.column(j)))
+
+
+def test_prime_field_arrays_are_built_in_chunks(monkeypatch):
+    # one np.array call over a whole matrix holds off Python signal handlers
+    monkeypatch.setattr(linalg, "_CHUNK_CELLS", 100)
+    rng = random.Random(30)
+    M = Matrix(GF(32003), [[rng.randrange(32003) for _ in range(40)] for _ in range(30)])
+    sizes = []
+    array = np.array
+
+    def recording(*args, **kwargs):
+        out = array(*args, **kwargs)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "array", recording)
+    for op in (rank, pivot_columns, lambda M: _rref(M, M.ncols), kernel_basis):
+        sizes.clear()
+        op(M)
+        assert sizes and max(sizes) <= 100
 
 
 def test_prime_field_entry_map():
@@ -181,7 +204,7 @@ def test_float_entries_are_rejected():
         Matrix(GF(5), [[2.7]])
     for entries in ([[0.5]], [[1, Fraction(1, 3), 2.0]]):
         M = Matrix(QQ, entries)
-        for op in (rank, kernel_basis, Solver):
+        for op in (rank, kernel_basis, lambda M: solve(M, M)):
             with pytest.raises(TypeError):
                 op(M)
 

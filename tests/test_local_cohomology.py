@@ -1,12 +1,15 @@
 """Graded local cohomology pieces, Hilbert series, generic coefficients,
 multiplication matrices, and the kernel-dimension formula against brute force."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facering.linalg import GF, QQ, rank
+from facering.linalg import GF, QQ, Matrix, rank
 from facering.local_cohomology import (
+    GenericCoefficients,
     HilbertSeries,
     all_minors_nonsingular,
     binom0,
@@ -72,7 +75,7 @@ def test_series_cycle3(cycle3):
     assert s.pole_order == 2
     assert [s.coefficient(j) for j in range(5)] == [1, 3, 6, 9, 12]
     zero = lc_hilbert_series(cycle3, 1, QQ)
-    assert zero.is_zero() and zero.pole_order == 0
+    assert zero.to_json() == {"numerator": [], "denom_power": 0} and zero.pole_order == 0
 
 
 def test_series_bowtie(bowtie):
@@ -99,13 +102,6 @@ def test_pole_order_cancellation():
 def test_series_polynomial_part_coefficients():
     s = HilbertSeries((2, 5), 0)
     assert [s.coefficient(j) for j in range(4)] == [2, 5, 0, 0]
-
-
-def test_series_json_roundtrip(complexes):
-    for cx in complexes.values():
-        for i in range(0, cx.d + 1):
-            s = lc_hilbert_series(cx, i, QQ)
-            assert HilbertSeries.from_json(s.to_json()).to_json() == s.to_json()
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])
@@ -163,6 +159,12 @@ def test_make_generic_redraws_zero_entries():
 def test_column_with_all_nonzero_entries():
     A = make_generic(3, 1, GF(32003), seed=1)
     assert all(x != 0 for x in A.column(0))
+
+
+def test_column_in_maps_fractions_exactly():
+    # 1/2 is the inverse of 2 mod 5, not int(1/2) = 0
+    A = GenericCoefficients(Matrix(QQ, [[Fraction(1, 2)], [3]]), True)
+    assert A.column_in(0, GF(5)) == [3, 3]
 
 
 # ---------------------------------------------------------------------------

@@ -77,10 +77,6 @@ def test_table_build_and_serialization(bowtie):
     data = table.to_json()
     assert data["m"] == 1
     assert {(e["l"], e["i"]): e["dim"] for e in data["entries"]}[(2, 3)] == 4
-    assert QuotientLcTable.from_json(data) == table
-    tsv = table.to_tsv().strip().splitlines()
-    assert tsv[0] == "l\ti\tdim"
-    assert len(tsv) == 1 + len(data["entries"])
     # no rows above d - m
     assert all(e["l"] <= bowtie.d - 1 for e in data["entries"])
 
