@@ -35,7 +35,6 @@ from .local_cohomology import (
     theta_action_matrix,
 )
 from .quotient import (
-    QuotientLcTable,
     is_homologically_isolated,
     isolated_quotient_dims,
     predicts_finite_lc,
@@ -62,7 +61,6 @@ __all__ = [
     "HilbertSeries",
     "Matrix",
     "NEG_INFINITY",
-    "QuotientLcTable",
     "ReductionHilbert",
     "SimplicialComplex",
     "SizeLimitError",

@@ -4,7 +4,8 @@ No Groebner bases: since the ideal generated by the forms lives in degree 1,
 its degree-j piece is spanned by (form) * (degree j-1 monomial basis of the
 face ring), reduced modulo the nonface monomials.  The quotient dimension in
 each degree is then a single exact rank computation in the monomial basis,
-of a matrix written one row per degree-j monomial; the largest is sized first.
+of a matrix written one row per degree-j monomial.  The matrices of all
+degrees are sized, together, before the first one is built.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .complexes import (DEFAULT_BASIS_LIMIT, SimplicialComplex, SizeLimitError,
 from .linalg import FieldSpec, Matrix, rank
 from .local_cohomology import GenericCoefficients, make_generic, vandermonde_coefficients
 
-REDUCTION_CELL_LIMIT = 5_000_000  # entries; the tests and benchmarks reach 501 x 812
+REDUCTION_CELL_LIMIT = 5_000_000  # summed over all degrees; the benchmarks reach 992,065
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,7 @@ class ReductionHilbert:
 
 
 def reduction_hilbert(cx: SimplicialComplex, coeffs: GenericCoefficients, m: int,
-                      cutoff: int, field: FieldSpec,
-                      basis_limit: int = DEFAULT_BASIS_LIMIT) -> ReductionHilbert:
+                      cutoff: int, field: FieldSpec) -> ReductionHilbert:
     """Degreewise dimensions of (face ring)/(first m forms), exactly."""
     if cx.is_void:
         raise ValueError("void complex")
@@ -46,16 +46,21 @@ def reduction_hilbert(cx: SimplicialComplex, coeffs: GenericCoefficients, m: int
         raise ValueError("m out of range for the coefficient matrix")
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    # the degree-j matrix is |R_j| x m |R_{j-1}|, nondecreasing in j
-    cells = m * count_degree_monomials(cx, cutoff - 1) * count_degree_monomials(cx, cutoff)
-    if cells > REDUCTION_CELL_LIMIT:
-        raise SizeLimitError(f"the degree-{cutoff} reduction matrix has {cells} entries, "
-                             f"above the guard of {REDUCTION_CELL_LIMIT}")
+    # the degree-j matrix is |R_j| x m |R_{j-1}|; each degree and each row costs
+    # at least one cell, so m = 0 and long, thin runs are bounded too
+    cells, width = 0, 1
+    for j in range(1, cutoff + 1):
+        rows = count_degree_monomials(cx, j)
+        cells += 1 + rows * (1 + m * width)
+        if cells > REDUCTION_CELL_LIMIT:
+            raise SizeLimitError(f"the reduction matrices of degrees 1..{j} hold {cells} cells, "
+                                 f"above the guard of {REDUCTION_CELL_LIMIT}")
+        width = rows
     theta_cols = [coeffs.column_in(p, field) for p in range(m)]
     dims = [1]
-    prev_basis = degree_monomials(cx, 0, limit=basis_limit)
+    prev_basis = degree_monomials(cx, 0, limit=DEFAULT_BASIS_LIMIT)
     for j in range(1, cutoff + 1):
-        basis = degree_monomials(cx, j, limit=basis_limit)
+        basis = degree_monomials(cx, j, limit=DEFAULT_BASIS_LIMIT)
         ideal = Matrix(field, _ideal_rows(basis, prev_basis, theta_cols), m * len(prev_basis))
         dims.append(len(basis) - rank(ideal))
         prev_basis = basis

@@ -2,8 +2,14 @@
 
 Commands: analyze, lc, predict, reduce, verify, sqfree.  Inputs are complex
 JSON files ({"n": 5, "facets": [[1,2,3],[3,4,5]]}), the name of a bundled
-fixture complex, or the word "corpus" (verify only).  Exit codes: 0 success,
-1 verification failure, 2 input error.
+fixture complex, or the word "corpus" (verify only); sqfree reads a squarefree
+data file instead.  Exit codes: 0 success, 1 verification failure, 2 input
+error.
+
+Each command takes only the options it reads: --field everywhere but sqfree,
+--cutoff for lc, predict, reduce and sqfree, --m for predict, reduce and
+sqfree, --seed for the two commands that sample (reduce, verify), and
+--trials for reduce.  Argparse refuses any other option with exit code 2.
 
 Output is deterministic: over Q nothing is sampled at all, and over a prime
 field all sampling is driven by --seed, so identical invocations produce
@@ -18,11 +24,10 @@ import sys
 
 from . import quotient, singularity, verification
 from .artinian import determinacy_probe, reduction_hilbert
-from .complexes import SimplicialComplex, SizeLimitError
+from .complexes import SimplicialComplex
 from .corpus import CORPUS_BUILDERS, corpus
 from .linalg import FieldSpec
 from .local_cohomology import lc_coarse_dim, lc_hilbert_series, make_generic
-from .quotient import QuotientLcTable
 from .squarefree import SqfreeData, sqfree_hilbert, sqfree_quotient_hilbert
 
 EXIT_OK = 0
@@ -32,13 +37,6 @@ EXIT_INPUT_ERROR = 2
 
 class InputError(ValueError):
     pass
-
-
-def _parse_field(text: str) -> FieldSpec:
-    try:
-        return FieldSpec.parse(text)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
 
 
 def _load_inputs(spec: str, allow_corpus: bool) -> dict[str, SimplicialComplex]:
@@ -89,8 +87,7 @@ def _sd_json(value):
 
 def cmd_analyze(args) -> int:
     name, cx = _load_single(args.input)
-    field = _parse_field(args.field)
-    rep = singularity.report(cx, field)
+    field = FieldSpec.parse(args.field)
     r = cx.dim
     profile = {
         str(c): singularity.cm_in_codim(cx, c, field) for c in range(0, r + 3)
@@ -102,8 +99,8 @@ def cmd_analyze(args) -> int:
         "d": cx.d,
         "f_vector": list(cx.f_vector()),
         "h_vector": list(cx.h_vector()),
-        "singularity_dimension": _sd_json(rep.singularity_dimension),
-        "singular_faces": [sorted(F) for F in rep.singular_faces],
+        "singularity_dimension": _sd_json(singularity.singularity_dimension(cx, field)),
+        "singular_faces": [sorted(F) for F in singularity.singular_faces(cx, field)],
         "is_cm": singularity.is_cm(cx, field),
         "is_buchsbaum": singularity.is_buchsbaum(cx, field),
         "cm_in_codim": profile,
@@ -124,7 +121,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_lc(args) -> int:
     name, cx = _load_single(args.input)
-    field = _parse_field(args.field)
+    field = FieldSpec.parse(args.field)
     cutoff = args.cutoff
     rows = []
     for i in range(0, cx.d + 1):
@@ -164,84 +161,82 @@ def cmd_lc(args) -> int:
 
 def cmd_predict(args) -> int:
     name, cx = _load_single(args.input)
-    field = _parse_field(args.field)
+    field = FieldSpec.parse(args.field)
     m = args.m
     if not 0 <= m <= cx.d:
         raise InputError(f"--m must be between 0 and {cx.d} for this complex")
-    table = QuotientLcTable.build(cx, m, field, i_max=args.cutoff)
+    entries = [
+        {"l": ell, "i": i, "dim": quotient.quotient_lc_dim(cx, m, ell, i, field)}
+        for ell in range(1, cx.d - m + 1)
+        for i in range(1, args.cutoff + 1)
+    ]
     finite = quotient.predicts_finite_lc(cx, m, field)
     report = {
         "command": "predict",
         "complex": name,
         "field": str(field),
         "finite_local_cohomology": finite,
-        "table": table.to_json(),
+        "table": {"m": m, "entries": entries},
     }
-    tsv = [["l", "i", "dim"]] + [
-        [e["l"], e["i"], e["dim"]] for e in table.to_json()["entries"]
-    ]
+    tsv = [["l", "i", "dim"]] + [[e["l"], e["i"], e["dim"]] for e in entries]
     pretty = [
         f"quotient of {name} by {m} generic forms over {field}: "
         f"finite local cohomology: {finite}",
     ]
-    for e in table.to_json()["entries"]:
-        pretty.append(f"  l={e['l']} i={e['i']}: {e['dim']}")
+    pretty += [f"  l={e['l']} i={e['i']}: {e['dim']}" for e in entries]
     _emit(report, args.format, tsv, pretty)
     return EXIT_OK
 
 
 def cmd_reduce(args) -> int:
     name, cx = _load_single(args.input)
-    field = _parse_field(args.field)
+    field = FieldSpec.parse(args.field)
     m = args.m
     if m < 0:
         raise InputError("--m must be nonnegative")
-    try:
-        if args.trials:
-            constant, runs = determinacy_probe(
-                cx, m, args.trials, args.cutoff, field, seed=args.seed
-            )
-            report = {
-                "command": "reduce",
-                "complex": name,
-                "field": str(field),
-                "m": m,
-                "trials": args.trials,
-                "seed": args.seed,
-                "determinate": constant,
-                "runs": [run.to_json() for run in runs],
-            }
-            dims_list = [list(run.dims) for run in runs]
-            tsv = [["trial"] + [f"deg{j}" for j in range(args.cutoff + 1)]]
-            tsv += [[t] + dims for t, dims in enumerate(dims_list)]
-            pretty = [
-                f"Artinian reduction of {name}, m={m}, {args.trials} trials over {field}:",
-                f"  constant Hilbert function: {constant}",
-            ] + [f"  trial {t}: {dims}" for t, dims in enumerate(dims_list)]
-        else:
-            coeffs = make_generic(cx.n, max(m, 1), field, seed=args.seed)
-            red = reduction_hilbert(cx, coeffs, m, args.cutoff, field)
-            report = {
-                "command": "reduce",
-                "complex": name,
-                "field": str(field),
-                "seed": args.seed,
-                "result": red.to_json(),
-            }
-            tsv = [["degree", "dim"]] + [[j, v] for j, v in enumerate(red.dims)]
-            pretty = [
-                f"Artinian reduction of {name}, m={m} over {field}:",
-                f"  Hilbert function {list(red.dims)}",
-            ]
-    except SizeLimitError as exc:
-        raise InputError(str(exc)) from None
+    if args.trials:
+        constant, runs = determinacy_probe(
+            cx, m, args.trials, args.cutoff, field, seed=args.seed
+        )
+        report = {
+            "command": "reduce",
+            "complex": name,
+            "field": str(field),
+            "m": m,
+            "trials": args.trials,
+            "seed": args.seed,
+            "determinate": constant,
+            "runs": [run.to_json() for run in runs],
+        }
+        dims_list = [list(run.dims) for run in runs]
+        tsv = [["trial"] + [f"deg{j}" for j in range(args.cutoff + 1)]]
+        tsv += [[t] + dims for t, dims in enumerate(dims_list)]
+        pretty = [
+            f"Artinian reduction of {name}, m={m}, {args.trials} trials over {field}:",
+            f"  constant Hilbert function: {constant}",
+        ] + [f"  trial {t}: {dims}" for t, dims in enumerate(dims_list)]
+    else:
+        coeffs = make_generic(cx.n, max(m, 1), field, seed=args.seed)
+        red = reduction_hilbert(cx, coeffs, m, args.cutoff, field)
+        report = {
+            "command": "reduce",
+            "complex": name,
+            "field": str(field),
+            "seed": args.seed,
+            "result": red.to_json(),
+        }
+        tsv = [["degree", "dim"]] + [[j, v] for j, v in enumerate(red.dims)]
+        pretty = [
+            f"Artinian reduction of {name}, m={m} over {field}:",
+            f"  Hilbert function {list(red.dims)}",
+        ]
     _emit(report, args.format, tsv, pretty)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     inputs = _load_inputs(args.input, allow_corpus=True)
-    field = _parse_field(args.field)
+    field = FieldSpec.parse(args.field)
     checks = verification.SUITE_CHECKS if args.check is None else (args.check,)
     i_values = _parse_range(args.i) if args.i else None
     ell_values = (args.l,) if args.l is not None else None
@@ -346,36 +341,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_m=False, with_trials=False, cutoff_default=6):
+    field = ("--field", {"default": "q", "help": "q or fp:<prime> (default q)"})
+    seed = ("--seed", {"type": int, "default": None, "help": "seed for prime-field sampling"})
+    cutoff = ("--cutoff", {"type": _nonnegative_int, "default": 6,
+                           "help": "degree cutoff (nonnegative)"})
+    forms = ("--m", {"type": int, "required": True, "help": "number of generic linear forms"})
+
+    def command(name, func, summary, *options):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("input", help="complex JSON file or a bundled complex name")
-        p.add_argument("--field", default="q", help="q or fp:<prime> (default q)")
         p.add_argument("--format", choices=("json", "tsv", "pretty"), default="pretty")
-        p.add_argument("--seed", type=int, default=None, help="seed for prime-field sampling")
-        p.add_argument("--cutoff", type=_nonnegative_int, default=cutoff_default,
-                       help="degree cutoff (nonnegative)")
-        if with_m:
-            p.add_argument("--m", type=int, required=True, help="number of generic linear forms")
-        if with_trials:
-            p.add_argument("--trials", type=int, default=0, help="determinacy probe trials")
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("analyze", help="singular faces, CM/Buchsbaum flags, codimension profile")
-    common(p)
-    p.set_defaults(func=cmd_analyze)
+    command("analyze", cmd_analyze,
+            "singular faces, CM/Buchsbaum flags, codimension profile", field)
+    command("lc", cmd_lc,
+            "local cohomology series, pole orders, graded dimensions", field, cutoff)
+    command("predict", cmd_predict,
+            "predicted local cohomology of a generic quotient", field, cutoff, forms)
+    p = command("reduce", cmd_reduce,
+                "brute-force Artinian reduction Hilbert functions", field, seed, cutoff, forms)
+    p.add_argument("--trials", type=int, default=0, help="determinacy probe trials")
 
-    p = sub.add_parser("lc", help="local cohomology series, pole orders, graded dimensions")
-    common(p)
-    p.set_defaults(func=cmd_lc)
-
-    p = sub.add_parser("predict", help="predicted local cohomology of a generic quotient")
-    common(p, with_m=True)
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("reduce", help="brute-force Artinian reduction Hilbert functions")
-    common(p, with_m=True, with_trials=True)
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("verify", help="run consistency checks and emit a pass/fail ledger")
-    common(p)
+    p = command("verify", cmd_verify,
+                "run consistency checks and emit a pass/fail ledger", field, seed)
     p.add_argument("--check", default=None,
                    choices=verification.SUITE_CHECKS, help="run a single named check")
     p.add_argument("--m", type=int, default=None,
@@ -384,11 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest number of forms exercised by the heavy checks")
     p.add_argument("--l", type=int, default=None, help="restrict to one cohomological degree")
     p.add_argument("--i", default=None, help="restrict kernel degrees, e.g. 1..4")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("sqfree", help="Hilbert formulas on user-supplied squarefree data")
-    common(p, with_m=True)
-    p.set_defaults(func=cmd_sqfree)
+    command("sqfree", cmd_sqfree,
+            "Hilbert formulas on user-supplied squarefree data", cutoff, forms)
 
     return parser
 
@@ -398,9 +388,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

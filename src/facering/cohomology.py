@@ -19,10 +19,10 @@ against all source representatives, extended by zero: the rows of the
 solution past delta^(i-1) are the coordinates of their classes, unique
 because the representatives are independent modulo coboundaries.
 
-Coboundary matrices are not memoized; cochain bases, ranks, cohomology
-spaces and induced maps are memoized on the complex object (`per_complex`)
-and freed with it.  Outputs are immutable, so an entry recomputed under a
-race is indistinguishable from the first result.
+Coboundary matrices are not memoized; cochain bases, ranks, class
+representatives and induced maps are memoized on the complex object
+(`per_complex`) and freed with it.  Outputs are immutable, so an entry
+recomputed under a race is indistinguishable from the first result.
 """
 
 from __future__ import annotations
@@ -74,48 +74,24 @@ def relative_cohomology_dim(cx: SimplicialComplex, tau, i: int, field: FieldSpec
             - coboundary_rank(cx, tau, i, field) - coboundary_rank(cx, tau, i - 1, field))
 
 
-class CohomologyClassSpace:
-    """Basis of cocycle representatives for H^i(X, cost tau).
+def relative_cohomology(cx: SimplicialComplex, tau, i: int, field: FieldSpec) -> Matrix:
+    """Cocycle representatives of a basis of H^i(X, cost tau), one per column.
 
-    cocycle_basis columns are cocycles in the relative cochain basis and are
-    independent modulo coboundaries.
+    The rows follow relative_cochain_basis(cx, tau, i); the columns are
+    independent modulo coboundaries.  tau = emptyset is reduced cohomology.
     """
-
-    __slots__ = ("face", "degree", "field", "cochain_faces", "cocycle_basis")
-
-    def __init__(self, tau, i, field, cochain_faces, cocycle_basis):
-        self.face = tau
-        self.degree = i
-        self.field = field
-        self.cochain_faces = cochain_faces
-        self.cocycle_basis = cocycle_basis
-
-    @property
-    def dim(self) -> int:
-        return self.cocycle_basis.ncols
-
-    def __repr__(self):
-        return (
-            f"CohomologyClassSpace(face={sorted(self.face)}, degree={self.degree}, "
-            f"field={self.field}, dim={self.dim})"
-        )
-
-
-def relative_cohomology(cx: SimplicialComplex, tau, i: int, field: FieldSpec) -> CohomologyClassSpace:
-    """H^i(X, cost tau) with an explicit cocycle basis; tau = emptyset is reduced cohomology."""
     return _relative_cohomology(cx, frozenset(tau), i, field)
 
 
 @per_complex
-def _relative_cohomology(cx: SimplicialComplex, tau: frozenset, i: int, field: FieldSpec) -> CohomologyClassSpace:
+def _relative_cohomology(cx: SimplicialComplex, tau: frozenset, i: int, field: FieldSpec) -> Matrix:
     if tau not in cx:
         raise ValueError(f"{sorted(tau)} is not a face")
-    basis = relative_cochain_basis(cx, tau, i)
     cocycles = kernel_basis(coboundary_matrix(cx, tau, i, field))
     delta_in = coboundary_matrix(cx, tau, i - 1, field)
     pivots = pivot_columns(hstack(delta_in, cocycles))
     reps = [cocycles.column(c - delta_in.ncols) for c in pivots if c >= delta_in.ncols]
-    return CohomologyClassSpace(tau, i, field, basis, Matrix.from_columns(field, reps, len(basis)))
+    return Matrix.from_columns(field, reps, len(relative_cochain_basis(cx, tau, i)))
 
 
 def reduced_cohomology_dim(cx: SimplicialComplex, i: int, field: FieldSpec) -> int:
@@ -142,13 +118,13 @@ def _induced_map(cx: SimplicialComplex, f_big: frozenset, f_small: frozenset, i:
     source = relative_cohomology(cx, f_big, i, field)
     target = relative_cohomology(cx, f_small, i, field)
     if f_big == f_small:
-        return Matrix.identity(field, source.dim)
-    index = {F: r for r, F in enumerate(target.cochain_faces)}
-    extended = [[0] * source.dim for _ in target.cochain_faces]
-    for F, row in zip(source.cochain_faces, source.cocycle_basis.tolist()):
+        return Matrix.identity(field, source.ncols)
+    index = {F: r for r, F in enumerate(relative_cochain_basis(cx, f_small, i))}
+    extended = [[0] * source.ncols for _ in index]
+    for F, row in zip(relative_cochain_basis(cx, f_big, i), source.tolist()):
         extended[index[F]] = row
     delta_in = coboundary_matrix(cx, f_small, i - 1, field)
-    X = solve(hstack(delta_in, target.cocycle_basis), Matrix(field, extended, source.dim))
+    X = solve(hstack(delta_in, target), Matrix(field, extended, source.ncols))
     if X is None:
         raise AssertionError("cocycle does not reduce against the stored bases")
-    return X.submatrix(range(delta_in.ncols, X.nrows), range(source.dim))
+    return X.submatrix(range(delta_in.ncols, X.nrows), range(source.ncols))

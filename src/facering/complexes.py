@@ -206,7 +206,10 @@ class SimplicialComplex:
     def from_json(data: dict) -> "SimplicialComplex":
         if not isinstance(data, dict) or "n" not in data or "facets" not in data:
             raise ValueError("complex JSON needs 'n' and 'facets' fields")
-        return SimplicialComplex(data["n"], data["facets"], is_void=bool(data.get("void", False)))
+        is_void = data.get("void", False)
+        if type(is_void) is not bool:
+            raise ValueError(f"'void' must be true or false, got {is_void!r}")
+        return SimplicialComplex(data["n"], data["facets"], is_void=is_void)
 
 
 def count_degree_monomials(cx: SimplicialComplex, r: int) -> int:
@@ -222,7 +225,10 @@ def degree_monomials(cx: SimplicialComplex, r: int, limit: int | None = None):
     """Exponent vectors U in N^n with |U| = r and support(U) a face, in lex order.
 
     This is simultaneously the degree-r monomial basis of the face ring and
-    the index set V_r of the finely graded local cohomology pieces.
+    the index set V_r of the finely graded local cohomology pieces.  Each
+    nonempty face F carries the compositions of r into |F| positive parts,
+    one per choice of |F| - 1 cut points in 1..r-1, which is the sum that
+    count_degree_monomials counts.
     """
     if limit is not None:
         total = count_degree_monomials(cx, r)
@@ -232,25 +238,17 @@ def degree_monomials(cx: SimplicialComplex, r: int, limit: int | None = None):
             )
     if r < 0 or cx.is_void:
         return []
-    n = cx.n
-    faces = cx.faces()
-    out: list[tuple[int, ...]] = []
-    vec = [0] * n
-
-    def rec(pos: int, remaining: int, support: frozenset):
-        if remaining == 0:
-            if support in faces:
-                out.append(tuple(vec))
-            return
-        if pos == n:
-            return
-        limit_here = remaining
-        for u in range(0, limit_here + 1):
-            vec[pos] = u
-            s2 = support | {pos + 1} if u else support
-            if not u or s2 in faces:
-                rec(pos + 1, remaining - u, s2)
-        vec[pos] = 0
-
-    rec(0, r, frozenset())
+    if r == 0:
+        return [(0,) * cx.n]
+    out = []
+    for F in cx.faces():
+        if not F:
+            continue
+        positions = [v - 1 for v in sorted(F)]
+        for cuts in combinations(range(1, r), len(F) - 1):
+            vec = [0] * cx.n
+            for t, lo, hi in zip(positions, (0, *cuts), (*cuts, r)):
+                vec[t] = hi - lo
+            out.append(tuple(vec))
+    out.sort()
     return out

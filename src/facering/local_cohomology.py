@@ -30,6 +30,8 @@ from .cohomology import induced_map, relative_cohomology_dim
 from .complexes import DEFAULT_BASIS_LIMIT, SimplicialComplex, degree_monomials, per_complex
 from .linalg import QQ, FieldSpec, Matrix, _residue, rank
 
+GENERIC_TRIES = 64  # draws of a whole matrix before make_generic gives up
+
 
 def support(U) -> frozenset:
     """Positions (1-based) of the nonzero entries of an exponent vector."""
@@ -231,10 +233,6 @@ class GenericCoefficients:
     def m(self) -> int:
         return self.matrix.ncols
 
-    def column(self, p: int) -> list:
-        """Coefficients of the (p+1)-st linear form."""
-        return self.matrix.column(p)
-
     def column_in(self, p: int, field: FieldSpec) -> list:
         """Coefficients of the (p+1)-st form in `field`: rationals reduce mod p."""
         col = self.matrix.column(p)
@@ -273,14 +271,13 @@ def all_minors_nonsingular(M: Matrix) -> bool:
     return True
 
 
-def make_generic(n: int, m: int, field: FieldSpec, seed: int | None = None,
-                 max_tries: int = 64) -> GenericCoefficients:
+def make_generic(n: int, m: int, field: FieldSpec, seed: int | None = None) -> GenericCoefficients:
     """A verified-generic n x m coefficient matrix.
 
     Over Q this is the Vandermonde on nodes 1..n (no randomness, certificate
     analytic).  Over F_p entries are sampled uniformly from the nonzero
     residues (a zero draw is drawn again) and all square submatrices are
-    checked; sampling retries a bounded number of times.
+    checked; sampling stops after GENERIC_TRIES draws of the whole matrix.
     With m >= 2 no such matrix exists when n > p - 1: every entry must be
     nonzero and no two rows proportional on a pair of columns, which leaves
     at most p - 1 rows.
@@ -301,12 +298,12 @@ def make_generic(n: int, m: int, field: FieldSpec, seed: int | None = None,
             x = rng.randrange(p)
         return x
 
-    for _ in range(max_tries):
+    for _ in range(GENERIC_TRIES):
         rows = [[entry() for _ in range(m)] for _ in range(n)]
         M = Matrix(field, rows, m)
         if all_minors_nonsingular(M):
             return GenericCoefficients(M, True)
-    raise ValueError(f"no verified generic matrix over F_{p} after {max_tries} tries")
+    raise ValueError(f"no verified generic matrix over F_{p} after {GENERIC_TRIES} tries")
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,6 @@ and everything else vanishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cohomology import induced_map, relative_cohomology_dim
 from .complexes import SimplicialComplex
 from .linalg import FieldSpec, Matrix, hstack, rank
@@ -56,31 +54,6 @@ def predicts_finite_lc(cx: SimplicialComplex, m: int, field: FieldSpec) -> bool:
             if len(F) >= m + 1 and relative_cohomology_dim(cx, F, ell + m - 1, field):
                 return False
     return True
-
-
-@dataclass(frozen=True)
-class QuotientLcTable:
-    """Tabulated predictions (ell, i) -> dim for a fixed number of forms."""
-
-    m: int
-    d: int
-    entries: tuple  # of ((ell, i), dim)
-
-    @staticmethod
-    def build(cx: SimplicialComplex, m: int, field: FieldSpec, i_max: int = 6) -> "QuotientLcTable":
-        entries = []
-        for ell in range(1, cx.d - m + 1):
-            for i in range(1, i_max + 1):
-                entries.append(((ell, i), quotient_lc_dim(cx, m, ell, i, field)))
-        return QuotientLcTable(m, cx.d, tuple(entries))
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "entries": [
-                {"l": l, "i": i, "dim": value} for (l, i), value in sorted(self.entries)
-            ],
-        }
 
 
 def vertex_cohomology_map(cx: SimplicialComplex, i: int, theta, field: FieldSpec) -> Matrix:

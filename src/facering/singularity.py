@@ -24,30 +24,12 @@ and in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .cohomology import relative_cohomology_dim
 from .complexes import SimplicialComplex, mixed_face_key, per_complex
 from .linalg import FieldSpec
 
 NEG_INFINITY = -math.inf
-
-
-@dataclass(frozen=True)
-class SingularityReport:
-    field: FieldSpec
-    singular_faces: tuple
-    singularity_dimension: object  # int or NEG_INFINITY
-    d: int
-
-    def to_json(self) -> dict:
-        sd = self.singularity_dimension
-        return {
-            "field": str(self.field),
-            "d": self.d,
-            "singularity_dimension": "-inf" if sd == NEG_INFINITY else int(sd),
-            "singular_faces": [sorted(F) for F in self.singular_faces],
-        }
 
 
 @per_complex
@@ -89,11 +71,6 @@ def singularity_dimension(cx: SimplicialComplex, field: FieldSpec):
     if cx.is_void:
         raise ValueError("the void complex has no singularity dimension")
     return max((len(F) - 1 for F in singular_faces(cx, field)), default=NEG_INFINITY)
-
-
-def report(cx: SimplicialComplex, field: FieldSpec) -> SingularityReport:
-    faces = singular_faces(cx, field)
-    return SingularityReport(field, tuple(faces), singularity_dimension(cx, field), cx.d)
 
 
 def is_cm(cx: SimplicialComplex, field: FieldSpec) -> bool:

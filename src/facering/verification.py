@@ -18,7 +18,6 @@ from .cohomology import reduced_cohomology_dim, relative_cohomology_dim
 from .complexes import SimplicialComplex, mixed_face_key
 from .linalg import FieldSpec
 from .local_cohomology import (
-    GenericCoefficients,
     graded_piece,
     kernel_dim_bruteforce,
     kernel_dim_formula,
@@ -27,6 +26,9 @@ from .local_cohomology import (
     make_generic,
     restricted_theta_rank,
 )
+
+J_MAX = 6  # hochster-counts: Z-degrees 0 down to -J_MAX
+I_MAX = 5  # kernel-identification and tsqfree: quotient degrees -1 down to -I_MAX
 
 
 @dataclass(frozen=True)
@@ -77,13 +79,12 @@ def check_link_iso(name: str, cx: SimplicialComplex, field: FieldSpec) -> list[C
     return out
 
 
-def check_hochster_counts(name: str, cx: SimplicialComplex, field: FieldSpec,
-                          j_max: int = 6) -> list[CheckResult]:
-    """Series expansion vs the closed count vs direct block enumeration."""
+def check_hochster_counts(name: str, cx: SimplicialComplex, field: FieldSpec) -> list[CheckResult]:
+    """Series expansion vs the closed count vs direct block enumeration, Z-degrees 0..-J_MAX."""
     out = []
     for i in range(0, cx.d + 1):
         series = lc_hilbert_series(cx, i, field)
-        for j in range(0, j_max + 1):
+        for j in range(0, J_MAX + 1):
             from_series = series.coefficient(j)
             from_formula = lc_coarse_dim(cx, i, -j, field)
             from_blocks = graded_piece(cx, i, j, field).total_dim
@@ -154,8 +155,7 @@ def check_singdim_chain(name: str, cx: SimplicialComplex, field: FieldSpec) -> l
 
 def check_lemma_equality(name: str, cx: SimplicialComplex, field: FieldSpec,
                          m_values=(0, 1, 2), i_extent: int = 3, i_values=None,
-                         ell_values=None, coeffs: GenericCoefficients | None = None,
-                         seed: int | None = None) -> list[CheckResult]:
+                         ell_values=None, seed: int | None = None) -> list[CheckResult]:
     """Brute-force kernel dimensions against the closed formula, with surjectivity.
 
     The kernel degrees are i = m..m+i_extent for each m, or the members of
@@ -167,8 +167,7 @@ def check_lemma_equality(name: str, cx: SimplicialComplex, field: FieldSpec,
     out = []
     d = cx.d
     max_m = min(max(m_values), d)
-    if coeffs is None:
-        coeffs = make_generic(cx.n, min(max_m + 1, cx.n), field, seed=seed)
+    coeffs = make_generic(cx.n, min(max_m + 1, cx.n), field, seed=seed)
     ells = ell_values if ell_values is not None else range(1, d + 1)
     for ell in ells:
         for m in m_values:
@@ -209,14 +208,13 @@ def check_lemma_equality(name: str, cx: SimplicialComplex, field: FieldSpec,
     return out
 
 
-def check_kernel_identification(name: str, cx: SimplicialComplex, field: FieldSpec,
-                                i_max: int = 5) -> list[CheckResult]:
-    """Quotient prediction formula against the kernel-dimension formula."""
+def check_kernel_identification(name: str, cx: SimplicialComplex, field: FieldSpec) -> list[CheckResult]:
+    """Quotient prediction formula against the kernel-dimension formula, i = 1..I_MAX."""
     out = []
     d = cx.d
     for m in range(0, d + 1):
         for ell in range(1, d - m + 1):
-            for i in range(1, i_max + 1):
+            for i in range(1, I_MAX + 1):
                 lhs = quotient.quotient_lc_dim(cx, m, ell, i, field)
                 rhs = kernel_dim_formula(cx, ell + m, m, i + m - 1, field)
                 out.append(
@@ -267,15 +265,14 @@ def check_artinian_vs_sqfree(name: str, cx: SimplicialComplex, field: FieldSpec,
     return out
 
 
-def check_tsqfree(name: str, cx: SimplicialComplex, field: FieldSpec,
-                  i_max: int = 5) -> list[CheckResult]:
-    """Squarefree-route quotient local cohomology against the direct formula."""
+def check_tsqfree(name: str, cx: SimplicialComplex, field: FieldSpec) -> list[CheckResult]:
+    """Squarefree-route quotient local cohomology against the direct formula, i = 1..I_MAX."""
     out = []
     d = cx.d
     for m in range(0, d + 1):
         for ell in range(1, d - m + 1):
             table = squarefree.sqfree_lc_data(cx, ell + m, field)
-            for i in range(1, i_max + 1):
+            for i in range(1, I_MAX + 1):
                 lhs = squarefree.sqfree_quotient_lc(table, m, i)
                 rhs = quotient.quotient_lc_dim(cx, m, ell, i, field)
                 out.append(

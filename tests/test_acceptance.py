@@ -92,7 +92,7 @@ def test_criterion_3_link_coherence(complexes):
             for F in cx.faces():
                 link = cx.link(F)
                 for i in range(0, cx.d + 1):
-                    lhs = relative_cohomology(cx, F, i - 1, field).dim
+                    lhs = relative_cohomology(cx, F, i - 1, field).ncols
                     rhs = reduced_cohomology_dim(link, i - 1 - len(F), field)
                     assert lhs == rhs, (name, str(field), sorted(F), i, lhs, rhs)
                     cells += 1

@@ -2,6 +2,7 @@
 
 import pytest
 
+from facering import artinian
 from facering.artinian import determinacy_probe, reduction_hilbert
 from facering.complexes import SizeLimitError, count_degree_monomials
 from facering.linalg import GF, QQ
@@ -42,14 +43,15 @@ def test_reduction_m_zero_is_face_ring_hilbert(bowtie):
     assert red.dims == tuple(count_degree_monomials(bowtie, j) for j in range(6))
 
 
-def test_reduction_validation(cycle3):
+def test_reduction_validation(cycle3, monkeypatch):
     A = make_generic(3, 1, QQ)
     with pytest.raises(ValueError):
         reduction_hilbert(cycle3, A, 2, 3, QQ)  # more forms than columns
     with pytest.raises(ValueError):
         reduction_hilbert(cycle3, A, 1, -1, QQ)
+    monkeypatch.setattr(artinian, "DEFAULT_BASIS_LIMIT", 5)
     with pytest.raises(SizeLimitError):
-        reduction_hilbert(cycle3, A, 1, 6, QQ, basis_limit=5)
+        reduction_hilbert(cycle3, A, 1, 6, QQ)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)])

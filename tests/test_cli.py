@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import facering
-from facering.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFY_FAILED, main
+from facering.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFY_FAILED, build_parser, main
 from facering.verification import CheckResult, ledger_json
 
 
@@ -391,12 +392,60 @@ def test_malformed_facets_are_input_error(tmp_path, capsys, facets):
 
 
 def test_oversized_reduction_is_refused_before_elimination(capsys):
-    # the degree-40 matrix of rp2_6 with two forms has 121,711,212 entries
+    # the reduction matrices of rp2_6 with two forms pass 5,000,000 cells,
+    # summed over the degrees, at degree 14
     start = time.perf_counter()
     code, _, err = run_cli(capsys, "reduce", "rp2_6", "--m", "2", "--cutoff", "40")
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_INPUT_ERROR
-    assert "121711212 entries" in err and "guard" in err
+    assert "degrees 1..14 hold 5356071 cells" in err and "guard" in err
+
+
+@pytest.mark.parametrize("m, cutoff", [("1", "740"), ("0", "100000")])
+def test_reduction_guard_sums_all_degrees(capsys, m, cutoff):
+    # the top-degree matrix alone is under the guard (m = 1) or empty (m = 0)
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "reduce", "cycle3", "--m", m, "--cutoff", cutoff)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_INPUT_ERROR
+    assert "guard" in err
+
+
+@pytest.mark.parametrize("void", ["false", 0, 1, None])
+def test_void_flag_must_be_boolean(tmp_path, capsys, void):
+    path = tmp_path / "void.json"
+    path.write_text(json.dumps({"n": 3, "facets": [], "void": void}))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == EXIT_INPUT_ERROR
+    assert not out and "'void' must be true or false" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "cycle3", "--seed", "1"),
+    ("analyze", "cycle3", "--cutoff", "3"),
+    ("lc", "cycle3", "--seed", "1"),
+    ("predict", "cycle3", "--m", "1", "--seed", "1"),
+    ("verify", "cycle3", "--cutoff", "3"),
+    ("sqfree", "DATA", "--m", "1", "--field", "fp:6"),
+    ("sqfree", "DATA", "--m", "1", "--seed", "1"),
+])
+def test_commands_refuse_options_they_do_not_read(tmp_path, capsys, argv):
+    data = tmp_path / "sq.json"
+    data.write_text(json.dumps({"n": 2, "dims": [{"F": [1, 0], "dim": 1}]}))
+    with pytest.raises(SystemExit) as exc:
+        main([str(data) if a == "DATA" else a for a in argv])
+    assert exc.value.code == EXIT_INPUT_ERROR
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_examples_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    examples = [line for line in readme.read_text(encoding="utf-8").splitlines()
+                if line.startswith("facering ")]
+    assert len(examples) >= 6
+    parser = build_parser()
+    for line in examples:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_huge_facet_is_input_error(tmp_path, capsys):

@@ -113,9 +113,9 @@ def test_empty_complex_has_degree_minus_one_class():
 
 
 def test_relative_examples(bowtie, cycle3, octahedron):
-    assert relative_cohomology(bowtie, {3}, 1, QQ).dim == 1
-    assert relative_cohomology(cycle3, {1, 2}, 1, QQ).dim == 1
-    assert relative_cohomology(octahedron, {1}, 1, QQ).dim == 0
+    assert relative_cohomology(bowtie, {3}, 1, QQ).ncols == 1
+    assert relative_cohomology(cycle3, {1, 2}, 1, QQ).ncols == 1
+    assert relative_cohomology(octahedron, {1}, 1, QQ).ncols == 0
     with pytest.raises(ValueError):
         relative_cohomology(bowtie, {1, 4}, 1, QQ)
     with pytest.raises(ValueError, match="not a face"):
@@ -127,9 +127,8 @@ def test_cocycle_bases_are_valid(complexes):
         for field in (QQ, GF(2)):
             for F in cx.faces():
                 for i in range(-1, cx.dim + 1):
-                    space = relative_cohomology(cx, F, i, field)
+                    reps = relative_cohomology(cx, F, i, field)
                     delta = coboundary_matrix(cx, frozenset(F), i, field)
-                    reps = space.cocycle_basis
                     if reps.ncols:
                         assert not any(x for row in (delta @ reps).tolist() for x in row)
                     delta_in = coboundary_matrix(cx, frozenset(F), i - 1, field)
@@ -143,7 +142,7 @@ def test_rank_route_matches_basis_route(complexes, field):
             for i in range(-2, cx.d + 1):
                 assert (
                     relative_cohomology_dim(cx, F, i, field)
-                    == relative_cohomology(cx, F, i, field).dim
+                    == relative_cohomology(cx, F, i, field).ncols
                 )
 
 
@@ -186,7 +185,7 @@ def test_generated_rank_route_and_link_iso(cx):
             link = cx.link(F)
             for i in range(0, cx.d + 1):
                 got = relative_cohomology_dim(cx, F, i - 1, field)
-                assert got == relative_cohomology(cx, F, i - 1, field).dim
+                assert got == relative_cohomology(cx, F, i - 1, field).ncols
                 assert got == reduced_cohomology_dim(link, i - 1 - len(F), field)
 
 
@@ -201,7 +200,7 @@ def test_link_isomorphism(complexes, field):
             link = cx.link(F)
             for i in range(-1, cx.dim + 1):
                 assert (
-                    relative_cohomology(cx, F, i, field).dim
+                    relative_cohomology(cx, F, i, field).ncols
                     == reduced_cohomology_dim(link, i - len(F), field)
                 )
 
@@ -281,7 +280,7 @@ def test_class_layer_digest(complexes):
             for F in faces:
                 for i in range(-1, cx.dim + 1):
                     h.update(f"{name} {field} {sorted(F)} {i}".encode())
-                    _hash_matrix(h, relative_cohomology(cx, F, i, field).cocycle_basis)
+                    _hash_matrix(h, relative_cohomology(cx, F, i, field))
                     for v in range(1, cx.n + 1):
                         if v not in F and F | {v} in cx:
                             h.update(f"<-{v}".encode())

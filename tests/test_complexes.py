@@ -4,8 +4,11 @@ import gc
 import json
 import random
 import tracemalloc
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facering.complexes import (
     SimplicialComplex,
@@ -15,7 +18,9 @@ from facering.complexes import (
 )
 from facering.linalg import QQ
 from facering.local_cohomology import kernel_dim_bruteforce
-from facering.singularity import cm_in_codim, report
+from facering.singularity import cm_in_codim, singular_faces
+
+from complex_strategies import small_complexes
 
 
 def test_from_facets_cycle3_face_count(cycle3):
@@ -170,6 +175,25 @@ def test_degree_monomials_lex_and_counts(complexes):
                 assert frozenset(t + 1 for t, u in enumerate(U) if u) in faces
 
 
+def _monomials_by_definition(cx, r):
+    """Every vector of sum r in N^n whose support is a face, in lex order."""
+    faces = cx.faces()
+    return [U for U in product(range(r + 1), repeat=cx.n)
+            if sum(U) == r and frozenset(t + 1 for t, u in enumerate(U) if u) in faces]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(small_complexes(), st.integers(0, 5))
+def test_generated_degree_monomials_match_definition(cx, r):
+    assert degree_monomials(cx, r) == _monomials_by_definition(cx, r)
+
+
+def test_degree_monomials_of_degenerate_complexes():
+    for cx in (SimplicialComplex(3, []), SimplicialComplex(3, [], is_void=True)):
+        for r in range(0, 3):
+            assert degree_monomials(cx, r) == _monomials_by_definition(cx, r)
+
+
 def test_degree_monomials_cycle3_degree2(cycle3):
     assert degree_monomials(cycle3, 2) == [
         (0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0),
@@ -192,7 +216,7 @@ def test_memo_is_freed_with_its_complex():
     try:
         for k in range(1, 41):
             cx = SimplicialComplex(7, [rng.sample(range(1, 8), 3) for _ in range(8)])
-            report(cx, QQ)
+            singular_faces(cx, QQ)
             cm_in_codim(cx, 1, QQ)
             kernel_dim_bruteforce(cx, 2, 1, 1, None, QQ)
             del cx

@@ -121,7 +121,7 @@ def test_vandermonde_matrix():
     A = make_generic(5, 2, QQ)
     assert A.verified
     assert A.matrix.tolist() == [[1, 1], [1, 2], [1, 3], [1, 4], [1, 5]]
-    assert A.column(1) == [1, 2, 3, 4, 5]
+    assert A.matrix.column(1) == [1, 2, 3, 4, 5]
 
 
 def test_vandermonde_minors_are_nonsingular():
@@ -158,7 +158,7 @@ def test_make_generic_redraws_zero_entries():
 
 def test_column_with_all_nonzero_entries():
     A = make_generic(3, 1, GF(32003), seed=1)
-    assert all(x != 0 for x in A.column(0))
+    assert all(x != 0 for x in A.matrix.column(0))
 
 
 def test_column_in_maps_fractions_exactly():
@@ -206,7 +206,7 @@ def test_theta_actions_commute(complexes, field):
     # exercises the compatibility of all the induced-map blocks
     for cx in complexes.values():
         coeffs = make_generic(cx.n, 2, field, seed=3)
-        t1, t2 = coeffs.column(0), coeffs.column(1)
+        t1, t2 = coeffs.matrix.column(0), coeffs.matrix.column(1)
         for ell in range(1, cx.d + 1):
             for i in range(0, 3):
                 first = theta_action_matrix(cx, ell, i, t1, field) @ theta_action_matrix(
@@ -242,7 +242,7 @@ def test_kernel_formula_at_m_equals_i_counts_top_blocks(complexes):
         for ell in range(1, d + 1):
             for m in range(0, d):
                 direct = sum(
-                    relative_cohomology(cx, F, ell - 1, QQ).dim
+                    relative_cohomology(cx, F, ell - 1, QQ).ncols
                     for F in cx.faces()
                     if len(F) == m + 1
                 )

@@ -6,7 +6,6 @@ from facering.complexes import SimplicialComplex
 from facering.linalg import GF, QQ, rank
 from facering.local_cohomology import kernel_dim_formula
 from facering.quotient import (
-    QuotientLcTable,
     is_homologically_isolated,
     isolated_quotient_dims,
     predicts_finite_lc,
@@ -72,13 +71,8 @@ def test_one_form_quotient_of_isolated_complex_is_finite(bowtie, pair_edges):
                 assert quotient_lc_dim(cx, 1, ell, i, QQ) == 0
 
 
-def test_table_build_and_serialization(bowtie):
-    table = QuotientLcTable.build(bowtie, 1, QQ, i_max=4)
-    data = table.to_json()
-    assert data["m"] == 1
-    assert {(e["l"], e["i"]): e["dim"] for e in data["entries"]}[(2, 3)] == 4
-    # no rows above d - m
-    assert all(e["l"] <= bowtie.d - 1 for e in data["entries"])
+def test_table_entry(bowtie):
+    assert quotient_lc_dim(bowtie, 1, 2, 3, QQ) == 4
 
 
 # ---------------------------------------------------------------------------
