@@ -13,12 +13,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .complexes import (DEFAULT_BASIS_LIMIT, SimplicialComplex, SizeLimitError,
-                        count_degree_monomials, degree_monomials)
+from .complexes import SimplicialComplex, SizeLimitError, count_degree_monomials, degree_monomials
 from .linalg import FieldSpec, Matrix, rank
 from .local_cohomology import GenericCoefficients, make_generic, vandermonde_coefficients
 
-REDUCTION_CELL_LIMIT = 5_000_000  # summed over all degrees; the benchmarks reach 992,065
+# The guard on one reduction: cells summed over all degrees, where each degree
+# is also charged DEGREE_CELLS for its fixed Python cost, so no run passes
+# 5,000 degrees.  The benchmark's reductions reach 992,065 cells.
+REDUCTION_CELL_LIMIT = 5_000_000
+DEGREE_CELLS = 1_000
 
 
 @dataclass(frozen=True)
@@ -46,21 +49,21 @@ def reduction_hilbert(cx: SimplicialComplex, coeffs: GenericCoefficients, m: int
         raise ValueError("m out of range for the coefficient matrix")
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    # the degree-j matrix is |R_j| x m |R_{j-1}|; each degree and each row costs
-    # at least one cell, so m = 0 and long, thin runs are bounded too
+    # the degree-j matrix is |R_j| x m |R_{j-1}|; each row costs at least one
+    # cell, so m = 0 runs are bounded too
     cells, width = 0, 1
     for j in range(1, cutoff + 1):
         rows = count_degree_monomials(cx, j)
-        cells += 1 + rows * (1 + m * width)
+        cells += DEGREE_CELLS + rows * (1 + m * width)
         if cells > REDUCTION_CELL_LIMIT:
             raise SizeLimitError(f"the reduction matrices of degrees 1..{j} hold {cells} cells, "
                                  f"above the guard of {REDUCTION_CELL_LIMIT}")
         width = rows
     theta_cols = [coeffs.column_in(p, field) for p in range(m)]
     dims = [1]
-    prev_basis = degree_monomials(cx, 0, limit=DEFAULT_BASIS_LIMIT)
+    prev_basis = degree_monomials(cx, 0)
     for j in range(1, cutoff + 1):
-        basis = degree_monomials(cx, j, limit=DEFAULT_BASIS_LIMIT)
+        basis = degree_monomials(cx, j)
         ideal = Matrix(field, _ideal_rows(basis, prev_basis, theta_cols), m * len(prev_basis))
         dims.append(len(basis) - rank(ideal))
         prev_basis = basis

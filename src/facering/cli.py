@@ -347,9 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
                            "help": "degree cutoff (nonnegative)"})
     forms = ("--m", {"type": int, "required": True, "help": "number of generic linear forms"})
 
-    def command(name, func, summary, *options):
+    complex_input = "complex JSON file or a bundled complex name"
+
+    def command(name, func, summary, input_help, *options):
         p = sub.add_parser(name, help=summary)
-        p.add_argument("input", help="complex JSON file or a bundled complex name")
+        p.add_argument("input", help=input_help)
         p.add_argument("--format", choices=("json", "tsv", "pretty"), default="pretty")
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
@@ -357,17 +359,21 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     command("analyze", cmd_analyze,
-            "singular faces, CM/Buchsbaum flags, codimension profile", field)
+            "singular faces, CM/Buchsbaum flags, codimension profile", complex_input, field)
     command("lc", cmd_lc,
-            "local cohomology series, pole orders, graded dimensions", field, cutoff)
+            "local cohomology series, pole orders, graded dimensions", complex_input,
+            field, cutoff)
     command("predict", cmd_predict,
-            "predicted local cohomology of a generic quotient", field, cutoff, forms)
+            "predicted local cohomology of a generic quotient", complex_input,
+            field, cutoff, forms)
     p = command("reduce", cmd_reduce,
-                "brute-force Artinian reduction Hilbert functions", field, seed, cutoff, forms)
+                "brute-force Artinian reduction Hilbert functions", complex_input,
+                field, seed, cutoff, forms)
     p.add_argument("--trials", type=int, default=0, help="determinacy probe trials")
 
     p = command("verify", cmd_verify,
-                "run consistency checks and emit a pass/fail ledger", field, seed)
+                "run consistency checks and emit a pass/fail ledger",
+                complex_input + ", or 'corpus' for every bundled complex", field, seed)
     p.add_argument("--check", default=None,
                    choices=verification.SUITE_CHECKS, help="run a single named check")
     p.add_argument("--m", type=int, default=None,
@@ -378,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", default=None, help="restrict kernel degrees, e.g. 1..4")
 
     command("sqfree", cmd_sqfree,
-            "Hilbert formulas on user-supplied squarefree data", cutoff, forms)
+            "Hilbert formulas on user-supplied squarefree data",
+            'squarefree data JSON file ({"n": ..., "dims": [...]})', cutoff, forms)
 
     return parser
 

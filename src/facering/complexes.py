@@ -221,21 +221,21 @@ def count_degree_monomials(cx: SimplicialComplex, r: int) -> int:
     return sum(comb(r - 1, len(F) - 1) for F in cx.faces() if F)
 
 
-def degree_monomials(cx: SimplicialComplex, r: int, limit: int | None = None):
+def degree_monomials(cx: SimplicialComplex, r: int):
     """Exponent vectors U in N^n with |U| = r and support(U) a face, in lex order.
 
     This is simultaneously the degree-r monomial basis of the face ring and
     the index set V_r of the finely graded local cohomology pieces.  Each
     nonempty face F carries the compositions of r into |F| positive parts,
     one per choice of |F| - 1 cut points in 1..r-1, which is the sum that
-    count_degree_monomials counts.
+    count_degree_monomials counts.  More than DEFAULT_BASIS_LIMIT of them
+    raise SizeLimitError before any is built.
     """
-    if limit is not None:
-        total = count_degree_monomials(cx, r)
-        if total > limit:
-            raise SizeLimitError(
-                f"degree-{r} basis has {total} elements, above the guard of {limit}"
-            )
+    total = count_degree_monomials(cx, r)
+    if total > DEFAULT_BASIS_LIMIT:
+        raise SizeLimitError(
+            f"degree-{r} basis has {total} elements, above the guard of {DEFAULT_BASIS_LIMIT}"
+        )
     if r < 0 or cx.is_void:
         return []
     if r == 0:

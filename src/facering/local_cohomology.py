@@ -27,7 +27,7 @@ from itertools import combinations
 from math import comb
 
 from .cohomology import induced_map, relative_cohomology_dim
-from .complexes import DEFAULT_BASIS_LIMIT, SimplicialComplex, degree_monomials, per_complex
+from .complexes import SimplicialComplex, degree_monomials, per_complex
 from .linalg import QQ, FieldSpec, Matrix, _residue, rank
 
 GENERIC_TRIES = 64  # draws of a whole matrix before make_generic gives up
@@ -59,7 +59,7 @@ class GradedPiece:
         self.ell = ell
         self.r = r
         self.field = field
-        self.vectors = tuple(degree_monomials(cx, r, limit=DEFAULT_BASIS_LIMIT))
+        self.vectors = tuple(degree_monomials(cx, r))
         self.dims = tuple(
             relative_cohomology_dim(cx, support(U), ell - 1, field) for U in self.vectors
         )

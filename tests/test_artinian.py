@@ -2,7 +2,6 @@
 
 import pytest
 
-from facering import artinian
 from facering.artinian import determinacy_probe, reduction_hilbert
 from facering.complexes import SizeLimitError, count_degree_monomials
 from facering.linalg import GF, QQ
@@ -49,8 +48,9 @@ def test_reduction_validation(cycle3, monkeypatch):
         reduction_hilbert(cycle3, A, 2, 3, QQ)  # more forms than columns
     with pytest.raises(ValueError):
         reduction_hilbert(cycle3, A, 1, -1, QQ)
-    monkeypatch.setattr(artinian, "DEFAULT_BASIS_LIMIT", 5)
-    with pytest.raises(SizeLimitError):
+    cycle3.faces()  # 7 faces, computed before the basis guard drops below them
+    monkeypatch.setattr("facering.complexes.DEFAULT_BASIS_LIMIT", 5)
+    with pytest.raises(SizeLimitError, match="degree-2 basis has 6 elements"):
         reduction_hilbert(cycle3, A, 1, 6, QQ)
 
 

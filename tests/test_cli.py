@@ -393,19 +393,29 @@ def test_malformed_facets_are_input_error(tmp_path, capsys, facets):
 
 def test_oversized_reduction_is_refused_before_elimination(capsys):
     # the reduction matrices of rp2_6 with two forms pass 5,000,000 cells,
-    # summed over the degrees, at degree 14
+    # summed over the degrees with 1,000 charged per degree, at degree 14
     start = time.perf_counter()
     code, _, err = run_cli(capsys, "reduce", "rp2_6", "--m", "2", "--cutoff", "40")
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_INPUT_ERROR
-    assert "degrees 1..14 hold 5356071 cells" in err and "guard" in err
+    assert "degrees 1..14 hold 5370057 cells" in err and "guard" in err
 
 
-@pytest.mark.parametrize("m, cutoff", [("1", "740"), ("0", "100000")])
-def test_reduction_guard_sums_all_degrees(capsys, m, cutoff):
+@pytest.mark.parametrize("m, cutoff, spec", [
+    pytest.param("1", "740", "cycle3", id="1-740"),
+    pytest.param("0", "100000", "cycle3", id="0-100000"),
+    # one vertex: one monomial per degree, so only the per-degree charge stops these
+    pytest.param("1", "20000", "POINT", id="point-1-20000"),
+    pytest.param("0", "1000000000", "POINT", id="point-0-1000000000"),
+    pytest.param("1", "1000000", "POINT", id="point-1-1000000"),
+])
+def test_reduction_guard_sums_all_degrees(tmp_path, capsys, m, cutoff, spec):
     # the top-degree matrix alone is under the guard (m = 1) or empty (m = 0)
+    if spec == "POINT":
+        spec = str(tmp_path / "point.json")
+        Path(spec).write_text(json.dumps({"n": 1, "facets": [[1]]}))
     start = time.perf_counter()
-    code, _, err = run_cli(capsys, "reduce", "cycle3", "--m", m, "--cutoff", cutoff)
+    code, _, err = run_cli(capsys, "reduce", spec, "--m", m, "--cutoff", cutoff)
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_INPUT_ERROR
     assert "guard" in err
@@ -436,6 +446,17 @@ def test_commands_refuse_options_they_do_not_read(tmp_path, capsys, argv):
         main([str(data) if a == "DATA" else a for a in argv])
     assert exc.value.code == EXIT_INPUT_ERROR
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_positional_help_names_what_each_command_reads():
+    (commands,) = [a.choices for a in build_parser()._actions if a.dest == "command"]
+    helps = {name: next(a.help for a in p._actions if a.dest == "input")
+             for name, p in commands.items()}
+    assert "squarefree data" in helps.pop("sqfree")
+    assert "'corpus'" in helps.pop("verify")
+    assert set(helps) == {"analyze", "lc", "predict", "reduce"}
+    for text in helps.values():
+        assert "complex" in text and "corpus" not in text
 
 
 def test_readme_examples_parse():

@@ -200,10 +200,13 @@ def test_degree_monomials_cycle3_degree2(cycle3):
     ]
 
 
-def test_degree_monomials_size_guard(octahedron):
-    with pytest.raises(SizeLimitError):
-        degree_monomials(octahedron, 6, limit=100)
-    assert len(degree_monomials(octahedron, 6, limit=200)) == 146
+def test_degree_monomials_size_guard(octahedron, monkeypatch):
+    octahedron.faces()  # 27 faces: under both guards below
+    monkeypatch.setattr("facering.complexes.DEFAULT_BASIS_LIMIT", 100)
+    with pytest.raises(SizeLimitError, match="degree-6 basis has 146 elements"):
+        degree_monomials(octahedron, 6)
+    monkeypatch.setattr("facering.complexes.DEFAULT_BASIS_LIMIT", 200)
+    assert len(degree_monomials(octahedron, 6)) == 146
 
 
 def test_memo_is_freed_with_its_complex():

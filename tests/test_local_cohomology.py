@@ -25,7 +25,8 @@ from facering.local_cohomology import (
     theta_action_matrix,
     vandermonde_coefficients,
 )
-from facering.verification import check_lemma_equality
+from facering import verification
+from facering.verification import run_checks
 
 from complex_strategies import small_complexes
 
@@ -277,8 +278,10 @@ def test_lemma_equality_small(cycle3, bowtie, pair_edges, field):
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(small_complexes(), st.integers(0, 2**16))
 def test_generated_lemma_equality_over_prime_field(cx, seed):
-    records = check_lemma_equality("generated", cx, GF(32003), m_values=(0, 1, 2),
-                                   i_extent=2, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:  # a fixture would span all examples
+        mp.setattr(verification, "I_EXTENT", 2)
+        records = run_checks("generated", cx, GF(32003), checks=("lemma-equality",),
+                             m_max=2, seed=seed)
     assert {r.check for r in records} <= {"lemma-equality", "lemma-surjectivity"}
     if cx.d >= 1:
         assert {r.check for r in records} == {"lemma-equality", "lemma-surjectivity"}
