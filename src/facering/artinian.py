@@ -56,7 +56,8 @@ def reduction_hilbert(cx: SimplicialComplex, coeffs: GenericCoefficients, m: int
         rows = count_degree_monomials(cx, j)
         cells += DEGREE_CELLS + rows * (1 + m * width)
         if cells > REDUCTION_CELL_LIMIT:
-            raise SizeLimitError(f"the reduction matrices of degrees 1..{j} hold {cells} cells, "
+            raise SizeLimitError(f"the reduction of degrees 1..{j} costs {cells} cells "
+                                 f"({DEGREE_CELLS} per degree plus one per entry and row), "
                                  f"above the guard of {REDUCTION_CELL_LIMIT}")
         width = rows
     theta_cols = [coeffs.column_in(p, field) for p in range(m)]

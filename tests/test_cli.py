@@ -158,6 +158,17 @@ def test_verify_artinian_check_pinned_m(capsys):
         assert by_degree[j]["sqfree_formula"] == 3
 
 
+def test_verify_huge_m_max_sweeps_only_up_to_d(capsys):
+    # the m sweep stops at d = 2 for cycle3, however large --m-max is
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "cycle3", "--m-max", "1000000000",
+                           "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK
+    _, small, _ = run_cli(capsys, "verify", "cycle3", "--m-max", "2", "--format", "json")
+    assert json.loads(out)["checks"] == json.loads(small)["checks"]
+
+
 def test_verify_cm_anchor_check(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "octahedron", "--check", "cm-anchor", "--format", "json",
@@ -398,7 +409,7 @@ def test_oversized_reduction_is_refused_before_elimination(capsys):
     code, _, err = run_cli(capsys, "reduce", "rp2_6", "--m", "2", "--cutoff", "40")
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_INPUT_ERROR
-    assert "degrees 1..14 hold 5370057 cells" in err and "guard" in err
+    assert "degrees 1..14 costs 5370057 cells" in err and "guard" in err
 
 
 @pytest.mark.parametrize("m, cutoff, spec", [

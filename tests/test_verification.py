@@ -21,7 +21,7 @@ def test_every_check_is_called_through_its_module_attribute(bowtie, monkeypatch)
         return wrapper
 
     for check in SUITE_CHECKS:
-        attr = verification.CHECKS[check].__name__
+        attr = verification.CHECKS[check]
         monkeypatch.setattr(verification, attr, counting(check, getattr(verification, attr)))
     records = run_checks("bowtie", bowtie, QQ)
     assert calls == dict.fromkeys(SUITE_CHECKS, 1)
