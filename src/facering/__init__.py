@@ -20,7 +20,6 @@ from .singularity import (
     is_buchsbaum,
     is_cm,
     is_cm_along,
-    is_singular_face,
     singularity_dimension,
 )
 from .local_cohomology import (
@@ -29,10 +28,8 @@ from .local_cohomology import (
     kernel_dim_bruteforce,
     kernel_dim_formula,
     lc_coarse_dim,
-    lc_fine_dim,
     lc_hilbert_series,
     make_generic,
-    theta_action_matrix,
 )
 from .quotient import (
     is_homologically_isolated,
@@ -72,12 +69,10 @@ __all__ = [
     "is_cm",
     "is_cm_along",
     "is_homologically_isolated",
-    "is_singular_face",
     "isolated_quotient_dims",
     "kernel_dim_bruteforce",
     "kernel_dim_formula",
     "lc_coarse_dim",
-    "lc_fine_dim",
     "lc_hilbert_series",
     "make_generic",
     "predicts_finite_lc",
@@ -92,6 +87,5 @@ __all__ = [
     "sqfree_lc_data",
     "sqfree_quotient_hilbert",
     "sqfree_quotient_lc",
-    "theta_action_matrix",
     "vertex_cohomology_map",
 ]

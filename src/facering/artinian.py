@@ -60,7 +60,7 @@ def reduction_hilbert(cx: SimplicialComplex, coeffs: GenericCoefficients, m: int
                                  f"({DEGREE_CELLS} per degree plus one per entry and row), "
                                  f"above the guard of {REDUCTION_CELL_LIMIT}")
         width = rows
-    theta_cols = [coeffs.column_in(p, field) for p in range(m)]
+    theta_cols = [coeffs.matrix.column(p) for p in range(m)]
     dims = [1]
     prev_basis = degree_monomials(cx, 0)
     for j in range(1, cutoff + 1):

@@ -378,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=verification.SUITE_CHECKS, help="run a single named check")
     p.add_argument("--m", type=int, default=None,
                    help="pin the kernel/reduction checks to one number of forms")
-    p.add_argument("--m-max", type=int, default=1, dest="m_max",
-                   help="largest number of forms exercised by the heavy checks")
+    p.add_argument("--m-max", type=_nonnegative_int, default=1, dest="m_max",
+                   help="largest number of forms exercised by the heavy checks (nonnegative)")
     p.add_argument("--l", type=int, default=None, help="restrict to one cohomological degree")
     p.add_argument("--i", default=None, help="restrict kernel degrees, e.g. 1..4")
 

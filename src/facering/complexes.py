@@ -15,8 +15,6 @@ from functools import wraps
 from itertools import combinations
 from math import comb
 
-Face = frozenset
-
 DEFAULT_BASIS_LIMIT = 200_000
 
 

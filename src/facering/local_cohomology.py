@@ -9,7 +9,7 @@ piece to the -r piece blockwise through the contravariant restriction maps
 coefficients).
 
 On top of that structure this module provides:
-  * per-degree dimensions, both finely and coarsely graded;
+  * per-degree dimensions by a closed count over the faces;
   * the Z-graded Hilbert series as a rational function in one variable with
     denominator a power of (1 - t), with exact pole-order queries;
   * certified-generic coefficient matrices (positive Vandermonde over Q,
@@ -28,7 +28,7 @@ from math import comb
 
 from .cohomology import induced_map, relative_cohomology_dim
 from .complexes import SimplicialComplex, degree_monomials, per_complex
-from .linalg import QQ, FieldSpec, Matrix, _residue, rank
+from .linalg import QQ, FieldSpec, Matrix, rank
 
 GENERIC_TRIES = 64  # draws of a whole matrix before make_generic gives up
 
@@ -53,12 +53,9 @@ def binom0(a: int, b: int) -> int:
 class GradedPiece:
     """The degree -r piece in cohomological degree l, as an ordered block sum."""
 
-    __slots__ = ("ell", "r", "field", "vectors", "dims", "offsets", "total_dim", "_index")
+    __slots__ = ("vectors", "dims", "offsets", "total_dim", "_index")
 
     def __init__(self, cx, ell, r, field):
-        self.ell = ell
-        self.r = r
-        self.field = field
         self.vectors = tuple(degree_monomials(cx, r))
         self.dims = tuple(
             relative_cohomology_dim(cx, support(U), ell - 1, field) for U in self.vectors
@@ -81,17 +78,6 @@ def graded_piece(cx: SimplicialComplex, ell: int, r: int, field: FieldSpec) -> G
     return GradedPiece(cx, ell, r, field)
 
 
-def lc_fine_dim(cx: SimplicialComplex, ell: int, U, field: FieldSpec) -> int:
-    """Dimension of the piece in multidegree U (U nonpositive); zero off-support."""
-    U = tuple(U)
-    if any(u > 0 for u in U):
-        raise ValueError("local cohomology of a face ring vanishes in positive multidegrees")
-    s = support(U)
-    if s not in cx.faces():
-        return 0
-    return relative_cohomology_dim(cx, s, ell - 1, field)
-
-
 def lc_coarse_dim(cx: SimplicialComplex, ell: int, j: int, field: FieldSpec) -> int:
     """Dimension of the Z-degree j piece (j <= 0) by the closed blockwise count."""
     if j > 0:
@@ -110,23 +96,6 @@ def lc_coarse_dim(cx: SimplicialComplex, ell: int, j: int, field: FieldSpec) -> 
 # ---------------------------------------------------------------------------
 # Hilbert series
 # ---------------------------------------------------------------------------
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _one_minus_t_power(e: int) -> list[int]:
-    out = [1]
-    for _ in range(e):
-        out = _poly_mul(out, [1, -1])
-    return out
 
 
 def _strip(coeffs: list[int]) -> tuple[int, ...]:
@@ -189,7 +158,9 @@ def lc_hilbert_series(cx: SimplicialComplex, i: int, field: FieldSpec) -> Hilber
     """Hilbert series of the i-th local cohomology in the contragradient variable.
 
     The coefficient of t^j is the dimension in Z-degree -j: each face F with a
-    nonvanishing block contributes dim * t^|F| / (1-t)^|F|.
+    nonvanishing block contributes dim * t^|F| / (1-t)^|F|.  Over the common
+    denominator (1-t)^e, with h_s the summed block dimension of the faces of
+    size s, the numerator is num_k = sum_{s<=k} h_s (-1)^(k-s) C(e-s, k-s).
     """
     if i > cx.d:
         raise ValueError("cohomological degree above the Krull dimension")
@@ -201,11 +172,8 @@ def lc_hilbert_series(cx: SimplicialComplex, i: int, field: FieldSpec) -> Hilber
     if not dims:
         return HilbertSeries((), 0)
     e = max(dims)
-    num = [0] * (e + 1)
-    for size, total in dims.items():
-        term = _poly_mul([0] * size + [total], _one_minus_t_power(e - size))
-        for k, c in enumerate(term):
-            num[k] += c
+    num = [sum(h * (-1) ** (k - s) * comb(e - s, k - s) for s, h in dims.items() if s <= k)
+           for k in range(e + 1)]
     return HilbertSeries(_strip(num), e).reduce()
 
 
@@ -216,36 +184,24 @@ def lc_hilbert_series(cx: SimplicialComplex, i: int, field: FieldSpec) -> Hilber
 
 @dataclass(frozen=True)
 class GenericCoefficients:
-    """n x m coefficient matrix of linear forms, with a genericity certificate.
+    """n x m coefficient matrix of linear forms, certified generic.
 
-    verified means every square submatrix is nonsingular: analytic for the
-    positive Vandermonde over Q, checked minor by minor over prime fields.
+    Every square submatrix is nonsingular: analytic for the positive
+    Vandermonde over Q, checked minor by minor over prime fields.
     """
 
     matrix: Matrix
-    verified: bool
-
-    @property
-    def n(self) -> int:
-        return self.matrix.nrows
 
     @property
     def m(self) -> int:
         return self.matrix.ncols
-
-    def column_in(self, p: int, field: FieldSpec) -> list:
-        """Coefficients of the (p+1)-st form in `field`: rationals reduce mod p."""
-        col = self.matrix.column(p)
-        if field.p is not None and self.matrix.field.is_rational:
-            return [_residue(x, field.p) for x in col]
-        return col
 
     def to_json(self) -> dict:
         entries = [
             [x if isinstance(x, int) else str(x) for x in row]
             for row in self.matrix.tolist()
         ]
-        return {"field": str(self.matrix.field), "entries": entries, "verified": self.verified}
+        return {"field": str(self.matrix.field), "entries": entries, "verified": True}
 
 
 def vandermonde_coefficients(nodes, m: int) -> GenericCoefficients:
@@ -258,7 +214,7 @@ def vandermonde_coefficients(nodes, m: int) -> GenericCoefficients:
     if any(t <= 0 for t in nodes) or sorted(set(nodes)) != nodes:
         raise ValueError("nodes must be strictly increasing positive integers")
     rows = [[t ** p for p in range(m)] for t in nodes]
-    return GenericCoefficients(Matrix(QQ, rows, m), True)
+    return GenericCoefficients(Matrix(QQ, rows, m))
 
 
 def all_minors_nonsingular(M: Matrix) -> bool:
@@ -302,7 +258,7 @@ def make_generic(n: int, m: int, field: FieldSpec, seed: int | None = None) -> G
         rows = [[entry() for _ in range(m)] for _ in range(n)]
         M = Matrix(field, rows, m)
         if all_minors_nonsingular(M):
-            return GenericCoefficients(M, True)
+            return GenericCoefficients(M)
     raise ValueError(f"no verified generic matrix over F_{p} after {GENERIC_TRIES} tries")
 
 
@@ -352,12 +308,6 @@ def _theta_rows(cx: SimplicialComplex, ell: int, i: int, thetas, field: FieldSpe
     return Matrix(field, rows, src.total_dim)
 
 
-def theta_action_matrix(cx: SimplicialComplex, ell: int, i: int, theta, field: FieldSpec) -> Matrix:
-    """Matrix of multiplication by the linear form with coefficients theta,
-    from the Z-degree -(i+1) piece (columns) to the -i piece (rows)."""
-    return _theta_rows(cx, ell, i, [list(theta)], field)
-
-
 @per_complex
 def stacked_theta_rank(cx: SimplicialComplex, ell: int, m: int, i: int,
                        coeffs: GenericCoefficients, field: FieldSpec) -> int:
@@ -368,25 +318,17 @@ def stacked_theta_rank(cx: SimplicialComplex, ell: int, m: int, i: int,
     """
     if m == 0:
         return 0
-    return rank(_theta_rows(cx, ell, i, [coeffs.column_in(p, field) for p in range(m)], field))
+    return rank(_theta_rows(cx, ell, i, [coeffs.matrix.column(p) for p in range(m)], field))
 
 
 def kernel_dim_bruteforce(cx: SimplicialComplex, ell: int, m: int, i: int,
-                          coeffs: GenericCoefficients | None, field: FieldSpec) -> int:
-    """Dimension of the common kernel of the first m multiplication maps at degree -(i+1).
-
-    Computed by exact elimination of the stacked maps.  When no coefficients
-    are supplied the rational default is the Vandermonde; prime fields need an
-    explicit (seeded) matrix to stay reproducible.
-    """
+                          coeffs: GenericCoefficients, field: FieldSpec) -> int:
+    """Dimension of the common kernel of the first m multiplication maps at degree -(i+1),
+    by exact elimination of the stacked maps."""
     if i < 0:
         raise ValueError("i must be nonnegative")
-    if m < 0 or (coeffs is not None and m > coeffs.m):
+    if m < 0 or m > coeffs.m:
         raise ValueError("m out of range for the coefficient matrix")
-    if coeffs is None:
-        if not field.is_rational:
-            raise ValueError("explicit generic coefficients are required over a prime field")
-        coeffs = make_generic(cx.n, m, field)
     source_dim = graded_piece(cx, ell, i + 1, field).total_dim
     return source_dim - stacked_theta_rank(cx, ell, m, i, coeffs, field)
 

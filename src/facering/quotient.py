@@ -61,10 +61,8 @@ def vertex_cohomology_map(cx: SimplicialComplex, i: int, theta, field: FieldSpec
 
     Columns are blocks, one per vertex t with {t} a face, equal to theta[t]
     times the map H^i(X|{t}) -> H^i(X|empty); requires a singular set of
-    dimension at most zero and nonzero weights on every vertex.  theta=None
-    means the all-ones weight vector.
+    dimension at most zero and nonzero weights on every vertex.
     """
-    theta = [1] * cx.n if theta is None else list(theta)
     if len(theta) != cx.n:
         raise ValueError("coefficient column must have one entry per vertex")
     if any(not a for a in theta):
@@ -91,7 +89,7 @@ def isolated_quotient_dims(cx: SimplicialComplex, theta, i: int, field: FieldSpe
 
     Valid for i < dim(cx): negative degrees vanish, degree 0 carries
     coker(vertex map at i-1) + ker(vertex map at i), degree 1 the reduced
-    cohomology of the complex itself.  theta=None means all-ones weights.
+    cohomology of the complex itself.
     """
     if singularity_dimension(cx, field) > 0:
         raise ValueError("complex must have a singular set of dimension at most 0")

@@ -53,14 +53,6 @@ def _depths(cx: SimplicialComplex, field: FieldSpec) -> dict:
     return table
 
 
-def is_singular_face(cx: SimplicialComplex, F, field: FieldSpec) -> bool:
-    """True when some reduced cohomology of lk F survives below dim(cx) - |F|."""
-    F = frozenset(F)
-    if F not in cx:
-        raise ValueError(f"{sorted(F)} is not a face")
-    return _depths(cx, field)[F][0] < cx.dim
-
-
 def singular_faces(cx: SimplicialComplex, field: FieldSpec) -> list:
     r = cx.dim
     return sorted((F for F, (depth, _) in _depths(cx, field).items() if depth < r), key=mixed_face_key)

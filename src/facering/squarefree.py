@@ -38,13 +38,6 @@ class SqfreeData:
         clean.sort(key=lambda item: (len(item[0]), tuple(sorted(item[0]))))
         return SqfreeData(n, tuple(clean))
 
-    def get(self, F) -> int:
-        F = frozenset(F)
-        for G, value in self.dims:
-            if G == F:
-                return value
-        return 0
-
     def items(self):
         return self.dims
 

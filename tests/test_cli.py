@@ -496,6 +496,16 @@ def test_negative_cutoff_is_input_error(capsys):
         assert "nonnegative" in capsys.readouterr().err
 
 
+def test_negative_m_max_is_input_error(capsys):
+    # a negative sweep would drop the brute-force checks from the ledger
+    # instead of running them
+    for extra in ([], ["--check", "lemma-equality"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "cycle3", "--m-max", "-3", *extra])
+        assert exc.value.code == EXIT_INPUT_ERROR
+        assert "nonnegative" in capsys.readouterr().err
+
+
 def test_generic_matrix_impossible_over_small_prime(capsys):
     code, _, err = run_cli(capsys, "verify", "corpus", "--check", "lemma-equality",
                            "--i", "2..3", "--m", "2", "--field", "fp:3", "--seed", "5")

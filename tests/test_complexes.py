@@ -17,7 +17,7 @@ from facering.complexes import (
     degree_monomials,
 )
 from facering.linalg import QQ
-from facering.local_cohomology import kernel_dim_bruteforce
+from facering.local_cohomology import kernel_dim_bruteforce, make_generic
 from facering.singularity import cm_in_codim, singular_faces
 
 from complex_strategies import small_complexes
@@ -221,7 +221,7 @@ def test_memo_is_freed_with_its_complex():
             cx = SimplicialComplex(7, [rng.sample(range(1, 8), 3) for _ in range(8)])
             singular_faces(cx, QQ)
             cm_in_codim(cx, 1, QQ)
-            kernel_dim_bruteforce(cx, 2, 1, 1, None, QQ)
+            kernel_dim_bruteforce(cx, 2, 1, 1, make_generic(cx.n, 1, QQ), QQ)
             del cx
             if k in (1, 10, 40):
                 gc.collect()

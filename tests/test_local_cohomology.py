@@ -1,5 +1,5 @@
 """Graded local cohomology pieces, Hilbert series, generic coefficients,
-multiplication matrices, and the kernel-dimension formula against brute force."""
+multiplication maps, and the kernel-dimension formula against brute force."""
 
 from fractions import Fraction
 
@@ -7,22 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from facering.artinian import reduction_hilbert
+from facering.cohomology import relative_cohomology_dim
+from facering.complexes import SimplicialComplex
 from facering.linalg import GF, QQ, Matrix, rank
 from facering.local_cohomology import (
     GenericCoefficients,
     HilbertSeries,
+    _theta_rows,
     all_minors_nonsingular,
     binom0,
     graded_piece,
     kernel_dim_bruteforce,
     kernel_dim_formula,
     lc_coarse_dim,
-    lc_fine_dim,
     lc_hilbert_series,
     make_generic,
     restricted_theta_rank,
     support,
-    theta_action_matrix,
     vandermonde_coefficients,
 )
 from facering import verification
@@ -36,13 +38,12 @@ from complex_strategies import small_complexes
 # ---------------------------------------------------------------------------
 
 def test_fine_dims(cycle3, bowtie):
-    assert lc_fine_dim(cycle3, 2, (0, 0, 0), QQ) == 1
-    assert lc_fine_dim(cycle3, 2, (-1, 0, 0), QQ) == 1
-    assert lc_fine_dim(bowtie, 2, (-1, -1, 0, 0, 0), QQ) == 0
-    # off-complex support gives zero
-    assert lc_fine_dim(cycle3, 2, (-1, -1, -1), QQ) == 0
-    with pytest.raises(ValueError):
-        lc_fine_dim(cycle3, 2, (1, 0, 0), QQ)
+    # the piece of H^2 in multidegree -U is H^1(X | supp U)
+    assert relative_cohomology_dim(cycle3, support((0, 0, 0)), 1, QQ) == 1
+    assert relative_cohomology_dim(cycle3, support((1, 0, 0)), 1, QQ) == 1
+    assert relative_cohomology_dim(bowtie, support((1, 1, 0, 0, 0)), 1, QQ) == 0
+    # a support that is not a face has no block
+    assert graded_piece(cycle3, 2, 3, QQ).block_index((1, 1, 1)) is None
 
 
 def test_coarse_dims(cycle3):
@@ -120,7 +121,6 @@ def test_series_coefficients_match_coarse_dims(complexes, field):
 
 def test_vandermonde_matrix():
     A = make_generic(5, 2, QQ)
-    assert A.verified
     assert A.matrix.tolist() == [[1, 1], [1, 2], [1, 3], [1, 4], [1, 5]]
     assert A.matrix.column(1) == [1, 2, 3, 4, 5]
 
@@ -134,7 +134,6 @@ def test_make_generic_prime_field_verified_and_seeded():
     A = make_generic(4, 2, GF(32003), seed=7)
     B = make_generic(4, 2, GF(32003), seed=7)
     C = make_generic(4, 2, GF(32003), seed=8)
-    assert A.verified
     assert all_minors_nonsingular(A.matrix)
     assert A.matrix == B.matrix
     assert A.matrix != C.matrix
@@ -162,10 +161,18 @@ def test_column_with_all_nonzero_entries():
     assert all(x != 0 for x in A.matrix.column(0))
 
 
-def test_column_in_maps_fractions_exactly():
-    # 1/2 is the inverse of 2 mod 5, not int(1/2) = 0
-    A = GenericCoefficients(Matrix(QQ, [[Fraction(1, 2)], [3]]), True)
-    assert A.column_in(0, GF(5)) == [3, 3]
+def test_rational_coefficients_map_exactly_into_prime_field():
+    # 1/2 is the inverse of 2 mod 5, not int(1/2) = 0: on two points the form
+    # (1/2) x_1 + 3 x_2 reduces like 3 x_1 + 3 x_2, while a zero first
+    # coefficient would leave the powers of x_1 standing
+    points = SimplicialComplex(2, [[1], [2]])
+
+    def dims(column):
+        coeffs = GenericCoefficients(Matrix(QQ, [[a] for a in column]))
+        return reduction_hilbert(points, coeffs, 1, 3, GF(5)).dims
+
+    assert dims([Fraction(1, 2), 3]) == dims([3, 3]) == (1, 1, 0, 0)
+    assert dims([0, 3]) == (1, 1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +180,14 @@ def test_column_in_maps_fractions_exactly():
 # ---------------------------------------------------------------------------
 
 def test_theta_action_shape_and_rank(cycle3):
-    M = theta_action_matrix(cycle3, 2, 0, [1, 1, 1], QQ)
+    M = _theta_rows(cycle3, 2, 0, [[1, 1, 1]], QQ)
     assert (M.nrows, M.ncols) == (1, 3)
     assert rank(M) == 1
 
 
 def test_theta_zero_coefficients_kill_blocks(cycle3):
     # with theta = e_3 only transitions lowering the third exponent survive
-    M = theta_action_matrix(cycle3, 2, 1, [0, 0, 1], QQ)
+    M = _theta_rows(cycle3, 2, 1, [[0, 0, 1]], QQ)
     src = graded_piece(cycle3, 2, 2, QQ)
     dst = graded_piece(cycle3, 2, 1, QQ)
     for k, U in enumerate(src.vectors):
@@ -210,11 +217,11 @@ def test_theta_actions_commute(complexes, field):
         t1, t2 = coeffs.matrix.column(0), coeffs.matrix.column(1)
         for ell in range(1, cx.d + 1):
             for i in range(0, 3):
-                first = theta_action_matrix(cx, ell, i, t1, field) @ theta_action_matrix(
-                    cx, ell, i + 1, t2, field
+                first = _theta_rows(cx, ell, i, [t1], field) @ _theta_rows(
+                    cx, ell, i + 1, [t2], field
                 )
-                second = theta_action_matrix(cx, ell, i, t2, field) @ theta_action_matrix(
-                    cx, ell, i + 1, t1, field
+                second = _theta_rows(cx, ell, i, [t2], field) @ _theta_rows(
+                    cx, ell, i + 1, [t1], field
                 )
                 assert first == second
 
@@ -252,14 +259,12 @@ def test_kernel_formula_at_m_equals_i_counts_top_blocks(complexes):
 
 def test_bruteforce_m0_equals_piece_dim(cycle3):
     for i in range(4):
-        assert kernel_dim_bruteforce(cycle3, 2, 0, i, None, QQ) == 3 + 3 * i
+        assert kernel_dim_bruteforce(cycle3, 2, 0, i, make_generic(3, 0, QQ), QQ) == 3 + 3 * i
 
 
 def test_bruteforce_default_coefficients(cycle3):
-    # rationals fall back to the Vandermonde; prime fields must be explicit
-    assert kernel_dim_bruteforce(cycle3, 2, 1, 2, None, QQ) == 3
-    with pytest.raises(ValueError):
-        kernel_dim_bruteforce(cycle3, 2, 1, 2, None, GF(32003))
+    # make_generic's default over Q is the Vandermonde on nodes 1..n
+    assert kernel_dim_bruteforce(cycle3, 2, 1, 2, make_generic(3, 1, QQ), QQ) == 3
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)])

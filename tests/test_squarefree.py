@@ -22,7 +22,7 @@ def test_face_ring_data_entry_counts(cycle3, bowtie):
     assert len(sqfree_data_of_face_ring(bowtie)) == 14
     single = sqfree_data_of_face_ring(SimplicialComplex(2, []))
     assert len(single) == 1
-    assert single.get(frozenset()) == 1
+    assert single.items() == ((frozenset(), 1),)
 
 
 def test_lc_data_examples(cycle3, bowtie):

@@ -1,10 +1,13 @@
 """The verify ledger's table of checks: lookup, dispatch and traceability."""
 
 import pytest
+from hypothesis import given, settings
 
 from facering import verification
 from facering.linalg import GF, QQ
 from facering.verification import SUITE_CHECKS, run_checks
+
+from complex_strategies import small_complexes
 
 
 def test_every_check_is_called_through_its_module_attribute(bowtie, monkeypatch):
@@ -50,3 +53,14 @@ def test_prime_field_mismatch_is_redrawn_once(cycle3, monkeypatch):
                    if r.check == "lemma-equality"]
         assert records
         assert all(r.params["retried"] is redrawn and r.passed is redrawn for r in records)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(small_complexes())
+def test_generated_series_and_main_theorem(cx):
+    # the Hilbert series numerator against the closed count and the block
+    # enumeration, and the four finite-local-cohomology characterizations
+    for field in (QQ, GF(2)):
+        records = run_checks("generated", cx, field, checks=("hochster-counts", "theorem-main"))
+        assert {r.check for r in records} == {"hochster-counts", "theorem-main"}
+        assert all(r.passed for r in records), [r for r in records if not r.passed]
