@@ -1,11 +1,21 @@
 """Brute-force Hilbert functions of a face ring modulo generic linear forms.
 
-No Groebner bases: since the ideal generated by the forms lives in degree 1,
-its degree-j piece is spanned by (form) * (degree j-1 monomial basis of the
-face ring), reduced modulo the nonface monomials.  The quotient dimension in
-each degree is then a single exact rank computation in the monomial basis,
-of a matrix written one row per degree-j monomial.  The matrices of all
-degrees are sized, together, before the first one is built.
+No Groebner bases.  Write R for the face ring, I_k for the ideal of the
+first k forms theta_1..theta_k, and S^k_j for a set of degree-j monomials that
+spans R_j modulo I_k, with S^0_j the whole monomial basis of R_j.  Since
+theta_k (I_{k-1})_{j-1} lies in (I_{k-1})_j,
+
+    (I_k)_j = (I_{k-1})_j + theta_k S^{k-1}_{j-1},
+
+so (I_m)_j is spanned by the blocks of rows theta_1 S^0_{j-1}, theta_2
+S^1_{j-1}, ..., theta_m S^{m-1}_{j-1}: each row a form times a monomial,
+reduced modulo the nonface monomials and written in the degree-j monomial
+basis.  One elimination per degree, block by block (`linalg.block_pivots`),
+gives the exact rank, hence the quotient dimension, and S^k_j as the
+monomials that are not pivots after block k, for the next degree.  On a
+Cohen-Macaulay complex the forms are a regular sequence, so when each S^k
+is a basis every stack has full row rank.  The matrices of all degrees are
+sized, together, before the first one is built.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ import random
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, SizeLimitError, count_degree_monomials, degree_monomials
-from .linalg import FieldSpec, Matrix, rank
+from .linalg import FieldSpec, block_pivots
 from .local_cohomology import GenericCoefficients, make_generic, vandermonde_coefficients
 
 # The guard on one reduction: cells summed over all degrees, where each degree
@@ -49,8 +59,9 @@ def reduction_hilbert(cx: SimplicialComplex, coeffs: GenericCoefficients, m: int
         raise ValueError("m out of range for the coefficient matrix")
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    # the degree-j matrix is |R_j| x m |R_{j-1}|; each row costs at least one
-    # cell, so m = 0 runs are bounded too
+    # charged as if the degree-j matrix were m |R_{j-1}| x |R_j|, an upper bound
+    # since every S^k_{j-1} is part of R_{j-1}; each degree-j monomial costs at
+    # least one cell, so m = 0 runs are bounded too
     cells, width = 0, 1
     for j in range(1, cutoff + 1):
         rows = count_degree_monomials(cx, j)
@@ -60,31 +71,29 @@ def reduction_hilbert(cx: SimplicialComplex, coeffs: GenericCoefficients, m: int
                                  f"({DEGREE_CELLS} per degree plus one per entry and row), "
                                  f"above the guard of {REDUCTION_CELL_LIMIT}")
         width = rows
-    theta_cols = [coeffs.matrix.column(p) for p in range(m)]
+    forms = [coeffs.matrix.column(k) for k in range(m)]
     dims = [1]
     prev_basis = degree_monomials(cx, 0)
+    spans = [range(1)] * m  # spans[k]: S^k_{j-1} as indices into prev_basis
     for j in range(1, cutoff + 1):
         basis = degree_monomials(cx, j)
-        ideal = Matrix(field, _ideal_rows(basis, prev_basis, theta_cols), m * len(prev_basis))
-        dims.append(len(basis) - rank(ideal))
+        # up[i]: the pairs (t, c) with basis[c] = prev_basis[i] + e_t, read off
+        # each nu = basis[c]: nu - e_t has a face as support, so it is in prev_basis
+        prev_index = {mu: i for i, mu in enumerate(prev_basis)}
+        up = [[] for _ in prev_basis]
+        for c, nu in enumerate(basis):
+            for t, u in enumerate(nu):
+                if u:
+                    up[prev_index[nu[:t] + (u - 1,) + nu[t + 1:]]].append((t, c))
+        blocks = [[{c: theta[t] for t, c in up[i]} for i in span]
+                  for theta, span in zip(forms, spans)]
+        rank, pivots = block_pivots(field, blocks, len(basis))
+        dims.append(len(basis) - rank)
+        spans = [range(len(basis))]
+        for piv in map(set, pivots[:m - 1]):
+            spans.append([c for c in range(len(basis)) if c not in piv])
         prev_basis = basis
     return ReductionHilbert(m, tuple(dims), coeffs)
-
-
-def _ideal_rows(basis, prev_basis, theta_cols):
-    """The rows of the degree-j matrix, one per monomial nu of `basis`, made one
-    at a time: theta_p[t] at column (p, nu - e_t) for each t in supp nu, where
-    nu - e_t is in `prev_basis` because its support is a face."""
-    width = len(prev_basis)
-    prev_index = {mu: c for c, mu in enumerate(prev_basis)}
-    for nu in basis:
-        row = [0] * (len(theta_cols) * width)
-        for t, u in enumerate(nu):
-            if u:
-                c = prev_index[nu[:t] + (u - 1,) + nu[t + 1:]]
-                for p, theta in enumerate(theta_cols):
-                    row[p * width + c] = theta[t]
-        yield row
 
 
 def _trial_coefficients(n: int, m: int, field: FieldSpec, rng: random.Random) -> GenericCoefficients:

@@ -334,6 +334,12 @@ def _nonnegative_int(text: str) -> int:
     return int(text)
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or not int(text):
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="facering",
@@ -376,11 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
                 complex_input + ", or 'corpus' for every bundled complex", field, seed)
     p.add_argument("--check", default=None,
                    choices=verification.SUITE_CHECKS, help="run a single named check")
-    p.add_argument("--m", type=int, default=None,
-                   help="pin the kernel/reduction checks to one number of forms")
+    p.add_argument("--m", type=_nonnegative_int, default=None,
+                   help="pin the kernel/reduction checks to one number of forms (nonnegative)")
     p.add_argument("--m-max", type=_nonnegative_int, default=1, dest="m_max",
                    help="largest number of forms exercised by the heavy checks (nonnegative)")
-    p.add_argument("--l", type=int, default=None, help="restrict to one cohomological degree")
+    p.add_argument("--l", type=_positive_int, default=None,
+                   help="restrict to one cohomological degree (positive)")
     p.add_argument("--i", default=None, help="restrict kernel degrees, e.g. 1..4")
 
     command("sqfree", cmd_sqfree,

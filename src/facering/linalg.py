@@ -15,8 +15,8 @@ pivot on.  A rank over F_p is the same forward elimination on the wide side
 touches fewer rows per pivot.  `kernel_basis` and `solve` (M X = B for a whole
 matrix B at once) read off one reduced echelon form per field: `_q_rref` and
 `_p_rref` run that forward elimination, then back-substitution (exact
-Fractions over Q, modular inverses over F_p).  Prime-field arrays are always
-built by `_residues`, a few thousand entries per numpy call.
+Fractions over Q, modular inverses over F_p).  Prime-field arrays of dense
+rows are built by `_residues`, a few thousand entries per numpy call.
 
 A rank over Q is proved modulo primes (`_q_rank`).  Let W be the integer
 matrix or its transpose, whichever has no more rows than columns (it touches
@@ -31,7 +31,9 @@ reconstruction with one common denominator per vector (Wang 1981; Dixon
 product exceeds twice the largest possible entry, these independent vectors
 prove rank <= r and the bounds meet.  When the lift or the check fails, or
 below `_BAREISS_CELLS` entries, Bareiss decides.  Pivot columns are never
-read modulo a prime: [[p, 1]] has pivot column 0 over Q and 1 modulo p.
+read modulo a prime: [[p, 1]] has pivot column 0 over Q and 1 modulo p.  The
+one exception is `block_pivots`, which reads them modulo p only to choose
+columns whose coordinate vectors span a quotient, and says why that is sound.
 
 All pivot choices are "first nonzero", so every result (kernel bases,
 class representatives, ...) is deterministic.
@@ -612,6 +614,50 @@ def rank(M: Matrix) -> int:
         return _q_rank(_q_int_rows(M._rows), M.ncols)
     p, tall = M.field.p, M.nrows > M.ncols
     return len(_p_echelon(_residues(M._rows, M.ncols, p, tall), p, max(M.nrows, M.ncols))[1])
+
+
+def block_pivots(field: FieldSpec, blocks, ncols: int) -> tuple[int, list[list[int]]]:
+    """Rank of the stacked blocks of rows, and the pivot columns after each block.
+
+    A row is a dict {column: entry} with exact entries, as in Matrix.  Each
+    block is eliminated against the echelon rows left by the blocks before
+    it, so pivots[k] are the pivot columns of blocks 0..k, and the coordinate
+    vectors at the other columns span the quotient by their rows.  Over F_p
+    all of it is exact.  Over Q each row is scaled to integers and the blocks
+    are eliminated modulo _RANK_PRIMES[0]; a rank equal to the number of rows
+    or columns is then the rank over Q, and a smaller one goes to `_q_rank`.
+
+    The pivot columns over Q are read modulo p, the one exception to the
+    rule of the module docstring.  The r pivot columns mod p carry an r x r
+    minor of the integer rows that is nonzero mod p, hence nonzero over Q, so
+    over Q the rows reach every vector on those columns and the coordinate
+    vectors at the other columns still span the quotient.  They may be more
+    than its dimension when the rank drops modulo p.
+    """
+    p = field.p or _RANK_PRIMES[0]
+    if field.is_rational:
+        blocks = [[dict(zip(row, ints)) for row, ints in
+                   zip(block, _q_int_rows([list(row.values()) for row in block]))]
+                  for block in blocks]
+    E, pivots, after = np.zeros((0, ncols), dtype=np.int64), [], []
+    for block in blocks:
+        if block:
+            R = np.zeros((len(E) + len(block), ncols), dtype=np.int64)
+            R[:len(E)] = E
+            R[np.repeat(np.arange(len(E), len(R)), [len(row) for row in block]),
+              [c for row in block for c in row]] = [
+                _residue(x, p) for row in block for x in row.values()]
+            R, pivots = _p_echelon(R, p, ncols)
+            E = R[:len(pivots)]
+        after.append(pivots)
+    rows = [row for block in blocks for row in block]
+    if field.is_rational and len(pivots) < min(len(rows), ncols):
+        dense = [[0] * ncols for _ in rows]
+        for out, row in zip(dense, rows):
+            for c, x in row.items():
+                out[c] = x
+        return _q_rank(dense, ncols), after
+    return len(pivots), after
 
 
 def kernel_basis(M: Matrix) -> Matrix:

@@ -338,7 +338,7 @@ def kernel_dim_formula(cx: SimplicialComplex, ell: int, m: int, i: int, field: F
     d = cx.d
     if not 0 <= m <= d:
         raise ValueError("m out of range")
-    if ell > d:
+    if not 1 <= ell <= d:
         raise ValueError("cohomological degree out of range")
     if i < m:
         raise ValueError("i must be at least m")

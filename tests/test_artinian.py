@@ -1,12 +1,99 @@
 """Brute-force Artinian reductions against closed-form and h-vector anchors."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
+from facering import linalg
 from facering.artinian import determinacy_probe, reduction_hilbert
-from facering.complexes import SizeLimitError, count_degree_monomials
-from facering.linalg import GF, QQ
-from facering.local_cohomology import make_generic
+from facering.complexes import (
+    SimplicialComplex,
+    SizeLimitError,
+    count_degree_monomials,
+    degree_monomials,
+)
+from facering.linalg import GF, QQ, Matrix, rank
+from facering.local_cohomology import GenericCoefficients, make_generic
 from facering.squarefree import sqfree_data_of_face_ring, sqfree_quotient_hilbert
+
+
+def full_stack_dims(cx, coeffs, m, cutoff, field):
+    """dim R_j minus the rank of the whole |R_j| x m |R_{j-1}| matrix of the
+    ideal in degree j: row nu holds theta_p[t] at column (p, nu - e_t)."""
+    forms = [coeffs.matrix.column(p) for p in range(m)]
+    dims = [1]
+    prev = degree_monomials(cx, 0)
+    for j in range(1, cutoff + 1):
+        basis = degree_monomials(cx, j)
+        index = {mu: c for c, mu in enumerate(prev)}
+        rows = []
+        for nu in basis:
+            row = [0] * (m * len(prev))
+            for t, u in enumerate(nu):
+                if u:
+                    c = index[nu[:t] + (u - 1,) + nu[t + 1:]]
+                    for p, theta in enumerate(forms):
+                        row[p * len(prev) + c] = theta[t]
+            rows.append(row)
+        dims.append(len(basis) - rank(Matrix(field, rows, m * len(prev))))
+        prev = basis
+    return tuple(dims)
+
+
+def seeded_complexes(count, seed):
+    """Complexes on 4 to 6 vertices with 2 to 5 random facets of 1 to 3 vertices."""
+    rng = random.Random(seed)
+    return [SimplicialComplex(n, [rng.sample(range(1, n + 1), rng.randint(1, 3))
+                                  for _ in range(rng.randint(2, 5))])
+            for n in (rng.randint(4, 6) for _ in range(count))]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003), GF(101)], ids=str)
+def test_reduction_matches_full_stack_oracle(complexes, field):
+    cases = list(complexes.values()) + seeded_complexes(12, seed=4)
+    for k, cx in enumerate(cases):
+        coeffs = make_generic(cx.n, cx.d, field, seed=k)
+        for m in range(cx.d + 1):
+            got = reduction_hilbert(cx, coeffs, m, m + 4, field).dims
+            assert got == full_stack_dims(cx, coeffs, m, m + 4, field), (sorted(cx.facets), m)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_fraction_coefficients_match_full_stack_oracle(field):
+    # over GF(5), 1/2 enters as the inverse of 2; over Q the rows are scaled
+    points = SimplicialComplex(2, [[1], [2]])
+    coeffs = GenericCoefficients(Matrix(QQ, [[Fraction(1, 2)], [3]]))
+    got = reduction_hilbert(points, coeffs, 1, 5, field).dims
+    assert got == full_stack_dims(points, coeffs, 1, 5, field)
+    assert got == (1, 1, 0, 0, 0, 0)
+
+
+def count_q_ranks(monkeypatch):
+    calls = []
+    q_rank = linalg._q_rank
+    monkeypatch.setattr(linalg, "_q_rank", lambda rows, ncols: calls.append(1) or q_rank(rows, ncols))
+    return calls
+
+
+def test_cohen_macaulay_reduction_needs_no_certificate(rp2_6, monkeypatch):
+    # every stack has full row rank modulo the first rank prime
+    calls = count_q_ranks(monkeypatch)
+    red = reduction_hilbert(rp2_6, make_generic(6, 2, QQ), 2, 10, QQ)
+    assert red.dims == (1, 4) + (10,) * 9
+    assert calls == []
+
+
+def test_rank_deficient_reduction_is_certified_over_q(monkeypatch):
+    # two disjoint triangles are not Cohen-Macaulay: the second form is a
+    # zero divisor modulo the first, so the stacks drop rank and the Q rank
+    # is proved by `_q_rank`
+    triangles = SimplicialComplex(6, [[1, 2, 3], [4, 5, 6]])
+    coeffs = make_generic(6, 2, QQ)
+    calls = count_q_ranks(monkeypatch)
+    got = reduction_hilbert(triangles, coeffs, 2, 6, QQ).dims
+    assert calls
+    assert got == full_stack_dims(triangles, coeffs, 2, 6, QQ)
 
 
 def test_reduction_cycle3(cycle3):

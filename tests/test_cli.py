@@ -272,6 +272,26 @@ def test_reduce_digest(capsys, args):
     assert digest == REDUCE_DIGESTS[args]
 
 
+# SHA-256 of the concatenated stdout of the three reductions the benchmark's
+# reduce-deep workload runs (its probe with --seed 1), taken before the
+# incremental elimination replaced the one-rank-per-degree matrices.
+REDUCE_DEEP = (
+    ("rp2_6", "--m", "2", "--cutoff", "10"),
+    ("rp2_6", "--m", "2", "--cutoff", "10", "--field", "fp:32003", "--trials", "2", "--seed", "1"),
+    ("octahedron", "--m", "3", "--cutoff", "10"),
+)
+REDUCE_DEEP_DIGEST = "dfa5a24e2f5ad35ea54b9806d8aef09078e98a5074224dc33e5cb468e970f0ce"
+
+
+def test_reduce_deep_digest(capsys):
+    outs = []
+    for args in REDUCE_DEEP:
+        code, out, _ = run_cli(capsys, "reduce", *args, "--format", "json")
+        assert code == EXIT_OK
+        outs.append(out)
+    assert hashlib.sha256("".join(outs).encode("utf-8")).hexdigest() == REDUCE_DEEP_DIGEST
+
+
 # The corpus is pure; these non-pure complexes have faces F with
 # dim lk F + |F| < dim, which the CM-along-a-face test must handle.
 NON_PURE = {
@@ -504,6 +524,20 @@ def test_negative_m_max_is_input_error(capsys):
             main(["verify", "cycle3", "--m-max", "-3", *extra])
         assert exc.value.code == EXIT_INPUT_ERROR
         assert "nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--m", "-3", "expected a nonnegative integer, got '-3'"),
+    ("--l", "0", "expected a positive integer, got '0'"),
+    ("--l", "-1", "expected a positive integer, got '-1'"),
+])
+def test_verify_pins_are_range_checked(capsys, option, value, message):
+    # --m -3 used to fail deep inside the ledger, and --l -1 passed with
+    # records whose two routes both read 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "cycle3", "--check", "lemma-equality", option, value])
+    assert exc.value.code == EXIT_INPUT_ERROR
+    assert message in capsys.readouterr().err
 
 
 def test_generic_matrix_impossible_over_small_prime(capsys):

@@ -239,6 +239,9 @@ def test_kernel_formula_examples(cycle3):
         kernel_dim_formula(cycle3, 2, 1, 0, QQ)
     with pytest.raises(ValueError):
         kernel_dim_formula(cycle3, 5, 0, 1, QQ)
+    for ell in (0, -1):
+        with pytest.raises(ValueError, match="cohomological degree"):
+            kernel_dim_formula(cycle3, ell, 0, 1, QQ)
 
 
 def test_kernel_formula_at_m_equals_i_counts_top_blocks(complexes):
