@@ -10,12 +10,13 @@ theta_k (I_{k-1})_{j-1} lies in (I_{k-1})_j,
 so (I_m)_j is spanned by the blocks of rows theta_1 S^0_{j-1}, theta_2
 S^1_{j-1}, ..., theta_m S^{m-1}_{j-1}: each row a form times a monomial,
 reduced modulo the nonface monomials and written in the degree-j monomial
-basis.  One elimination per degree, block by block (`linalg.block_pivots`),
-gives the exact rank, hence the quotient dimension, and S^k_j as the
-monomials that are not pivots after block k, for the next degree.  On a
-Cohen-Macaulay complex the forms are a regular sequence, so when each S^k
-is a basis every stack has full row rank.  The matrices of all degrees are
-sized, together, before the first one is built.
+basis.  One elimination per degree, block by block (`linalg.block_pivots`,
+as for the multiplication maps of `local_cohomology`), gives the rank of the
+whole stack, hence the quotient dimension, and S^k_j as the monomials outside
+the pivots of the first k blocks, for the next degree.  On a Cohen-Macaulay
+complex the forms are a regular sequence, so when each S^k is a basis every
+stack has full row rank.  The matrices of all degrees are sized, together,
+before the first one is built.
 """
 
 from __future__ import annotations
@@ -87,10 +88,10 @@ def reduction_hilbert(cx: SimplicialComplex, coeffs: GenericCoefficients, m: int
                     up[prev_index[nu[:t] + (u - 1,) + nu[t + 1:]]].append((t, c))
         blocks = [[{c: theta[t] for t, c in up[i]} for i in span]
                   for theta, span in zip(forms, spans)]
-        rank, pivots = block_pivots(field, blocks, len(basis))
-        dims.append(len(basis) - rank)
+        ranks, pivots = block_pivots(field, blocks, len(basis))
+        dims.append(len(basis) - ranks[-1])
         spans = [range(len(basis))]
-        for piv in map(set, pivots[:m - 1]):
+        for piv in map(set, pivots[1:m]):
             spans.append([c for c in range(len(basis)) if c not in piv])
         prev_basis = basis
     return ReductionHilbert(m, tuple(dims), coeffs)

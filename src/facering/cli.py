@@ -23,8 +23,8 @@ import json
 import sys
 
 from . import quotient, singularity, verification
-from .artinian import determinacy_probe, reduction_hilbert
-from .complexes import SimplicialComplex
+from .artinian import REDUCTION_CELL_LIMIT, determinacy_probe, reduction_hilbert
+from .complexes import SimplicialComplex, SizeLimitError
 from .corpus import CORPUS_BUILDERS, corpus
 from .linalg import FieldSpec
 from .local_cohomology import lc_coarse_dim, lc_hilbert_series, make_generic
@@ -76,6 +76,15 @@ def _emit(report: dict, fmt: str, tsv_rows=None, pretty_lines=None):
             print(line)
 
 
+def _guard(numbers: int, terms: int):
+    """Refuse, before any work, a report of `numbers` numbers that each sum up
+    to `terms` terms (faces of the complex or entries of the table, at least one)."""
+    cost = numbers * max(terms, 1)
+    if cost > REDUCTION_CELL_LIMIT:
+        raise SizeLimitError(f"the report sums {cost} terms ({numbers} numbers of up to "
+                             f"{terms} each), above the guard of {REDUCTION_CELL_LIMIT}")
+
+
 def _sd_json(value):
     return "-inf" if value == singularity.NEG_INFINITY else int(value)
 
@@ -123,38 +132,21 @@ def cmd_lc(args) -> int:
     name, cx = _load_single(args.input)
     field = FieldSpec.parse(args.field)
     cutoff = args.cutoff
+    _guard((cx.d + 1) * (cutoff + 1), len(cx.faces()))
     rows = []
     for i in range(0, cx.d + 1):
         series = lc_hilbert_series(cx, i, field)
-        coeffs = [lc_coarse_dim(cx, i, -j, field) for j in range(0, cutoff + 1)]
-        rows.append(
-            {
-                "i": i,
-                "series": series.to_json(),
-                "pole_order": series.pole_order,
-                "coefficients": coeffs,
-            }
-        )
+        rows.append({"i": i, "series": series.to_json(), "pole_order": series.pole_order,
+                     "coefficients": [lc_coarse_dim(cx, i, -j, field) for j in range(cutoff + 1)]})
     report = {"command": "lc", "complex": name, "field": str(field), "rows": rows}
     tsv = [["i", "pole_order", "numerator", "denom_power", "coefficients"]]
-    for row in rows:
-        tsv.append(
-            [
-                row["i"],
-                row["pole_order"],
-                ",".join(map(str, row["series"]["numerator"])),
-                row["series"]["denom_power"],
-                ",".join(map(str, row["coefficients"])),
-            ]
-        )
     pretty = [f"local cohomology of {name} over {field}:"]
     for row in rows:
-        num = row["series"]["numerator"]
-        e = row["series"]["denom_power"]
-        pretty.append(
-            f"  i={row['i']}: series {num} / (1-t)^{e}, pole order {row['pole_order']}, "
-            f"dims by -degree {row['coefficients']}"
-        )
+        num, e = row["series"]["numerator"], row["series"]["denom_power"]
+        tsv.append([row["i"], row["pole_order"], ",".join(map(str, num)), e,
+                    ",".join(map(str, row["coefficients"]))])
+        pretty.append(f"  i={row['i']}: series {num} / (1-t)^{e}, pole order {row['pole_order']}, "
+                      f"dims by -degree {row['coefficients']}")
     _emit(report, args.format, tsv, pretty)
     return EXIT_OK
 
@@ -165,6 +157,7 @@ def cmd_predict(args) -> int:
     m = args.m
     if not 0 <= m <= cx.d:
         raise InputError(f"--m must be between 0 and {cx.d} for this complex")
+    _guard((cx.d - m) * args.cutoff, len(cx.faces()))
     entries = [
         {"l": ell, "i": i, "dim": quotient.quotient_lc_dim(cx, m, ell, i, field)}
         for ell in range(1, cx.d - m + 1)
@@ -292,6 +285,7 @@ def cmd_sqfree(args) -> int:
         raise InputError(f"{args.input}: {exc}") from None
     m = args.m
     cutoff = args.cutoff
+    _guard(2 * (cutoff + 1), len(data))
     module_dims = [sqfree_hilbert(data, i) for i in range(0, cutoff + 1)]
     quotient_dims = [
         {"i": i, "dim": sqfree_quotient_hilbert(data, m, i)} for i in range(m + 1, cutoff + 1)
@@ -306,8 +300,7 @@ def cmd_sqfree(args) -> int:
     }
     tsv = [["i", "module_dim", "quotient_dim"]]
     for i in range(0, cutoff + 1):
-        q = next((e["dim"] for e in quotient_dims if e["i"] == i), "")
-        tsv.append([i, module_dims[i], q])
+        tsv.append([i, module_dims[i], quotient_dims[i - m - 1]["dim"] if i > m else ""])
     pretty = [f"squarefree data on {data.n} vertices, {len(data)} nonzero degrees, m={m}:"]
     pretty.append(f"  module Hilbert function: {module_dims}")
     pretty.append(f"  quotient Hilbert function (i > {m}): {[e['dim'] for e in quotient_dims]}")

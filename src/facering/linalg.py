@@ -616,16 +616,19 @@ def rank(M: Matrix) -> int:
     return len(_p_echelon(_residues(M._rows, M.ncols, p, tall), p, max(M.nrows, M.ncols))[1])
 
 
-def block_pivots(field: FieldSpec, blocks, ncols: int) -> tuple[int, list[list[int]]]:
-    """Rank of the stacked blocks of rows, and the pivot columns after each block.
+def block_pivots(field: FieldSpec, blocks, ncols: int) -> tuple[list[int], list[list[int]]]:
+    """Ranks and pivot columns of the stacked blocks of rows, after every block.
 
-    A row is a dict {column: entry} with exact entries, as in Matrix.  Each
-    block is eliminated against the echelon rows left by the blocks before
-    it, so pivots[k] are the pivot columns of blocks 0..k, and the coordinate
-    vectors at the other columns span the quotient by their rows.  Over F_p
-    all of it is exact.  Over Q each row is scaled to integers and the blocks
-    are eliminated modulo _RANK_PRIMES[0]; a rank equal to the number of rows
-    or columns is then the rank over Q, and a smaller one goes to `_q_rank`.
+    A row is a dict {column: entry} with exact entries, as in Matrix, and a
+    zero row may be {}.  ranks[k] and pivots[k] belong to the first k blocks,
+    so ranks[0] = 0 and pivots[0] = [] for the empty stack.  Each block is
+    eliminated against the echelon rows left by the blocks before it, and the
+    coordinate vectors at the columns outside pivots[k] span the quotient by
+    the rows of the first k blocks.  Over F_p all of it is exact.  Over Q each
+    row is scaled to integers and the blocks are eliminated modulo
+    _RANK_PRIMES[0]; a prefix whose rank there equals its number of nonzero
+    rows or ncols has that rank over Q, and any other prefix goes to
+    `_q_rank`.
 
     The pivot columns over Q are read modulo p, the one exception to the
     rule of the module docstring.  The r pivot columns mod p carry an r x r
@@ -635,11 +638,12 @@ def block_pivots(field: FieldSpec, blocks, ncols: int) -> tuple[int, list[list[i
     than its dimension when the rank drops modulo p.
     """
     p = field.p or _RANK_PRIMES[0]
-    if field.is_rational:
+    if field.is_rational:  # rows scaled to integers; {} adds no rank, nor a row to count
         blocks = [[dict(zip(row, ints)) for row, ints in
-                   zip(block, _q_int_rows([list(row.values()) for row in block]))]
+                   zip(block, _q_int_rows([list(row.values()) for row in block])) if row]
                   for block in blocks]
-    E, pivots, after = np.zeros((0, ncols), dtype=np.int64), [], []
+    E, pivots, rows = np.zeros((0, ncols), dtype=np.int64), [], []
+    ranks, after = [0], [pivots]
     for block in blocks:
         if block:
             R = np.zeros((len(E) + len(block), ncols), dtype=np.int64)
@@ -649,15 +653,17 @@ def block_pivots(field: FieldSpec, blocks, ncols: int) -> tuple[int, list[list[i
                 _residue(x, p) for row in block for x in row.values()]
             R, pivots = _p_echelon(R, p, ncols)
             E = R[:len(pivots)]
+        rows += block
+        rank = len(pivots)
+        if field.is_rational and rank < min(len(rows), ncols):
+            dense = [[0] * ncols for _ in rows]
+            for out, row in zip(dense, rows):
+                for c, x in row.items():
+                    out[c] = x
+            rank = _q_rank(dense, ncols)
+        ranks.append(rank)
         after.append(pivots)
-    rows = [row for block in blocks for row in block]
-    if field.is_rational and len(pivots) < min(len(rows), ncols):
-        dense = [[0] * ncols for _ in rows]
-        for out, row in zip(dense, rows):
-            for c, x in row.items():
-                out[c] = x
-        return _q_rank(dense, ncols), after
-    return len(pivots), after
+    return ranks, after
 
 
 def kernel_basis(M: Matrix) -> Matrix:

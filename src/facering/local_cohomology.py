@@ -15,8 +15,9 @@ On top of that structure this module provides:
   * certified-generic coefficient matrices (positive Vandermonde over Q,
     sampled and minor-verified over prime fields);
   * the dimension of the common kernel of several multiplication maps,
-    computed both by brute force, as the rank of the stacked maps, and by a
-    closed binomial formula; the stack is written as one matrix, by rows.
+    computed both by brute force, from the ranks of the stacked maps
+    eliminated block by block (`linalg.block_pivots`, as in the Artinian
+    reduction), and by a closed binomial formula.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from math import comb
 
 from .cohomology import induced_map, relative_cohomology_dim
 from .complexes import SimplicialComplex, degree_monomials, per_complex
-from .linalg import QQ, FieldSpec, Matrix, rank
+from .linalg import QQ, FieldSpec, Matrix, block_pivots, rank
 
 GENERIC_TRIES = 64  # draws of a whole matrix before make_generic gives up
 
@@ -267,11 +268,12 @@ def make_generic(n: int, m: int, field: FieldSpec, seed: int | None = None) -> G
 # ---------------------------------------------------------------------------
 
 
-def _theta_rows(cx: SimplicialComplex, ell: int, i: int, thetas, field: FieldSpec) -> Matrix:
+def _theta_rows(cx: SimplicialComplex, ell: int, i: int, thetas, field: FieldSpec) -> list:
     """The multiplication maps by the forms with coefficient columns thetas,
-    one row block per form, stacked in order into one matrix.
+    one block of sparse rows {column: entry} per form.
 
-    Each block maps the Z-degree -(i+1) piece (columns) to the -i piece (rows).
+    Each block maps the Z-degree -(i+1) piece (columns) to the -i piece (rows):
+    row r of block p is row r of the map by thetas[p], and a zero row is {}.
     The block structure is walked once for all forms: the sub-block joining
     column vector U = T + e_t to row vector T is theta[t] times the induced
     map between the corresponding relative cohomology spaces (the identity
@@ -283,16 +285,14 @@ def _theta_rows(cx: SimplicialComplex, ell: int, i: int, thetas, field: FieldSpe
         raise ValueError("target degree must be -i with i >= 0")
     src = graded_piece(cx, ell, i + 1, field)
     dst = graded_piece(cx, ell, i, field)
-    rows = [[0] * src.total_dim for _ in range(len(thetas) * dst.total_dim)]
+    blocks = [[{} for _ in range(dst.total_dim)] for _ in thetas]
     for kt, T in enumerate(dst.vectors):
         if dst.dims[kt] == 0:
             continue
         sT = support(T)
-        roffs = [p * dst.total_dim + dst.offsets[kt] for p in range(len(thetas))]
+        roff = dst.offsets[kt]
         for t in range(cx.n):
-            scales = [(roff, theta[t]) for roff, theta in zip(roffs, thetas) if theta[t]]
-            if not scales:
-                continue
+            scales = [(rows, theta[t]) for rows, theta in zip(blocks, thetas) if theta[t]]
             U = T[:t] + (T[t] + 1,) + T[t + 1:]
             ku = src.block_index(U)
             if ku is None or src.dims[ku] == 0:
@@ -301,24 +301,22 @@ def _theta_rows(cx: SimplicialComplex, ell: int, i: int, thetas, field: FieldSpe
             block = induced_map(cx, support(U), sT, ell - 1, field)
             for rr, block_row in enumerate(block.tolist()):
                 entries = [(coff + cc, val) for cc, val in enumerate(block_row) if val]
-                for roff, a in scales:
-                    target = rows[roff + rr]
-                    for c, val in entries:
-                        target[c] = a * val
-    return Matrix(field, rows, src.total_dim)
+                for rows, a in scales:
+                    rows[roff + rr].update((c, a * val) for c, val in entries)
+    return blocks
 
 
 @per_complex
-def stacked_theta_rank(cx: SimplicialComplex, ell: int, m: int, i: int,
-                       coeffs: GenericCoefficients, field: FieldSpec) -> int:
-    """Rank of the first m multiplication maps, stacked, at degree -(i+1).
+def theta_ranks(cx: SimplicialComplex, ell: int, i: int,
+                coeffs: GenericCoefficients, field: FieldSpec) -> tuple[int, ...]:
+    """Ranks of the first 0, 1, ..., coeffs.m multiplication maps, stacked, at degree -(i+1).
 
-    The kernel of the stack is the common kernel of the m maps, so kernel
+    The kernel of a stack is the common kernel of its maps, so kernel
     dimensions and restricted ranks follow from these ranks by rank-nullity.
+    One elimination, block by block, gives all of them.
     """
-    if m == 0:
-        return 0
-    return rank(_theta_rows(cx, ell, i, [coeffs.matrix.column(p) for p in range(m)], field))
+    blocks = _theta_rows(cx, ell, i, [coeffs.matrix.column(p) for p in range(coeffs.m)], field)
+    return tuple(block_pivots(field, blocks, graded_piece(cx, ell, i + 1, field).total_dim)[0])
 
 
 def kernel_dim_bruteforce(cx: SimplicialComplex, ell: int, m: int, i: int,
@@ -330,7 +328,9 @@ def kernel_dim_bruteforce(cx: SimplicialComplex, ell: int, m: int, i: int,
     if m < 0 or m > coeffs.m:
         raise ValueError("m out of range for the coefficient matrix")
     source_dim = graded_piece(cx, ell, i + 1, field).total_dim
-    return source_dim - stacked_theta_rank(cx, ell, m, i, coeffs, field)
+    if m == 0:
+        return source_dim
+    return source_dim - theta_ranks(cx, ell, i, coeffs, field)[m]
 
 
 def kernel_dim_formula(cx: SimplicialComplex, ell: int, m: int, i: int, field: FieldSpec) -> int:
@@ -360,5 +360,5 @@ def restricted_theta_rank(cx: SimplicialComplex, ell: int, m: int, i: int,
     """
     if coeffs.m < m + 1:
         raise ValueError("coefficient matrix needs at least m+1 columns")
-    return (stacked_theta_rank(cx, ell, m + 1, i, coeffs, field)
-            - stacked_theta_rank(cx, ell, m, i, coeffs, field))
+    ranks = theta_ranks(cx, ell, i, coeffs, field)
+    return ranks[m + 1] - ranks[m]

@@ -208,21 +208,29 @@ def test_verify_empty_ledger_fails(capsys):
         assert report["summary"]["total"] == 0 and report["passed"] is False
 
 
-# SHA-256 of `verify corpus --format json` stdout; a refactor must keep these
-# ledgers byte-identical (943 records each).
+# SHA-256 of `verify corpus --format json` stdout, with its record count; a
+# refactor must keep these ledgers byte-identical.  The --m-max 2 and 3 runs
+# are the ones the benchmark times, and they pin the stacks of two and three
+# forms.
 LEDGER_DIGESTS = {
-    ("--field", "q"): "490e75c926ce7e09546f41bbbb8d9e0469b2b1069236e12ee11ee3161e1e22bd",
+    ("--field", "q"):
+        (943, "490e75c926ce7e09546f41bbbb8d9e0469b2b1069236e12ee11ee3161e1e22bd"),
     ("--field", "fp:32003", "--seed", "1"):
-        "1e8f221f6bb56ab099f0b248f3624310d10f0175dcc0f148bb66259f0796f1ce",
+        (943, "1e8f221f6bb56ab099f0b248f3624310d10f0175dcc0f148bb66259f0796f1ce"),
+    ("--field", "q", "--m-max", "2"):
+        (1054, "ad0da984aa20076061be751aea5666da018d6c580905f0ecb109e4d7e14ef24b"),
+    ("--field", "fp:32003", "--m-max", "3", "--seed", "1"):
+        (1129, "559d591e5ab594819269e408697cb77e885db31418a13a262e72e3a2c6daaa0d"),
 }
 
 
 @pytest.mark.parametrize("args", sorted(LEDGER_DIGESTS))
 def test_verify_corpus_ledger_digest(capsys, args):
+    total, digest = LEDGER_DIGESTS[args]
     code, out, _ = run_cli(capsys, "verify", "corpus", "--format", "json", *args)
     assert code == EXIT_OK
-    assert json.loads(out)["summary"] == {"total": 943, "failed": 0}
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LEDGER_DIGESTS[args]
+    assert json.loads(out)["summary"] == {"total": total, "failed": 0}
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 # SHA-256 of the concatenated `<command> <name> --field F --format json ...`
@@ -366,6 +374,41 @@ def test_sqfree_command(tmp_path, capsys):
     assert report["module_hilbert"] == [1, 3, 6, 9, 12, 15]
     assert [e["dim"] for e in report["quotient_hilbert"]] == [3, 3, 3, 3]
     assert "caveat" in report
+
+
+def test_sqfree_tsv_agrees_with_json(tmp_path, capsys):
+    # the quotient column is blank in degrees i <= m
+    path = tmp_path / "sq.json"
+    path.write_text(json.dumps({"n": 3, "dims": [{"F": [0, 0, 0], "dim": 1},
+                                                 {"F": [1, 1, 0], "dim": 2},
+                                                 {"F": [1, 1, 1], "dim": 1}]}))
+    args = ("sqfree", str(path), "--m", "2", "--cutoff", "7")
+    _, out_json, _ = run_cli(capsys, *args, "--format", "json")
+    _, out_tsv, _ = run_cli(capsys, *args, "--format", "tsv")
+    report = json.loads(out_json)
+    lines = out_tsv.splitlines()
+    assert lines[0] == "i\tmodule_dim\tquotient_dim"
+    quotient = {e["i"]: str(e["dim"]) for e in report["quotient_hilbert"]}
+    assert sorted(quotient) == [3, 4, 5, 6, 7]
+    assert [line.split("\t") for line in lines[1:]] == [
+        [str(i), str(dim), quotient.get(i, "")] for i, dim in enumerate(report["module_hilbert"])]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("lc", "cycle3", "--cutoff", "100000000"), id="lc"),
+    pytest.param(("predict", "rp2_6", "--m", "1", "--cutoff", "100000000"), id="predict"),
+    pytest.param(("sqfree", "SQ", "--m", "1", "--cutoff", "100000000"), id="sqfree"),
+])
+def test_huge_cutoff_is_refused_before_work(tmp_path, capsys, argv):
+    # every reported number is charged the faces or table entries it sums
+    path = tmp_path / "sq.json"
+    path.write_text(json.dumps({"n": 1, "dims": []}))
+    argv = [str(path) if a == "SQ" else a for a in argv]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_INPUT_ERROR
+    assert not out and "guard of 5000000" in err
 
 
 @pytest.mark.parametrize("data", [

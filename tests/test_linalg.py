@@ -16,6 +16,7 @@ from facering.linalg import (
     _q_echelon,
     _q_int_rows,
     _rref,
+    block_pivots,
     hstack,
     is_prime,
     kernel_basis,
@@ -384,3 +385,35 @@ def test_certified_rank_survives_a_drop_modulo_the_first_prime(monkeypatch):
     # equal ranks do not give equal pivots, so pivots are never read mod p
     assert pivot_columns(Matrix(QQ, [[p, 1]])) == [0]
     assert pivot_columns(Matrix(GF(p), [[p, 1]])) == [1]
+
+
+def test_block_pivots_proves_every_prefix_over_q():
+    # each prefix rank is exact, not only the last.  A single row [p] is
+    # scaled to [1] first; the rows [1, 1, 0] and [1, 1 + p, 0] have rank 2
+    # over Q but 1 modulo p, so only a proof of the first prefix reads 2
+    p = linalg._RANK_PRIMES[0]
+    ranks, pivots = block_pivots(QQ, [[{0: p}], [{1: 1}]], 2)
+    assert ranks == [0, 1, 2]
+    assert pivots == [[], [0], [0, 1]]
+    ranks, pivots = block_pivots(QQ, [[{0: 1, 1: 1}, {0: 1, 1: 1 + p}], [{2: 1}]], 3)
+    assert ranks == [0, 2, 3]
+    assert pivots == [[], [0], [0, 2]]  # read modulo p, as the docstring says
+    assert block_pivots(GF(p), [[{0: 1, 1: 1}, {0: 1, 1: 1 + p}], [{2: 1}]], 3)[0] == [0, 1, 2]
+
+
+def test_block_pivots_ranks_match_dense_prefixes():
+    # random sparse blocks with zero rows {} and dependent rows, over every field
+    rng = random.Random(9)
+    for field in FIELDS:
+        for _ in range(20):
+            ncols = rng.randint(0, 7)
+            blocks = [[{c: rng.randint(-3, 3)
+                        for c in rng.sample(range(ncols), rng.randint(0, min(ncols, 3)))}
+                       for _ in range(rng.randint(0, 4))]
+                      for _ in range(rng.randint(0, 4))]
+            ranks, pivots = block_pivots(field, blocks, ncols)
+            assert len(ranks) == len(pivots) == len(blocks) + 1
+            for k in range(len(blocks) + 1):
+                dense = [[row.get(c, 0) for c in range(ncols)]
+                         for block in blocks[:k] for row in block]
+                assert ranks[k] == rank(Matrix(field, dense, ncols))

@@ -25,12 +25,22 @@ from facering.local_cohomology import (
     make_generic,
     restricted_theta_rank,
     support,
+    theta_ranks,
     vandermonde_coefficients,
 )
 from facering import verification
 from facering.verification import run_checks
 
 from complex_strategies import small_complexes
+from test_artinian import seeded_complexes
+
+
+def dense_theta(cx, ell, i, thetas, field):
+    """The blocks of `_theta_rows`, stacked, as one dense Matrix."""
+    ncols = graded_piece(cx, ell, i + 1, field).total_dim
+    rows = [[row.get(c, 0) for c in range(ncols)]
+            for block in _theta_rows(cx, ell, i, thetas, field) for row in block]
+    return Matrix(field, rows, ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +190,14 @@ def test_rational_coefficients_map_exactly_into_prime_field():
 # ---------------------------------------------------------------------------
 
 def test_theta_action_shape_and_rank(cycle3):
-    M = _theta_rows(cycle3, 2, 0, [[1, 1, 1]], QQ)
+    M = dense_theta(cycle3, 2, 0, [[1, 1, 1]], QQ)
     assert (M.nrows, M.ncols) == (1, 3)
     assert rank(M) == 1
 
 
 def test_theta_zero_coefficients_kill_blocks(cycle3):
     # with theta = e_3 only transitions lowering the third exponent survive
-    M = _theta_rows(cycle3, 2, 1, [[0, 0, 1]], QQ)
+    M = dense_theta(cycle3, 2, 1, [[0, 0, 1]], QQ)
     src = graded_piece(cycle3, 2, 2, QQ)
     dst = graded_piece(cycle3, 2, 1, QQ)
     for k, U in enumerate(src.vectors):
@@ -217,13 +227,47 @@ def test_theta_actions_commute(complexes, field):
         t1, t2 = coeffs.matrix.column(0), coeffs.matrix.column(1)
         for ell in range(1, cx.d + 1):
             for i in range(0, 3):
-                first = _theta_rows(cx, ell, i, [t1], field) @ _theta_rows(
+                first = dense_theta(cx, ell, i, [t1], field) @ dense_theta(
                     cx, ell, i + 1, [t2], field
                 )
-                second = _theta_rows(cx, ell, i, [t2], field) @ _theta_rows(
+                second = dense_theta(cx, ell, i, [t2], field) @ dense_theta(
                     cx, ell, i + 1, [t1], field
                 )
                 assert first == second
+
+
+def test_theta_rows_keep_zero_rows_in_place(octahedron):
+    # l = 3, i = 1: vertex 4 is opposite vertex 1, so x_4 x_1 = 0 and the row
+    # of e_1 at the target block of x_4 (row 2) is {}, in its place
+    blocks = _theta_rows(octahedron, 3, 1, [[1, 0, 0, 0, 0, 0], [1, 2, 3, 4, 5, 6]], QQ)
+    assert graded_piece(octahedron, 3, 1, QQ).vectors[2] == (0, 0, 0, 1, 0, 0)
+    assert [len(block) for block in blocks] == [6, 6]
+    assert [k for k, row in enumerate(blocks[0]) if not row] == [2]
+    assert all(blocks[1])
+
+
+def test_theta_rows_refuse_bad_input(cycle3):
+    coeffs = make_generic(3, 2, QQ)
+    with pytest.raises(ValueError, match="one entry per vertex"):
+        _theta_rows(cycle3, 2, 0, [[1, 1, 1], [1, 1]], QQ)
+    with pytest.raises(ValueError, match="i >= 0"):
+        _theta_rows(cycle3, 2, -1, [[1, 1, 1]], QQ)
+    with pytest.raises(ValueError, match="i >= 0"):
+        restricted_theta_rank(cycle3, 2, 0, -1, coeffs, QQ)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003), GF(101)], ids=str)
+def test_theta_ranks_match_dense_stacks(complexes, field):
+    # theta_ranks[m] is the rank of the first m blocks written as one matrix
+    cases = list(complexes.values()) + seeded_complexes(12, seed=4)
+    for k, cx in enumerate(cases):
+        coeffs = make_generic(cx.n, min(cx.d + 1, cx.n), field, seed=k)
+        thetas = [coeffs.matrix.column(p) for p in range(coeffs.m)]
+        for ell in range(1, cx.d + 1):
+            for i in range(3):
+                want = [rank(dense_theta(cx, ell, i, thetas[:m], field))
+                        for m in range(coeffs.m + 1)]
+                assert list(theta_ranks(cx, ell, i, coeffs, field)) == want, (k, ell, i)
 
 
 # ---------------------------------------------------------------------------
