@@ -3,10 +3,13 @@
 Rational matrices are eliminated fraction-free (Bareiss) after clearing
 denominators row by row, which keeps every intermediate entry an integer.
 Prime-field matrices are reduced with vectorized modular row operations on
-int64 numpy arrays.  Entries must be exact: an int enters F_p as `x % p`, a
-Fraction through the modular inverse of its denominator, and a float raises
-TypeError (over F_p when the matrix is built, over Q when it is eliminated).
-No floating point is used anywhere.
+int64 numpy arrays.  Stacks of sparse rows (`block_pivots`) are the exception:
+they are eliminated mod p one row at a time in pure Python, where a numpy
+call per column would cost more than the few entries of a row.  Entries must
+be exact: an int enters F_p as `x % p`, a Fraction through the modular
+inverse of its denominator, and a float raises TypeError (over F_p when the
+matrix is built, over Q when it is eliminated).  No floating point is used
+anywhere.
 
 Pivot columns need only forward elimination in both engines (`_q_echelon`,
 `_p_echelon`), which clears the rows below each pivot in the columns from the
@@ -42,6 +45,7 @@ class representatives, ...) is deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
 from operator import index
 
@@ -355,7 +359,7 @@ def _q_rref(rows: list[list[int]], pivot_cols: int):
 
 
 # ---------------------------------------------------------------------------
-# prime-field engine (numpy)
+# prime-field engine (numpy, dense matrices)
 # ---------------------------------------------------------------------------
 
 
@@ -616,19 +620,62 @@ def rank(M: Matrix) -> int:
     return len(_p_echelon(_residues(M._rows, M.ncols, p, tall), p, max(M.nrows, M.ncols))[1])
 
 
+def _echelon_insert(echelon: dict[int, dict[int, int]], row: dict[int, int], p: int) -> None:
+    """Reduce the row {column: integer} against the echelon rows mod p; store it if it is new.
+
+    echelon maps each pivot column to its row, a dict {column: residue} with
+    1 at the pivot and nothing to the left of it.  The leading column comes
+    off a heap of the row's columns: it is reduced mod p, and eliminated by
+    the echelon row with that pivot, if there is one, or else becomes the
+    pivot of the normalized row.  Other entries gather products of residues
+    as Python ints, unbounded, and are reduced only when they lead or are stored.
+    """
+    heap = list(row)
+    heapify(heap)
+    while heap:
+        c = heappop(heap)
+        x = row[c] % p
+        if not x:
+            del row[c]
+            continue
+        prow = echelon.get(c)
+        if prow is None:
+            inv = pow(x, -1, p)
+            echelon[c] = {k: y for k, v in row.items() if (y := v * inv % p)}
+            return
+        for k, v in prow.items():  # prow[c] = 1 leaves row[c] = 0 mod p, deleted below
+            y = row.get(k)
+            if y is None:
+                row[k] = -x * v
+                heappush(heap, k)
+            else:
+                row[k] = y - x * v
+        del row[c]
+
+
 def block_pivots(field: FieldSpec, blocks, ncols: int) -> tuple[list[int], list[list[int]]]:
     """Ranks and pivot columns of the stacked blocks of rows, after every block.
 
     A row is a dict {column: entry} with exact entries, as in Matrix, and a
     zero row may be {}.  ranks[k] and pivots[k] belong to the first k blocks,
-    so ranks[0] = 0 and pivots[0] = [] for the empty stack.  Each block is
-    eliminated against the echelon rows left by the blocks before it, and the
-    coordinate vectors at the columns outside pivots[k] span the quotient by
-    the rows of the first k blocks.  Over F_p all of it is exact.  Over Q each
-    row is scaled to integers and the blocks are eliminated modulo
-    _RANK_PRIMES[0]; a prefix whose rank there equals its number of nonzero
-    rows or ncols has that rank over Q, and any other prefix goes to
-    `_q_rank`.
+    so ranks[0] = 0 and pivots[0] = [] for the empty stack.  The coordinate
+    vectors at the columns outside pivots[k] span the quotient by the rows of
+    the first k blocks.  Over F_p all of it is exact.  Over Q each row is
+    scaled to integers and the rows are eliminated modulo _RANK_PRIMES[0]; a
+    prefix whose rank there equals its number of nonzero rows or ncols has
+    that rank over Q, and any other prefix goes to `_q_rank`.
+
+    The rows are sparse, so they are eliminated one at a time in pure Python
+    (`_echelon_insert`): each is reduced against the echelon rows kept from
+    all rows before it, never eliminated again, and either adds one pivot or
+    none.  pivots[k] is the set of leading columns of an echelon basis of
+    the span of the first k blocks, and that set depends only on the span
+    (column c leads exactly when the span's dimension grows on adding the
+    coordinates at c), so it equals the pivot columns of any forward
+    elimination of the dense prefix, `pivot_columns` included.  Once every
+    column is a pivot no row can add rank, and later rows skip elimination;
+    every entry of every row is still mapped into F_p, so a float raises
+    TypeError and a Fraction whose denominator p divides raises ValueError.
 
     The pivot columns over Q are read modulo p, the one exception to the
     rule of the module docstring.  The r pivot columns mod p carry an r x r
@@ -642,17 +689,14 @@ def block_pivots(field: FieldSpec, blocks, ncols: int) -> tuple[list[int], list[
         blocks = [[dict(zip(row, ints)) for row, ints in
                    zip(block, _q_int_rows([list(row.values()) for row in block])) if row]
                   for block in blocks]
-    E, pivots, rows = np.zeros((0, ncols), dtype=np.int64), [], []
-    ranks, after = [0], [pivots]
+    echelon: dict[int, dict[int, int]] = {}
+    rows, ranks, after = [], [0], [[]]
     for block in blocks:
-        if block:
-            R = np.zeros((len(E) + len(block), ncols), dtype=np.int64)
-            R[:len(E)] = E
-            R[np.repeat(np.arange(len(E), len(R)), [len(row) for row in block]),
-              [c for row in block for c in row]] = [
-                _residue(x, p) for row in block for x in row.values()]
-            R, pivots = _p_echelon(R, p, ncols)
-            E = R[:len(pivots)]
+        for row in block:
+            row = {c: x % p if type(x) is int else _residue(x, p) for c, x in row.items()}
+            if len(echelon) < ncols:
+                _echelon_insert(echelon, row, p)
+        pivots = sorted(echelon)
         rows += block
         rank = len(pivots)
         if field.is_rational and rank < min(len(rows), ncols):

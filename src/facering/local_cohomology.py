@@ -29,7 +29,7 @@ from math import comb
 
 from .cohomology import induced_map, relative_cohomology_dim
 from .complexes import SimplicialComplex, degree_monomials, per_complex
-from .linalg import QQ, FieldSpec, Matrix, block_pivots, rank
+from .linalg import QQ, FieldSpec, Matrix, block_pivots
 
 GENERIC_TRIES = 64  # draws of a whole matrix before make_generic gives up
 
@@ -219,12 +219,30 @@ def vandermonde_coefficients(nodes, m: int) -> GenericCoefficients:
 
 
 def all_minors_nonsingular(M: Matrix) -> bool:
-    k_max = min(M.nrows, M.ncols)
-    for k in range(1, k_max + 1):
+    """Whether every square submatrix of M has a nonzero determinant.
+
+    The k x k minors are taken for k = 1, 2, ... in turn, each expanded along
+    its last row from the (k-1)-minors of the rows above it, which are kept
+    from the step before: k products per minor, exact over Q and reduced mod p
+    over F_p.  The first zero returns False.
+    """
+    p, A = M.field.p, M.tolist()
+    below = {((), ()): 1}  # the (k-1)-minors by (rows, columns)
+    for k in range(1, min(M.nrows, M.ncols) + 1):
+        minors = {}
         for rows in combinations(range(M.nrows), k):
+            last, above = A[rows[-1]], rows[:-1]
             for cols in combinations(range(M.ncols), k):
-                if rank(M.submatrix(rows, cols)) < k:
+                det = 0
+                for j, c in enumerate(cols):
+                    term = last[c] * below[above, cols[:j] + cols[j + 1:]]
+                    det += -term if (k - 1 - j) % 2 else term
+                if p is not None:
+                    det %= p
+                if not det:
                     return False
+                minors[rows, cols] = det
+        below = minors
     return True
 
 

@@ -401,19 +401,68 @@ def test_block_pivots_proves_every_prefix_over_q():
     assert block_pivots(GF(p), [[{0: 1, 1: 1}, {0: 1, 1: 1 + p}], [{2: 1}]], 3)[0] == [0, 1, 2]
 
 
+def _block_row(rng, p, ncols, earlier):
+    """A sparse row: a combination of two earlier rows (a dependent row) or up
+    to 5 entries, each a small int, an int within 1 of -p, 0 or p, or a
+    Fraction with denominator 5 or 7."""
+    if earlier and rng.random() < 0.3:
+        a, b = rng.choice(earlier), rng.choice(earlier)
+        s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+        return {c: s * a.get(c, 0) + t * b.get(c, 0) for c in a.keys() | b.keys()}
+    row = {}
+    for c in rng.sample(range(ncols), rng.randint(0, min(ncols, 5))):
+        kind = rng.randrange(3)
+        if kind == 0:
+            row[c] = rng.randint(-3, 3)
+        elif kind == 1:
+            row[c] = rng.choice((-p, 0, p)) + rng.choice((-1, 0, 1))
+        else:
+            row[c] = Fraction(rng.randint(-3, 3), rng.choice((5, 7)))
+    return row
+
+
 def test_block_pivots_ranks_match_dense_prefixes():
-    # random sparse blocks with zero rows {} and dependent rows, over every field
+    # random sparse blocks with zero rows {}, dependent rows, entries near
+    # +-p and Fractions, and tall blocks that reach rank ncols inside a block.
+    # Pivots are read mod p' (p over F_p, the first rank prime over Q, after
+    # the rows are scaled to coprime integers as block_pivots scales them)
+    # and must be those of the dense prefix
     rng = random.Random(9)
-    for field in FIELDS:
-        for _ in range(20):
-            ncols = rng.randint(0, 7)
-            blocks = [[{c: rng.randint(-3, 3)
-                        for c in rng.sample(range(ncols), rng.randint(0, min(ncols, 3)))}
-                       for _ in range(rng.randint(0, 4))]
-                      for _ in range(rng.randint(0, 4))]
+    for field in FIELDS + [GF(linalg._RANK_PRIMES[0])]:
+        p = field.p or linalg._RANK_PRIMES[0]
+        for trial in range(60):
+            ncols = rng.randint(0, 9)
+            tall = trial % 3 == 0
+            blocks, earlier = [], []
+            for _ in range(rng.randint(0, 4)):
+                block = []
+                for _ in range(rng.randint(0, 3 * ncols if tall else 4)):
+                    block.append(_block_row(rng, p, ncols, earlier))
+                    earlier.append(block[-1])
+                blocks.append(block)
             ranks, pivots = block_pivots(field, blocks, ncols)
             assert len(ranks) == len(pivots) == len(blocks) + 1
             for k in range(len(blocks) + 1):
                 dense = [[row.get(c, 0) for c in range(ncols)]
                          for block in blocks[:k] for row in block]
                 assert ranks[k] == rank(Matrix(field, dense, ncols))
+                if field.is_rational:
+                    dense = _q_int_rows(dense)
+                assert pivots[k] == pivot_columns(Matrix(GF(p), dense, ncols))
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(2147483647)], ids=str)
+def test_block_pivots_maps_every_row_after_saturation(field):
+    # once every column is a pivot later rows are not eliminated, but their
+    # entries still enter F_p: a denominator divisible by p and a float raise
+    p = field.p
+    full = [{0: 1, 1: p - 1}, {1: 1}]
+    assert block_pivots(field, [full, [{0: 1 + p, 1: -p}]], 2) == ([0, 2, 2], [[], [0, 1], [0, 1]])
+    with pytest.raises(ValueError):
+        block_pivots(field, [full, [{1: 1}, {0: Fraction(1, p)}]], 2)
+    with pytest.raises(ValueError):
+        block_pivots(field, [full + [{0: 1, 1: Fraction(1, p)}]], 2)
+    with pytest.raises(TypeError):
+        block_pivots(field, [full, [{1: 0.5}]], 2)
+    with pytest.raises(TypeError):
+        block_pivots(QQ, [full, [{1: 0.5}]], 2)
