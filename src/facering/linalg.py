@@ -1,37 +1,34 @@
-"""Exact dense linear algebra over the rationals and prime fields.
+"""Exact linear algebra over the rationals and prime fields.
 
-Rational matrices are eliminated fraction-free (Bareiss) after clearing
-denominators row by row, which keeps every intermediate entry an integer.
-Prime-field matrices are reduced with vectorized modular row operations on
-int64 numpy arrays.  Stacks of sparse rows (`block_pivots`) are the exception:
-they are eliminated mod p one row at a time in pure Python, where a numpy
-call per column would cost more than the few entries of a row.  Entries must
-be exact: an int enters F_p as `x % p`, a Fraction through the modular
-inverse of its denominator, and a float raises TypeError (over F_p when the
-matrix is built, over Q when it is eliminated).  No floating point is used
+Over F_p there is one elimination engine, on sparse rows {column: entry}.
+The rows are inserted one at a time into an echelon form mod p
+(`_echelon_insert`): each is reduced against the rows kept before it and
+either adds one pivot or none, and insertion stops once every column is a
+pivot.  Coboundaries and θ stacks have a few entries per row, so the work
+follows the entries rather than the area of the matrix.  Pivot columns and
+ranks are read off the echelon rows.  `kernel_basis` and `solve` (M X = B
+for a whole matrix B at once) read off the reduced echelon form, which
+back-substitution over the sparse rows gives (`_back_substitute`); it is
+unique, so it does not depend on the order in which rows were reduced.
+Over Q, matrices are eliminated fraction-free (Bareiss, `_q_echelon`) after
+clearing denominators row by row, which keeps every intermediate entry an
+integer; `_q_rref` adds exact Fraction back-substitution.  Entries must be
+exact: an int enters F_p as `x % p`, a Fraction through the modular inverse
+of its denominator, and a float raises TypeError (over F_p when the matrix
+is built, over Q when it is eliminated).  No floating point is used
 anywhere.
-
-Pivot columns need only forward elimination in both engines (`_q_echelon`,
-`_p_echelon`), which clears the rows below each pivot in the columns from the
-pivot on.  A rank over F_p is the same forward elimination on the wide side
-(the matrix or its transpose, whichever has no more rows than columns), which
-touches fewer rows per pivot.  `kernel_basis` and `solve` (M X = B for a whole
-matrix B at once) read off one reduced echelon form per field: `_q_rref` and
-`_p_rref` run that forward elimination, then back-substitution (exact
-Fractions over Q, modular inverses over F_p).  Prime-field arrays of dense
-rows are built by `_residues`, a few thousand entries per numpy call.
 
 A rank over Q is proved modulo primes (`_q_rank`).  Let W be the integer
 matrix or its transpose, whichever has no more rows than columns (it touches
-fewer rows per pivot), and n its number of rows.  For every prime p, rank(W mod p) <= rank(W), so full
-row rank modulo one prime settles it.  Otherwise the r pivot columns of W mod
-p are independent over Q, and if the rank is r, the vectors y with y W = 0
-are exactly the kernel of C, the transpose of those columns.  The reduced
-echelon forms of C modulo a few primes with the same pivots give n - r such
-vectors, the identity at the free columns of C, lifted by CRT and rational
-reconstruction with one common denominator per vector (Wang 1981; Dixon
-1982).  If every y W is exactly zero, checked modulo small primes whose
-product exceeds twice the largest possible entry, these independent vectors
+fewer rows per pivot), and n its number of rows.  For every prime p,
+rank(W mod p) <= rank(W), so full row rank modulo one prime settles it.
+Otherwise the r pivot columns of W mod p are independent over Q, and if the
+rank is r, the vectors y with y W = 0 are exactly the kernel of C, the
+transpose of those columns.  The reduced echelon forms of C modulo a few
+primes with the same pivots give n - r such vectors, the identity at the
+free columns of C, lifted by CRT and rational reconstruction with one common
+denominator per vector (Wang 1981; Dixon 1982).  If every y W is exactly
+zero, checked by sparse integer dot products, these independent vectors
 prove rank <= r and the bounds meet.  When the lift or the check fails, or
 below `_BAREISS_CELLS` entries, Bareiss decides.  Pivot columns are never
 read modulo a prime: [[p, 1]] has pivot column 0 over Q and 1 modulo p.  The
@@ -49,25 +46,14 @@ from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
 from operator import index
 
-import numpy as np
-
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Certified rank over Q: matrices with fewer entries go to Bareiss (per call,
 # on the Q ranks of verify, analyze and reduce, the modular route wins on
 # average from about 4096 entries on), larger ones are eliminated modulo the
-# largest primes below 2^31, and kernel certificates are checked modulo the
-# largest primes below 2^20.
+# largest primes below 2^31.
 _BAREISS_CELLS = 4096
 _RANK_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549)
-_CHECK_PRIMES = (1048573, 1048571, 1048559, 1048549, 1048517, 1048507, 1048447, 1048433,
-                 1048423, 1048391, 1048387, 1048367, 1048361, 1048357, 1048343, 1048309)
-# Entries per numpy call when an integer matrix is reduced to an array of
-# residues, and 16 times as many products per call in the kernel check: under
-# a millisecond each.  One call over a whole large matrix holds off Python
-# signal handlers (Ctrl-C, perfbench's SIGALRM sampler) for tens of
-# milliseconds; chunks of 32768 entries raised the peak RSS of verify by 0.3 MB.
-_CHUNK_CELLS = 1 << 13
 
 
 def is_prime(p: int) -> bool:
@@ -244,17 +230,6 @@ class Matrix:
     def scaled(self, c) -> "Matrix":
         return Matrix(self.field, [[c * x for x in r] for r in self._rows], self.ncols)
 
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field:
-            raise ValueError("field mismatch")
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in matmul")
-        bcols = [other.column(j) for j in range(other.ncols)]
-        rows = []
-        for r in self._rows:
-            rows.append([sum(x * y for x, y in zip(r, c) if x and y) for c in bcols])
-        return Matrix(self.field, rows, other.ncols)
-
 
 def hstack(*mats: Matrix) -> Matrix:
     mats = [m for m in mats]
@@ -359,78 +334,85 @@ def _q_rref(rows: list[list[int]], pivot_cols: int):
 
 
 # ---------------------------------------------------------------------------
-# prime-field engine (numpy, dense matrices)
+# modular engine (sparse rows)
 # ---------------------------------------------------------------------------
 
 
-def _p_echelon(R: np.ndarray, p: int, pivot_cols: int):
-    """Forward elimination mod p in place on R; returns (R, pivot column list).
+def _echelon_insert(echelon: dict[int, dict[int, int]], row: dict[int, int], p: int) -> None:
+    """Reduce the row {column: integer} against the echelon rows mod p; store it if it is new.
 
-    Row k of the result has its pivot in column pivots[k].  Rows at or below
-    the pivot row are zero left of the pivot column, so a step touches only
-    the rows below it that are nonzero there, and only the columns from it on.
-    Entries stay in [0, p) with p < 2^31, so every product is below 2^62.
+    echelon maps each pivot column to its row, a dict {column: residue} with
+    1 at the pivot and nothing to the left of it.  The leading column comes
+    off a heap of the row's columns: it is reduced mod p, and eliminated by
+    the echelon row with that pivot, if there is one, or else becomes the
+    pivot of the normalized row.  Other entries gather products of residues
+    as Python ints, unbounded, and are reduced only when they lead or are stored.
+    The row is consumed.
     """
-    m = R.shape[0]
-    pivots: list[int] = []
-    r = 0
-    for c in range(pivot_cols):
-        if r == m:
-            break
-        nz = np.flatnonzero(R[r:, c])
-        if nz.size == 0:
+    heap = list(row)
+    heapify(heap)
+    while heap:
+        c = heappop(heap)
+        x = row[c] % p
+        if not x:
+            del row[c]
             continue
-        k = r + int(nz[0])
-        if k != r:
-            R[[r, k], c:] = R[[k, r], c:]
-        if nz.size > 1:
-            touched = r + nz[1:]
-            f = R[touched, c] * pow(int(R[r, c]), -1, p) % p
-            block = R[touched, c:]
-            block -= np.outer(f, R[r, c:])
-            block %= p
-            R[touched, c:] = block
-        pivots.append(c)
-        r += 1
-    return R, pivots
+        prow = echelon.get(c)
+        if prow is None:
+            inv = pow(x, -1, p)
+            echelon[c] = {k: y for k, v in row.items() if (y := v * inv % p)}
+            return
+        for k, v in prow.items():  # prow[c] = 1 leaves row[c] = 0 mod p, deleted below
+            y = row.get(k)
+            if y is None:
+                row[k] = -x * v
+                heappush(heap, k)
+            else:
+                row[k] = y - x * v
+        del row[c]
+
+
+def _sparse_echelon(rows, p: int, ncols: int) -> dict[int, dict[int, int]]:
+    """Echelon rows mod p of the sparse rows {column: integer}, inserted in order.
+
+    Insertion stops once every column is a pivot, since no later row can add one.
+    """
+    echelon: dict[int, dict[int, int]] = {}
+    for row in rows:
+        if len(echelon) == ncols:
+            break
+        _echelon_insert(echelon, row, p)
+    return echelon
+
+
+def _back_substitute(echelon: dict[int, dict[int, int]], p: int) -> None:
+    """Clear every other pivot column from each echelon row, in place: the reduced echelon form.
+
+    Rows are cleared from the last pivot up, so a row is cleared only by
+    rows that are reduced already: each carries no pivot column but its own,
+    and subtracting it brings no new pivot column into the row.
+    """
+    for c in sorted(echelon, reverse=True):
+        row = echelon[c]
+        for k in [k for k in row if k != c and k in echelon]:
+            x = row.pop(k)
+            for j, v in echelon[k].items():
+                if j != k:
+                    y = (row.get(j, 0) - x * v) % p
+                    if y:
+                        row[j] = y
+                    else:
+                        row.pop(j, None)
+
+
+def _sparse(rows):
+    """Dense rows as sparse rows {column: entry}, one at a time."""
+    return ({c: x for c, x in enumerate(r) if x} for r in rows)
 
 
 def _non_pivots(pivots: list[int], ncols: int) -> list[int]:
     pivset = set(pivots)
     return [c for c in range(ncols) if c not in pivset]
-
-
-def _p_reduced_block(R: np.ndarray, p: int, pivots: list[int], cols) -> np.ndarray:
-    """Rows 0..rank-1 of the reduced echelon form mod p at the non-pivot columns cols.
-
-    R is a forward echelon form.  Back-substitution runs from the last pivot
-    row up; a later step changes only columns right of its own pivot, so the
-    pivot column c of the rows above row r is still as R has it, and only the
-    columns cols need updating.
-    """
-    K = R[: len(pivots), cols]
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        K[r] = K[r] * pow(int(R[r, c]), -1, p) % p
-        above = np.flatnonzero(R[:r, c])
-        if above.size:
-            K[above] = (K[above] - np.outer(R[above, c], K[r])) % p
-    return K
-
-
-def _p_rref(R: np.ndarray, p: int, pivot_cols: int):
-    """Reduced echelon form mod p in place on R: forward, then back-substitution.
-
-    Returns (R, pivot column list); row r has a 1 in column pivots[r] and zeros
-    in every other pivot column.
-    """
-    R, pivots = _p_echelon(R, p, pivot_cols)
-    if pivots:
-        rank = len(pivots)
-        cols = _non_pivots(pivots, R.shape[1])
-        R[:rank, cols] = _p_reduced_block(R, p, pivots, cols)
-        R[:rank, pivots] = np.eye(rank, dtype=np.int64)
-    return R, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -473,94 +455,62 @@ def _lift(images: list[list[int]], N: int):
     return vectors
 
 
-def _vanishes_mod(A: np.ndarray, B: np.ndarray, q: int) -> bool:
-    """A B = 0 mod q, for arrays of residues mod q < 2^20 (A may hold Python ints).
-
-    The product is taken a few columns of B at a time, 16 * _CHUNK_CELLS
-    int64 products per numpy call; the arrays die on return, so the caller
-    never holds two residue arrays of W at once.
-    """
-    A = A.astype(np.int64)
-    step = max(1, (_CHUNK_CELLS << 4) // A.size)
-    return not any((A @ B[:, j:j + step] % q).any() for j in range(0, B.shape[1], step))
+def _bareiss_rank(rows: list[dict[int, int]], ncols: int) -> int:
+    """Rank of sparse integer rows by Bareiss on a dense copy."""
+    dense = [[0] * ncols for _ in rows]
+    for out, row in zip(dense, rows):
+        for c, x in row.items():
+            out[c] = x
+    return len(_q_echelon(dense, ncols)[1])
 
 
-def _annihilates(V: list[list[int]], residues, max_entry: int) -> bool:
-    """V W = 0 exactly, for integer rows V; residues(q) is W mod q, max_entry is max |W|.
+def _q_rank(rows: list[dict[int, int]], ncols: int) -> int:
+    """Rank over Q of nonempty sparse integer rows {column: integer}, proved
+    modulo primes (see module docstring).
 
-    An entry of V W is at most n max|V| max_entry in size (W has n rows), so it
-    is 0 once it vanishes modulo primes whose product exceeds twice that.  W
-    has no more rows than columns, so n is far below 2^23 and the int64 sums
-    of products below 2^40 cannot overflow.
-    """
-    V = np.array(V, dtype=object)
-    bound = 2 * V.shape[1] * max(V.max(), -V.min()) * max_entry
-    Q = 1
-    for q in _CHECK_PRIMES:
-        if not _vanishes_mod(V % q, residues(q), q):
-            return False
-        Q *= q
-        if Q > bound:
-            return True
-    return False
-
-
-def _residues(rows: list[list[int]], ncols: int, p: int, transpose: bool, cols=None):
-    """The integer rows mod p at the columns cols (all by default) as a C-ordered
-    int64 array, transposed if asked; converted _CHUNK_CELLS entries at a time."""
-    width = ncols if cols is None else len(cols)
-    shape = (width, len(rows)) if transpose else (len(rows), width)
-    out = np.empty(shape, dtype=np.int64)
-    step = max(1, _CHUNK_CELLS // ncols)
-    for i in range(0, len(rows), step):
-        try:
-            X = np.array(rows[i:i + step], dtype=np.int64)
-        except OverflowError:
-            X = np.array(rows[i:i + step], dtype=object)
-        X %= p
-        if cols is not None:
-            X = X[:, cols]
-        if transpose:
-            out[:, i:i + step] = X.T
-        else:
-            out[i:i + step] = X
-    return out
-
-
-def _q_rank(rows: list[list[int]], ncols: int) -> int:
-    """Rank over Q of a nonempty integer matrix, proved modulo primes (see module docstring).
-
-    Arrays are built from the rows when needed, so no second copy of the
-    entries stays alive through an elimination.
+    The columns of the matrix are taken in reverse order, which limits
+    fill-in on the matrices that reach the proof.  They are the tall,
+    rank-deficient θ stacks of `block_pivots`, so W is their transpose, C
+    is a set of θ rows, and the columns of C are the monomials of one
+    degree, which the stack numbers in ascending lex order.  The rows of
+    the first form have distinct leading columns in either order.
+    A row of a later form cancels its lead against the first form's row at
+    the same monomial and goes on reducing against other pivot rows, and
+    every reduction adds that row's entries.  From the lex-largest monomial
+    down, such a row meets about 2 pivot rows; in lex order, about 39.
+    That is on the deficient 868 x 741 prefix of a θ stack of the
+    suspension of `rp2_6` (l = 4, i = 5), where the echelon rows of C then
+    hold 3,439 entries against 10,095.  The rank does not depend on the
+    order.  The rows keep theirs: when W is the matrix itself, the kernel
+    vectors are then 1 at a free row late in the matrix, and rows that are
+    combinations of earlier rows give short lifts.
     """
     nrows = len(rows)
     if nrows * ncols < _BAREISS_CELLS:
-        return len(_q_echelon(rows, ncols)[1])
-
-    tall = nrows > ncols  # then W is the transpose: fewer rows touched per pivot
-
-    def wide(p, cols=None):
-        """W mod p, or C mod p: the transpose of the columns cols of W mod p."""
-        if cols is None:
-            return _residues(rows, ncols, p, tall)
-        if tall:  # the columns of W are the rows of the matrix
-            return _residues([rows[c] for c in cols], ncols, p, False)
-        return _residues(rows, ncols, p, True, cols)
-
-    n = min(nrows, ncols)
-    cols = _p_echelon(wide(_RANK_PRIMES[0]), _RANK_PRIMES[0], max(nrows, ncols))[1]
+        return _bareiss_rank(rows, ncols)
+    backwards = [{ncols - 1 - c: x for c, x in row.items()} for row in rows]
+    columns: list[dict[int, int]] = [{} for _ in range(ncols)]
+    for i, row in enumerate(backwards):
+        for c, x in row.items():
+            columns[c][i] = x
+    # W has no more rows than columns: it touches fewer rows per pivot
+    wrows, wcols = (columns, backwards) if nrows > ncols else (backwards, columns)
+    n = len(wrows)
+    cols = sorted(_sparse_echelon(map(dict, wrows), _RANK_PRIMES[0], len(wcols)))
     if len(cols) == n:
         return n
     best = None
     for p in _RANK_PRIMES:
-        R, pivots = _p_echelon(wide(p, cols), p, n)  # every y with y W = 0 is in ker C
+        echelon = _sparse_echelon((dict(wcols[c]) for c in cols), p, n)  # y W = 0 => y in ker C
+        pivots = sorted(echelon)
         if len(pivots) < len(cols) or (best is not None and pivots > best):
             continue  # the rank or the pivots of C drop modulo p
         if pivots != best:
             best, images, N = pivots, [[0] * len(pivots)] * (n - len(pivots)), 1
+        _back_substitute(echelon, p)
         free = _non_pivots(pivots, n)
-        block = (-_p_reduced_block(R, p, pivots, free) % p).T.tolist()
-        del R
+        block = [[-echelon[c].get(f, 0) % p for c in pivots] for f in free]
+        del echelon
         inv = pow(N, -1, p)
         images = [[x + N * ((y - x) * inv % p) for x, y in zip(xs, ys)]
                   for xs, ys in zip(images, block)]
@@ -568,14 +518,14 @@ def _q_rank(rows: list[list[int]], ncols: int) -> int:
         vectors = _lift(images, N)
         if vectors is None:
             continue
-        V = [[0] * n for _ in vectors]
-        for row, f, (d, nums) in zip(V, free, vectors):
-            row[f] = d
-            for c, x in zip(pivots, nums):
-                row[c] = x
-        if _annihilates(V, wide, max(max(map(abs, r)) for r in rows)):
+        ys = []
+        for f, (d, nums) in zip(free, vectors):
+            y = dict(zip(pivots, nums))
+            y[f] = d
+            ys.append(y)
+        if all(not sum(y.get(j, 0) * x for j, x in col.items()) for y in ys for col in wcols):
             return len(cols)
-    return len(_q_echelon(rows, ncols)[1])
+    return _bareiss_rank(rows, ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -587,15 +537,25 @@ def _rref(M: Matrix, pivot_cols: int):
     """Reduced echelon form of M in its first pivot_cols columns: (rows, pivots).
 
     Rows are lists; row r has a 1 in column pivots[r] and zeros in the other
-    pivot columns, and rows past len(pivots) vanish in those columns.
+    pivot columns, and rows past len(pivots) vanish in those columns.  Over
+    F_p the rows are the reduced echelon form of all of M, zero rows left out.
     """
     if M.nrows == 0 or pivot_cols == 0:
         return M.tolist(), []
     if M.field.is_rational:
         return _q_rref(_q_int_rows(M._rows), pivot_cols)
     p = M.field.p
-    R, pivots = _p_rref(_residues(M._rows, M.ncols, p, False), p, pivot_cols)
-    return R.tolist(), pivots
+    echelon = _sparse_echelon(_sparse(M._rows), p, M.ncols)
+    _back_substitute(echelon, p)
+    rows, pivots = [], []
+    for c in sorted(echelon):
+        row = [0] * M.ncols
+        for k, x in echelon[c].items():
+            row[k] = x
+        rows.append(row)
+        if c < pivot_cols:
+            pivots.append(c)
+    return rows, pivots
 
 
 def pivot_columns(M: Matrix) -> list[int]:
@@ -603,54 +563,20 @@ def pivot_columns(M: Matrix) -> list[int]:
     if M.nrows == 0 or M.ncols == 0:
         return []
     if M.field.is_rational:
-        _, pivots = _q_echelon(_q_int_rows(M._rows), M.ncols)
-    else:
-        p = M.field.p
-        _, pivots = _p_echelon(_residues(M._rows, M.ncols, p, False), p, M.ncols)
-    return pivots
+        return _q_echelon(_q_int_rows(M._rows), M.ncols)[1]
+    return sorted(_sparse_echelon(_sparse(M._rows), M.field.p, M.ncols))
 
 
 def rank(M: Matrix) -> int:
-    """Rank of M; over F_p the wide side (M or its transpose) is eliminated."""
+    """Rank of M."""
     if M.nrows == 0 or M.ncols == 0:
         return 0
     if M.field.is_rational:
-        return _q_rank(_q_int_rows(M._rows), M.ncols)
-    p, tall = M.field.p, M.nrows > M.ncols
-    return len(_p_echelon(_residues(M._rows, M.ncols, p, tall), p, max(M.nrows, M.ncols))[1])
-
-
-def _echelon_insert(echelon: dict[int, dict[int, int]], row: dict[int, int], p: int) -> None:
-    """Reduce the row {column: integer} against the echelon rows mod p; store it if it is new.
-
-    echelon maps each pivot column to its row, a dict {column: residue} with
-    1 at the pivot and nothing to the left of it.  The leading column comes
-    off a heap of the row's columns: it is reduced mod p, and eliminated by
-    the echelon row with that pivot, if there is one, or else becomes the
-    pivot of the normalized row.  Other entries gather products of residues
-    as Python ints, unbounded, and are reduced only when they lead or are stored.
-    """
-    heap = list(row)
-    heapify(heap)
-    while heap:
-        c = heappop(heap)
-        x = row[c] % p
-        if not x:
-            del row[c]
-            continue
-        prow = echelon.get(c)
-        if prow is None:
-            inv = pow(x, -1, p)
-            echelon[c] = {k: y for k, v in row.items() if (y := v * inv % p)}
-            return
-        for k, v in prow.items():  # prow[c] = 1 leaves row[c] = 0 mod p, deleted below
-            y = row.get(k)
-            if y is None:
-                row[k] = -x * v
-                heappush(heap, k)
-            else:
-                row[k] = y - x * v
-        del row[c]
+        rows = _q_int_rows(M._rows)
+        if M.nrows * M.ncols < _BAREISS_CELLS:  # Bareiss on the dense rows, no sparse copy
+            return len(_q_echelon(rows, M.ncols)[1])
+        return _q_rank(list(_sparse(rows)), M.ncols)
+    return len(_sparse_echelon(_sparse(M._rows), M.field.p, M.ncols))
 
 
 def block_pivots(field: FieldSpec, blocks, ncols: int) -> tuple[list[int], list[list[int]]]:
@@ -700,11 +626,7 @@ def block_pivots(field: FieldSpec, blocks, ncols: int) -> tuple[list[int], list[
         rows += block
         rank = len(pivots)
         if field.is_rational and rank < min(len(rows), ncols):
-            dense = [[0] * ncols for _ in rows]
-            for out, row in zip(dense, rows):
-                for c, x in row.items():
-                    out[c] = x
-            rank = _q_rank(dense, ncols)
+            rank = _q_rank(rows, ncols)
         ranks.append(rank)
         after.append(pivots)
     return ranks, after

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -351,6 +352,25 @@ def test_verify_json_same_across_processes():
         proc = subprocess.run(args, env=env, capture_output=True, timeout=120, check=True)
         outs.append(proc.stdout)
     assert outs[0] and outs[0] == outs[1]
+
+
+def test_runs_without_numpy():
+    # importing the CLI loads no numpy, and verify passes with every import
+    # of numpy made to fail
+    src = str(Path(facering.__file__).resolve().parents[1])
+    code = textwrap.dedent("""
+        import sys
+        import facering.cli
+        assert "numpy" not in sys.modules
+        sys.modules["numpy"] = None
+        for field in (["q", "--m-max", "2"], ["fp:32003", "--m-max", "3", "--seed", "1"]):
+            argv = ["verify", "rp2_6", "--format", "json", "--field", *field]
+            assert facering.cli.main(argv) == facering.cli.EXIT_OK, argv
+    """)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_sqfree_command(tmp_path, capsys):

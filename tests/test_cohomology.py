@@ -20,6 +20,7 @@ from facering.complexes import SimplicialComplex, mixed_face_key
 from facering.linalg import GF, QQ, Matrix, hstack, rank
 
 from complex_strategies import small_complexes
+from matrices import matmul
 
 FIELDS = [QQ, GF(2), GF(3)]
 
@@ -130,7 +131,7 @@ def test_cocycle_bases_are_valid(complexes):
                     reps = relative_cohomology(cx, F, i, field)
                     delta = coboundary_matrix(cx, frozenset(F), i, field)
                     if reps.ncols:
-                        assert not any(x for row in (delta @ reps).tolist() for x in row)
+                        assert not any(x for row in matmul(delta, reps).tolist() for x in row)
                     delta_in = coboundary_matrix(cx, frozenset(F), i - 1, field)
                     assert rank(hstack(delta_in, reps)) == rank(delta_in) + reps.ncols
 
@@ -240,7 +241,8 @@ def test_functoriality_of_induced_maps(complexes, field):
         for small, mid, big in chains[name]:
             small, mid, big = frozenset(small), frozenset(mid), frozenset(big)
             for i in range(0, cx.dim + 1):
-                two_step = induced_map(cx, mid, small, i, field) @ induced_map(cx, big, mid, i, field)
+                two_step = matmul(induced_map(cx, mid, small, i, field),
+                                  induced_map(cx, big, mid, i, field))
                 one_step = induced_map(cx, big, small, i, field)
                 assert two_step == one_step
 

@@ -34,6 +34,7 @@ from facering import verification
 from facering.verification import run_checks
 
 from complex_strategies import small_complexes
+from matrices import matmul
 from test_artinian import seeded_complexes
 
 
@@ -249,12 +250,10 @@ def test_theta_actions_commute(complexes, field):
         t1, t2 = coeffs.matrix.column(0), coeffs.matrix.column(1)
         for ell in range(1, cx.d + 1):
             for i in range(0, 3):
-                first = dense_theta(cx, ell, i, [t1], field) @ dense_theta(
-                    cx, ell, i + 1, [t2], field
-                )
-                second = dense_theta(cx, ell, i, [t2], field) @ dense_theta(
-                    cx, ell, i + 1, [t1], field
-                )
+                first = matmul(dense_theta(cx, ell, i, [t1], field),
+                               dense_theta(cx, ell, i + 1, [t2], field))
+                second = matmul(dense_theta(cx, ell, i, [t2], field),
+                                dense_theta(cx, ell, i + 1, [t1], field))
                 assert first == second
 
 
