@@ -360,12 +360,13 @@ def test_certified_rank_agrees_with_bareiss(monkeypatch, scale):
         assert rank(Matrix(QQ, [[]] * m if n == 0 else [[0] * n] * m, n)) == 0
 
 
-def test_certified_rank_lifts_small_kernels(monkeypatch):
+@pytest.mark.parametrize("seed", [1, 1 << 13])
+def test_certified_rank_lifts_small_kernels(monkeypatch, seed):
     # rows past the first r are small combinations of them, so the kernel on
     # the smaller side is small and the certificate needs no Bareiss, with
-    # entries of 2^70 too
+    # entries of 2^70 too; two seeds give two sets of random matrices
     calls = _count_bareiss(monkeypatch)
-    rng = random.Random(5)
+    rng = random.Random(seed)
     for r, extra, n, scale in ((50, 20, 90, 3), (40, 30, 75, 2**70), (79, 1, 85, 3)):
         A = [[rng.randint(-scale, scale) for _ in range(n)] for _ in range(r)]
         T = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(extra)]
