@@ -252,17 +252,11 @@ def cmd_verify(args) -> int:
         m_max=args.m_max,
         m=args.m,
     )
-    tsv = [["check", "complex", "params", "values", "passed"]]
-    for rec in records:
-        tsv.append(
-            [
-                rec.check,
-                rec.complex_name,
-                json.dumps(rec.params, sort_keys=True),
-                json.dumps(rec.values, sort_keys=True),
-                rec.passed,
-            ]
-        )
+    tsv = None
+    if args.format == "tsv":  # two json.dumps per record, for this format only
+        tsv = [["check", "complex", "params", "values", "passed"]]
+        tsv += [[rec.check, rec.complex_name, json.dumps(rec.params, sort_keys=True),
+                 json.dumps(rec.values, sort_keys=True), rec.passed] for rec in records]
     failed = [r for r in records if not r.passed]
     pretty = [f"verify {args.input} over {field}: {len(records)} checks, {len(failed)} failed"]
     for rec in failed:

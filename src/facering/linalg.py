@@ -5,7 +5,11 @@ The rows are inserted one at a time into an echelon form mod p
 (`_echelon_insert`): each is reduced against the rows kept before it and
 either adds one pivot or none, and insertion stops once every column is a
 pivot.  Coboundaries and θ stacks have a few entries per row, so the work
-follows the entries rather than the area of the matrix.  Pivot columns and
+follows the entries rather than the area of the matrix.  The leading column
+is the leftmost, so the fill-in of the echelon rows depends on how the
+columns are numbered.  The engines never renumber them: the code that builds
+a matrix chooses the order (`local_cohomology._theta_rows` for θ stacks,
+`rank` over Q for dense matrices; see `_q_rank`).  Pivot columns and
 ranks are read off the echelon rows.  `kernel_basis` and `solve` (M X = B
 for a whole matrix B at once) read off the reduced echelon form, which
 back-substitution over the sparse rows gives (`_back_substitute`); it is
@@ -48,11 +52,15 @@ from operator import index
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Certified rank over Q: matrices with fewer entries go to Bareiss (per call,
-# on the Q ranks of verify, analyze and reduce, the modular route wins on
-# average from about 4096 entries on), larger ones are eliminated modulo the
-# largest primes below 2^31.
-_BAREISS_CELLS = 4096
+# Certified rank over Q: matrices with fewer entries go to Bareiss, larger ones
+# are eliminated modulo the largest primes below 2^31.  Timed per call, best of
+# 9 each way, on every Q rank of `verify corpus --m-max 2`, `analyze` of the
+# perfbench analyze-grow complexes, `reduce rp2_6 --m 2 --cutoff 10` and
+# `reduce octahedron --m 3 --cutoff 10`, Bareiss against modular took on
+# average 0.21 against 0.27 ms at 1024-2047 entries (17 calls), 0.48 against
+# 0.36 ms at 2048-4095 (12 calls), 1.07 against 1.10 ms at 4096-8191 (6 calls),
+# and 4 to 28 against 2 to 5 ms above.
+_BAREISS_CELLS = 2048
 _RANK_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549)
 
 
@@ -81,17 +89,29 @@ def is_prime(p: int) -> bool:
 
 
 class FieldSpec:
-    """The coefficient field: the rationals (p is None) or F_p for a prime p."""
+    """The coefficient field: the rationals (p is None) or F_p for a prime p.
+
+    There is one instance per field, so fields compare and hash by identity,
+    in C (they key every memo).  Copies and unpickled fields are that instance.
+    """
 
     __slots__ = ("p",)
+    _instances: dict = {}
 
-    def __init__(self, p: int | None = None):
+    def __new__(cls, p: int | None = None):
         if p is not None:
             if not isinstance(p, int) or not is_prime(p):
                 raise ValueError(f"modulus {p!r} is not prime")
             if p >= 2**31:
                 raise ValueError("prime moduli above 2^31 are not supported")
-        object.__setattr__(self, "p", p)
+        field = cls._instances.get(p)
+        if field is None:
+            field = cls._instances[p] = object.__new__(cls)
+            object.__setattr__(field, "p", p)
+        return field
+
+    def __reduce__(self):
+        return FieldSpec, (self.p,)
 
     def __setattr__(self, *_):
         raise AttributeError("FieldSpec is immutable")
@@ -112,12 +132,6 @@ class FieldSpec:
                 raise ValueError(f"bad field spec {text!r}") from None
             return FieldSpec(p)
         raise ValueError(f"bad field spec {text!r} (expected 'q' or 'fp:<prime>')")
-
-    def __eq__(self, other):
-        return isinstance(other, FieldSpec) and self.p == other.p
-
-    def __hash__(self):
-        return hash(("FieldSpec", self.p))
 
     def __str__(self):
         return "q" if self.p is None else f"fp:{self.p}"
@@ -468,33 +482,30 @@ def _q_rank(rows: list[dict[int, int]], ncols: int) -> int:
     """Rank over Q of nonempty sparse integer rows {column: integer}, proved
     modulo primes (see module docstring).
 
-    The columns of the matrix are taken in reverse order, which limits
-    fill-in on the matrices that reach the proof.  They are the tall,
-    rank-deficient θ stacks of `block_pivots`, so W is their transpose, C
-    is a set of θ rows, and the columns of C are the monomials of one
-    degree, which the stack numbers in ascending lex order.  The rows of
-    the first form have distinct leading columns in either order.
-    A row of a later form cancels its lead against the first form's row at
-    the same monomial and goes on reducing against other pivot rows, and
-    every reduction adds that row's entries.  From the lex-largest monomial
-    down, such a row meets about 2 pivot rows; in lex order, about 39.
-    That is on the deficient 868 x 741 prefix of a θ stack of the
-    suspension of `rp2_6` (l = 4, i = 5), where the echelon rows of C then
-    hold 3,439 entries against 10,095.  The rank does not depend on the
-    order.  The rows keep theirs: when W is the matrix itself, the kernel
-    vectors are then 1 at a free row late in the matrix, and rows that are
-    combinations of earlier rows give short lifts.
+    Columns are eliminated in the order the caller numbers them, and the
+    rank does not depend on it, but the fill-in of the echelon rows does, so
+    each caller numbers its columns to limit it.  The tall, rank-deficient
+    θ stacks of `block_pivots` make W their transpose and the columns of C
+    their columns, which `local_cohomology._theta_rows` numbers against the
+    lex order of its rows (its docstring says why).  `rank` numbers the
+    columns of a dense matrix backwards, which suits coboundaries: the eight
+    largest ranks of `analyze` on the perfbench analyze-grow complexes take
+    6.0 ms so and 9.2 ms in the order of the matrix.  The
+    deficient prefixes of an Artinian reduction keep the lex order of
+    `artinian`, whose pivot columns the reduction reads.  The rows keep
+    their order: when W is the matrix itself, the kernel vectors are then 1
+    at a free row late in the matrix, and rows that are combinations of
+    earlier rows give short lifts.
     """
     nrows = len(rows)
     if nrows * ncols < _BAREISS_CELLS:
         return _bareiss_rank(rows, ncols)
-    backwards = [{ncols - 1 - c: x for c, x in row.items()} for row in rows]
     columns: list[dict[int, int]] = [{} for _ in range(ncols)]
-    for i, row in enumerate(backwards):
+    for i, row in enumerate(rows):
         for c, x in row.items():
             columns[c][i] = x
     # W has no more rows than columns: it touches fewer rows per pivot
-    wrows, wcols = (columns, backwards) if nrows > ncols else (backwards, columns)
+    wrows, wcols = (columns, rows) if nrows > ncols else (rows, columns)
     n = len(wrows)
     cols = sorted(_sparse_echelon(map(dict, wrows), _RANK_PRIMES[0], len(wcols)))
     if len(cols) == n:
@@ -575,7 +586,8 @@ def rank(M: Matrix) -> int:
         rows = _q_int_rows(M._rows)
         if M.nrows * M.ncols < _BAREISS_CELLS:  # Bareiss on the dense rows, no sparse copy
             return len(_q_echelon(rows, M.ncols)[1])
-        return _q_rank(list(_sparse(rows)), M.ncols)
+        last = M.ncols - 1  # columns backwards: less fill-in on coboundaries
+        return _q_rank([{last - c: x for c, x in enumerate(r) if x} for r in rows], M.ncols)
     return len(_sparse_echelon(_sparse(M._rows), M.field.p, M.ncols))
 
 

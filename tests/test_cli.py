@@ -14,6 +14,7 @@ import pytest
 
 import facering
 from facering.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFY_FAILED, build_parser, main
+from facering.corpus import corpus
 from facering.verification import CheckResult, ledger_json
 
 
@@ -327,6 +328,22 @@ def test_non_pure_analyze_digest(capsys, tmp_path, monkeypatch, field):
         outs.append(out)
     digest = hashlib.sha256("".join(outs).encode("utf-8")).hexdigest()
     assert digest == NON_PURE_DIGESTS[field]
+
+
+# `rp2_6` suspended: its F_p ledger holds the largest θ stacks of any pinned
+# run (2,964 x 1,168 at l = 4, i = 6), so it pins their column order.
+SUSP1_FP_DIGEST = "85e8cd189f822905f0bd0330638930ba271530f2e4af957353cd09e66f7d17da"
+
+
+def test_suspended_rp2_ledger_digest(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    facets = sorted(sorted(F) for F in corpus()["rp2_6"].facets)
+    with open("susp1.json", "w") as fh:
+        json.dump({"n": 8, "facets": [F + [7] for F in facets] + [F + [8] for F in facets]}, fh)
+    code, out, _ = run_cli(capsys, "verify", "susp1.json", "--field", "fp:32003",
+                           "--m-max", "3", "--seed", "1", "--format", "json")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SUSP1_FP_DIGEST
 
 
 def test_verify_json_deterministic(capsys):

@@ -1,5 +1,7 @@
 """Exact linear algebra: frozen examples plus randomized structural properties."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -37,6 +39,16 @@ def test_field_parse_roundtrip():
     assert FieldSpec.parse("fp:32003") == GF(32003)
     assert str(GF(7)) == "fp:7"
     assert str(QQ) == "q"
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_field_copies_and_pickles_are_equal(field):
+    # fields compare and hash by identity, so a copy must be the same field
+    for copied in (copy.copy(field), copy.deepcopy(field), pickle.loads(pickle.dumps(field))):
+        assert copied == field and hash(copied) == hash(field)
+    assert GF(32003) != QQ and GF(32003) != GF(7) and GF(32003) != 32003
+    with pytest.raises(ValueError):
+        GF(32003.0)
 
 
 @pytest.mark.parametrize("bad", ["fp:6", "fp:1", "fp:abc", "r", ""])

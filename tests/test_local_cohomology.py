@@ -30,7 +30,7 @@ from facering.local_cohomology import (
     theta_ranks,
     vandermonde_coefficients,
 )
-from facering import verification
+from facering import linalg, verification
 from facering.verification import run_checks
 
 from complex_strategies import small_complexes
@@ -39,9 +39,11 @@ from test_artinian import seeded_complexes
 
 
 def dense_theta(cx, ell, i, thetas, field):
-    """The blocks of `_theta_rows`, stacked, as one dense Matrix."""
+    """The blocks of `_theta_rows`, stacked, as one dense Matrix whose columns
+    follow the source piece in `graded_piece` order (`_theta_rows` numbers
+    them backwards)."""
     ncols = graded_piece(cx, ell, i + 1, field).total_dim
-    rows = [[row.get(c, 0) for c in range(ncols)]
+    rows = [[row.get(ncols - 1 - c, 0) for c in range(ncols)]
             for block in _theta_rows(cx, ell, i, thetas, field) for row in block]
     return Matrix(field, rows, ncols)
 
@@ -289,6 +291,28 @@ def test_theta_ranks_match_dense_stacks(complexes, field):
                 want = [rank(dense_theta(cx, ell, i, thetas[:m], field))
                         for m in range(coeffs.m + 1)]
                 assert list(theta_ranks(cx, ell, i, coeffs, field)) == want, (k, ell, i)
+
+
+def test_q_rank_ignores_the_theta_column_order(complexes, monkeypatch):
+    # `_q_rank` eliminates the columns in the order `_theta_rows` numbers
+    # them; every stack, proved modulo primes, has the same rank with its
+    # columns reversed, and it is the rank Bareiss gives
+    monkeypatch.setattr(linalg, "_BAREISS_CELLS", 0)
+    for cx in list(complexes.values()) + seeded_complexes(12, seed=4):
+        coeffs = make_generic(cx.n, min(cx.d + 1, cx.n), QQ)
+        thetas = [coeffs.matrix.column(p) for p in range(coeffs.m)]
+        for ell in range(1, cx.d + 1):
+            for i in range(3):
+                ncols = graded_piece(cx, ell, i + 1, QQ).total_dim
+                stack = [row for block in _theta_rows(cx, ell, i, thetas, QQ)
+                         for row in block if row]
+                if not stack:
+                    continue
+                rows = [dict(zip(row, ints)) for row, ints in
+                        zip(stack, linalg._q_int_rows([list(row.values()) for row in stack]))]
+                backwards = [{ncols - 1 - c: x for c, x in row.items()} for row in rows]
+                want = linalg._bareiss_rank(rows, ncols)
+                assert linalg._q_rank(rows, ncols) == linalg._q_rank(backwards, ncols) == want
 
 
 # ---------------------------------------------------------------------------
