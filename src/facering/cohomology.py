@@ -11,32 +11,100 @@ tau = emptyset gives the reduced (augmented) complex, including the
 
 Dimensions come from ranks alone: dim H^i = dim C^i - rank delta^i -
 rank delta^(i-1), with each rank memoized as an int, so neighbouring degrees
-share it.  Cocycle bases are built only for the contravariant maps induced by
-contrastar inclusions.  The class representatives are the cocycles Z (a
-kernel basis of delta^i) at the pivot columns of [delta^(i-1) | Z] past
-delta^(i-1).  A map is read off one `solve` of [delta^(i-1) | target reps]
-against all source representatives, extended by zero: the rows of the
-solution past delta^(i-1) are the coordinates of their classes, unique
-because the representatives are independent modulo coboundaries.
+share it.  A rank never builds a Matrix.  The faces are numbered once per
+complex, by size and then lexicographically, and a boundary table gives
+each face H the entries (vertex v, id of H - {v}, sign).  The star of tau,
+the faces containing it, is built from the facets over tau (`facets_over`),
+which give the cofaces tau + {v}, and from their stars.  The row of delta^k
+at a (k+1)-face H of the star is then {-id of H - {v}: sign} over v outside
+tau, a sparse row of +-1 whose columns run backwards through the
+lexicographic order, and `linalg.sparse_rank` eliminates the rows in the
+lexicographic order of H.  Over Q it pivots on units over Z, which is
+exact; it falls back to the certified rank only at a leading entry other
+than +-1, which torsion such as that of rp2_6 brings.  Since delta^k
+delta^(k-1) = 0, rank delta^k <= dim C^k - rank delta^(k-1), and the
+elimination stops there: on a face whose link has no cohomology in degree
+k, the rows past the rank are never reduced.
 
-Coboundary matrices are not memoized; cochain bases, ranks, class
-representatives and induced maps are memoized on the complex object
-(`per_complex`) and freed with it.  Outputs are immutable, so an entry
-recomputed under a race is indistinguishable from the first result.
+Cocycle bases are built only for the contravariant maps induced by
+contrastar inclusions, from dense coboundary matrices (`coboundary_matrix`),
+a second route to the same dimensions.  The class representatives are the
+cocycles Z (a kernel basis of delta^i) at the pivot columns of
+[delta^(i-1) | Z] past delta^(i-1).  A map is read off one `solve` of
+[delta^(i-1) | target reps] against all source representatives, extended by
+zero: the rows of the solution past delta^(i-1) are the coordinates of their
+classes, unique because the representatives are independent modulo
+coboundaries.
+
+Coboundary matrices are not memoized; face ids, boundary tables, stars,
+cochain bases, ranks, class representatives and induced maps are memoized on
+the complex object (`per_complex`) and freed with it.  Outputs are
+immutable, so an entry recomputed under a race is indistinguishable from the
+first result.
 """
 
 from __future__ import annotations
 
-from .complexes import SimplicialComplex, per_complex
-from .linalg import FieldSpec, Matrix, hstack, kernel_basis, pivot_columns, rank, solve
+from bisect import bisect_left
+
+from .complexes import SimplicialComplex, facets_over, per_complex
+from .linalg import FieldSpec, Matrix, hstack, kernel_basis, pivot_columns, solve, sparse_rank
+
+
+@per_complex
+def _face_ids(cx: SimplicialComplex) -> tuple[dict, list]:
+    """(face -> id, start): faces are numbered by size, then lexicographically,
+    so the faces of size s have the ids start[s] .. start[s + 1] - 1."""
+    ids, start = {}, [0]
+    for k in range(-1, cx.dim + 1):
+        for F in cx.faces_of_dim(k):
+            ids[F] = len(ids)
+        start.append(len(ids))
+    return ids, start
+
+
+@per_complex
+def _boundary(cx: SimplicialComplex) -> list:
+    """For each face H, by id: (v, id of H - {v}, sign) for each v in H, sorted."""
+    ids = _face_ids(cx)[0]
+    return [tuple((v, ids[H - {v}], -1 if pos & 1 else 1) for pos, v in enumerate(sorted(H)))
+            for H in ids]
+
+
+@per_complex
+def _star(cx: SimplicialComplex, tau: frozenset) -> list:
+    """The faces containing tau, by size: ascending ids.
+
+    They are tau and the faces containing its cofaces tau + {v}, for the v
+    outside tau of the facets over tau.
+    """
+    ids, start = _face_ids(cx)
+    tid = ids.get(tau)
+    if tid is None:
+        return []
+    star = {tid}
+    for v in set().union(*facets_over(cx, tau)) - tau:
+        for part in _star(cx, tau | {v}):
+            star.update(part)
+    star = sorted(star)
+    return [star[bisect_left(star, a):bisect_left(star, b)] for a, b in zip(start, start[1:])]
+
+
+def _cochain_ids(cx: SimplicialComplex, tau: frozenset, k: int) -> list:
+    """Ascending ids of the k-faces containing tau."""
+    star = _star(cx, tau)
+    return star[k + 1] if 0 <= k + 1 < len(star) else []
 
 
 @per_complex
 def relative_cochain_basis(cx: SimplicialComplex, tau: frozenset, k: int) -> tuple:
     """k-dimensional faces containing tau, lexicographically ordered."""
-    if k < -1:
+    ids = _cochain_ids(cx, tau, k)
+    if not ids:
         return ()
-    return tuple(F for F in cx.faces_of_dim(k) if tau <= F)
+    first = _face_ids(cx)[1][k + 1]
+    faces = cx.faces_of_dim(k)
+    return tuple(faces[i - first] for i in ids)
 
 
 def coboundary_matrix(cx: SimplicialComplex, tau: frozenset, k: int, field: FieldSpec) -> Matrix:
@@ -59,10 +127,20 @@ def coboundary_matrix(cx: SimplicialComplex, tau: frozenset, k: int, field: Fiel
 
 @per_complex
 def coboundary_rank(cx: SimplicialComplex, tau: frozenset, k: int, field: FieldSpec) -> int:
-    """rank of delta: C^k(X, cost tau) -> C^{k+1}(X, cost tau); 0 when either side is zero."""
-    if not relative_cochain_basis(cx, tau, k) or not relative_cochain_basis(cx, tau, k + 1):
+    """rank of delta: C^k(X, cost tau) -> C^{k+1}(X, cost tau); 0 when either side is zero.
+
+    Sparse rows of +-1 from the boundary table, at most dim C^k - rank
+    delta^(k-1) of them eliminated (see the module docstring).
+    """
+    source, target = _cochain_ids(cx, tau, k), _cochain_ids(cx, tau, k + 1)
+    if not source or not target:
         return 0
-    return rank(coboundary_matrix(cx, tau, k, field))
+    most = len(source) - coboundary_rank(cx, tau, k - 1, field)
+    if not most:
+        return 0
+    boundary = _boundary(cx)
+    rows = ({-g: sign for v, g, sign in boundary[h] if v not in tau} for h in target)
+    return sparse_rank(field, rows, most)
 
 
 def relative_cohomology_dim(cx: SimplicialComplex, tau, i: int, field: FieldSpec) -> int:
@@ -70,7 +148,7 @@ def relative_cohomology_dim(cx: SimplicialComplex, tau, i: int, field: FieldSpec
     tau = frozenset(tau)
     if tau not in cx:
         raise ValueError(f"{sorted(tau)} is not a face")
-    return (len(relative_cochain_basis(cx, tau, i))
+    return (len(_cochain_ids(cx, tau, i))
             - coboundary_rank(cx, tau, i, field) - coboundary_rank(cx, tau, i - 1, field))
 
 

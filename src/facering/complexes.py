@@ -210,6 +210,12 @@ class SimplicialComplex:
         return SimplicialComplex(data["n"], data["facets"], is_void=is_void)
 
 
+@per_complex
+def facets_over(cx: SimplicialComplex, F: frozenset) -> tuple:
+    """The facets containing the face F (none when F is not a face)."""
+    return tuple(f for f in cx.facets if F <= f)
+
+
 def count_degree_monomials(cx: SimplicialComplex, r: int) -> int:
     """Number of degree-r monomials whose support is a face (compositions count)."""
     if r < 0:

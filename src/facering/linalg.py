@@ -1,43 +1,53 @@
 """Exact linear algebra over the rationals and prime fields.
 
-Over F_p there is one elimination engine, on sparse rows {column: entry}.
-The rows are inserted one at a time into an echelon form mod p
-(`_echelon_insert`): each is reduced against the rows kept before it and
-either adds one pivot or none, and insertion stops once every column is a
-pivot.  Coboundaries and θ stacks have a few entries per row, so the work
-follows the entries rather than the area of the matrix.  The leading column
-is the leftmost, so the fill-in of the echelon rows depends on how the
-columns are numbered.  The engines never renumber them: the code that builds
-a matrix chooses the order (`local_cohomology._theta_rows` for θ stacks,
-`rank` over Q for dense matrices; see `_q_rank`).  Pivot columns and
-ranks are read off the echelon rows.  `kernel_basis` and `solve` (M X = B
-for a whole matrix B at once) read off the reduced echelon form, which
-back-substitution over the sparse rows gives (`_back_substitute`); it is
-unique, so it does not depend on the order in which rows were reduced.
-Over Q, matrices are eliminated fraction-free (Bareiss, `_q_echelon`) after
-clearing denominators row by row, which keeps every intermediate entry an
-integer; `_q_rref` adds exact Fraction back-substitution.  Entries must be
-exact: an int enters F_p as `x % p`, a Fraction through the modular inverse
-of its denominator, and a float raises TypeError (over F_p when the matrix
-is built, over Q when it is eliminated).  No floating point is used
-anywhere.
+There is one elimination loop, on sparse rows {column: entry}.  The rows
+are inserted one at a time into an echelon form (`_echelon_insert`): each
+is reduced against the rows kept before it and either adds one pivot or
+none, and insertion stops once every column is a pivot, or earlier at a
+bound on the rank that the caller knows.  Coboundaries and θ stacks have a
+few entries per row, so the work follows the entries rather than the area
+of the matrix.  The leading column is the leftmost, so the fill-in of the
+echelon rows depends on how the columns are numbered.  The engines never
+renumber them: the code that builds the rows chooses the order
+(`local_cohomology._theta_rows` for θ stacks, `cohomology.coboundary_rank`
+for coboundaries).
 
-A rank over Q is proved modulo primes (`_q_rank`).  Let W be the integer
-matrix or its transpose, whichever has no more rows than columns (it touches
-fewer rows per pivot), and n its number of rows.  For every prime p,
-rank(W mod p) <= rank(W), so full row rank modulo one prime settles it.
-Otherwise the r pivot columns of W mod p are independent over Q, and if the
-rank is r, the vectors y with y W = 0 are exactly the kernel of C, the
-transpose of those columns.  The reduced echelon forms of C modulo a few
-primes with the same pivots give n - r such vectors, the identity at the
-free columns of C, lifted by CRT and rational reconstruction with one common
-denominator per vector (Wang 1981; Dixon 1982).  If every y W is exactly
-zero, checked by sparse integer dot products, these independent vectors
-prove rank <= r and the bounds meet.  When the lift or the check fails, or
-below `_BAREISS_CELLS` entries, Bareiss decides.  Pivot columns are never
-read modulo a prime: [[p, 1]] has pivot column 0 over Q and 1 modulo p.  The
-one exception is `block_pivots`, which reads them modulo p only to choose
-columns whose coordinate vectors span a quotient, and says why that is sound.
+Over F_p the loop works mod p.  Pivot columns and ranks are read off the
+echelon rows.  `kernel_basis` and `solve` (M X = B for a whole matrix B at
+once) read off the reduced echelon form, which back-substitution over the
+sparse rows gives (`_back_substitute`); it is unique, so it does not depend
+on the order in which rows were reduced.
+
+Over Q, `sparse_rank` runs the same loop over Z with unit pivots (p =
+None): a leading ±1 becomes a pivot and rows are reduced in exact
+integers, so the number of echelon rows is the rank over Q with no
+certificate (Kaczynski-Mrozek-Ślusarek 1998).  Coboundary rows, with their
+±1 entries, mostly finish so; a leading entry of any other size, which
+torsion brings, sends the rows to the certified rank below.  Dense matrices
+over Q are eliminated fraction-free (Bareiss, `_q_echelon`) after clearing
+denominators row by row, which keeps every intermediate entry an integer;
+`_q_rref` adds exact Fraction back-substitution.  Entries must be exact: an
+int enters F_p as `x % p`, a Fraction through the modular inverse of its
+denominator, and a float raises TypeError (over F_p when the matrix is
+built, over Q when it is eliminated).  No floating point is used anywhere.
+
+The certified rank over Q (`_q_rank`) is proved modulo primes.  Let W be
+the integer matrix or its transpose, whichever has no more rows than
+columns (it touches fewer rows per pivot), and n its number of rows.  For
+every prime p, rank(W mod p) <= rank(W), so full row rank modulo one prime
+settles it.  Otherwise the r pivot columns of W mod p are independent over
+Q, and if the rank is r, the vectors y with y W = 0 are exactly the kernel
+of C, the transpose of those columns.  The reduced echelon forms of C modulo
+a few primes with the same pivots give n - r such vectors, the identity at
+the free columns of C, lifted by CRT and rational reconstruction with one
+common denominator per vector (Wang 1981; Dixon 1982).  If every y W is
+exactly zero, checked by sparse integer dot products, these independent
+vectors prove rank <= r and the bounds meet.  When the lift or the check
+fails, or below `_BAREISS_CELLS` entries, Bareiss decides.  Pivot columns
+are never read modulo a prime: [[p, 1]] has pivot column 0 over Q and 1
+modulo p.  The one exception is `block_pivots`, which reads them modulo p
+only to choose columns whose coordinate vectors span a quotient, and says
+why that is sound.
 
 All pivot choices are "first nonzero", so every result (kernel bases,
 class representatives, ...) is deterministic.
@@ -352,7 +362,7 @@ def _q_rref(rows: list[list[int]], pivot_cols: int):
 # ---------------------------------------------------------------------------
 
 
-def _echelon_insert(echelon: dict[int, dict[int, int]], row: dict[int, int], p: int) -> None:
+def _echelon_insert(echelon: dict[int, dict[int, int]], row: dict[int, int], p: int | None) -> bool:
     """Reduce the row {column: integer} against the echelon rows mod p; store it if it is new.
 
     echelon maps each pivot column to its row, a dict {column: residue} with
@@ -362,21 +372,31 @@ def _echelon_insert(echelon: dict[int, dict[int, int]], row: dict[int, int], p: 
     pivot of the normalized row.  Other entries gather products of residues
     as Python ints, unbounded, and are reduced only when they lead or are stored.
     The row is consumed.
+
+    p = None works over Z with unit pivots: entries are never reduced, and a
+    leading ±1 becomes a pivot (the row times it has 1 there).  Every step is
+    then exact over Q.  A leading entry other than ±1 is not stored, and the
+    call returns False; otherwise it returns True.
     """
     heap = list(row)
     heapify(heap)
     while heap:
         c = heappop(heap)
-        x = row[c] % p
+        x = row[c] % p if p else row[c]
         if not x:
             del row[c]
             continue
         prow = echelon.get(c)
         if prow is None:
-            inv = pow(x, -1, p)
-            echelon[c] = {k: y for k, v in row.items() if (y := v * inv % p)}
-            return
-        for k, v in prow.items():  # prow[c] = 1 leaves row[c] = 0 mod p, deleted below
+            if p is None:
+                if x != 1 and x != -1:
+                    return False
+                echelon[c] = {k: y for k, v in row.items() if (y := v * x)}  # 1/x = x
+            else:
+                inv = pow(x, -1, p)
+                echelon[c] = {k: y for k, v in row.items() if (y := v * inv % p)}
+            return True
+        for k, v in prow.items():  # prow[c] = 1 leaves row[c] = 0 (mod p), deleted below
             y = row.get(k)
             if y is None:
                 row[k] = -x * v
@@ -384,16 +404,18 @@ def _echelon_insert(echelon: dict[int, dict[int, int]], row: dict[int, int], p: 
             else:
                 row[k] = y - x * v
         del row[c]
+    return True
 
 
-def _sparse_echelon(rows, p: int, ncols: int) -> dict[int, dict[int, int]]:
+def _sparse_echelon(rows, p: int, most: int) -> dict[int, dict[int, int]]:
     """Echelon rows mod p of the sparse rows {column: integer}, inserted in order.
 
-    Insertion stops once every column is a pivot, since no later row can add one.
+    Insertion stops once there are `most` echelon rows: with most = ncols
+    every column is a pivot then, and no later row can add one.
     """
     echelon: dict[int, dict[int, int]] = {}
     for row in rows:
-        if len(echelon) == ncols:
+        if len(echelon) == most:
             break
         _echelon_insert(echelon, row, p)
     return echelon
@@ -480,22 +502,20 @@ def _bareiss_rank(rows: list[dict[int, int]], ncols: int) -> int:
 
 def _q_rank(rows: list[dict[int, int]], ncols: int) -> int:
     """Rank over Q of nonempty sparse integer rows {column: integer}, proved
-    modulo primes (see module docstring).
+    modulo primes (see module docstring); columns are 0 .. ncols - 1.
 
-    Columns are eliminated in the order the caller numbers them, and the
-    rank does not depend on it, but the fill-in of the echelon rows does, so
-    each caller numbers its columns to limit it.  The tall, rank-deficient
-    θ stacks of `block_pivots` make W their transpose and the columns of C
-    their columns, which `local_cohomology._theta_rows` numbers against the
-    lex order of its rows (its docstring says why).  `rank` numbers the
-    columns of a dense matrix backwards, which suits coboundaries: the eight
-    largest ranks of `analyze` on the perfbench analyze-grow complexes take
-    6.0 ms so and 9.2 ms in the order of the matrix.  The
-    deficient prefixes of an Artinian reduction keep the lex order of
-    `artinian`, whose pivot columns the reduction reads.  The rows keep
-    their order: when W is the matrix itself, the kernel vectors are then 1
-    at a free row late in the matrix, and rows that are combinations of
-    earlier rows give short lifts.
+    Its callers are `block_pivots`, for the rank-deficient prefixes of θ
+    stacks and Artinian reductions, `sparse_rank`, for rows whose unit
+    pivots ran out, and `rank`, for dense matrices.  Columns are eliminated
+    in the order the caller numbers them; the rank does not depend on it,
+    but the fill-in of the echelon rows does.  The tall θ stacks make W
+    their transpose and the columns of C their columns, which
+    `local_cohomology._theta_rows` numbers against the lex order of its rows
+    (its docstring says why); the prefixes of a reduction keep the lex order
+    of `artinian`, whose pivot columns it reads.  The rows keep their order:
+    when W is the matrix itself, the kernel vectors are then 1 at a free row
+    late in the matrix, and rows that are combinations of earlier rows give
+    short lifts.
     """
     nrows = len(rows)
     if nrows * ncols < _BAREISS_CELLS:
@@ -586,9 +606,37 @@ def rank(M: Matrix) -> int:
         rows = _q_int_rows(M._rows)
         if M.nrows * M.ncols < _BAREISS_CELLS:  # Bareiss on the dense rows, no sparse copy
             return len(_q_echelon(rows, M.ncols)[1])
-        last = M.ncols - 1  # columns backwards: less fill-in on coboundaries
-        return _q_rank([{last - c: x for c, x in enumerate(r) if x} for r in rows], M.ncols)
+        return _q_rank(list(_sparse(rows)), M.ncols)
     return len(_sparse_echelon(_sparse(M._rows), M.field.p, M.ncols))
+
+
+def sparse_rank(field: FieldSpec, rows, most: int) -> int:
+    """Rank of the sparse integer rows {column: integer}, known to be at most `most`.
+
+    The rows come one at a time from an iterable, and insertion stops once
+    the rank reaches `most`, so the rows after that are never built.
+    Columns are any integers, eliminated in ascending order.  Over F_p the
+    rows go to `_sparse_echelon`.  Over Q they are inserted over Z with unit
+    pivots (`_echelon_insert` with p = None), which is exact, so the number
+    of echelon rows is the rank.  Rows of ±1, such as coboundaries, mostly
+    keep unit pivots throughout.  At the first leading entry other than ±1,
+    the original rows, with their columns renumbered 0, 1, ... in order, go
+    to `_q_rank`.
+    """
+    if field.p is not None:
+        return len(_sparse_echelon(rows, field.p, most))
+    echelon: dict[int, dict[int, int]] = {}
+    rows = iter(rows)
+    seen = []
+    for row in rows:
+        if len(echelon) == most:
+            break
+        seen.append(row)
+        if not _echelon_insert(echelon, dict(row), None):
+            seen += rows
+            cols = {c: i for i, c in enumerate(sorted({c for r in seen for c in r}))}
+            return _q_rank([{cols[c]: x for c, x in r.items()} for r in seen], len(cols))
+    return len(echelon)
 
 
 def block_pivots(field: FieldSpec, blocks, ncols: int) -> tuple[list[int], list[list[int]]]:

@@ -12,13 +12,15 @@ condition is read from the parent's pair cohomology.  One table per (complex,
 field) holds, for each face H, its depth, the least k >= |H| - 1 with
 H^k(X, cost H) != 0 (capped at dim X), and the least depth of a face
 containing H; it is filled from the largest faces down, so the second entry
-reads the cofaces H + {v}.  When the facets containing H share a vertex
+reads the cofaces H + {v}.  One list of the facets containing H
+(`facets_over`) serves three readers: when those facets share a vertex
 outside H, lk H is a cone, which is acyclic, so depth H = dim X with no
-elimination.  F is singular iff depth F < dim X.  lk F is Cohen-Macaulay iff
-no face H containing F has depth below top = dim lk F + |F| (the largest
-facet over F has top + 1 vertices), since the link of H - F in lk F is lk H.
-The link route lives only in the link-iso oracle of the verification ledger
-and in the tests.
+elimination; otherwise the ranks read the star of H from them; and
+`is_cm_along` reads the dimension of lk H from the largest.  F is singular
+iff depth F < dim X.  lk F is Cohen-Macaulay iff no face H containing F has
+depth below top = dim lk F + |F| (the largest facet over F has top + 1
+vertices), since the link of H - F in lk F is lk H.  The link route lives
+only in the link-iso oracle of the verification ledger and in the tests.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 
 from .cohomology import relative_cohomology_dim
-from .complexes import SimplicialComplex, mixed_face_key, per_complex
+from .complexes import SimplicialComplex, facets_over, mixed_face_key, per_complex
 from .linalg import FieldSpec
 
 NEG_INFINITY = -math.inf
@@ -42,7 +44,7 @@ def _depths(cx: SimplicialComplex, field: FieldSpec) -> dict:
     table = {}
     for size in range(r + 1, -1, -1):
         for H in cx.faces_of_dim(size - 1):
-            over = [F for F in cx.facets if H <= F]
+            over = facets_over(cx, H)
             if over and frozenset.intersection(*over) - H:
                 depth = r  # lk H is a cone, acyclic over every field
             else:
@@ -80,7 +82,7 @@ def is_cm_along(cx: SimplicialComplex, F, i: int, field: FieldSpec) -> bool:
     F = frozenset(F)
     if F not in cx:
         raise ValueError(f"{sorted(F)} is not a face")
-    top = max((len(f) for f in cx.facets if F <= f), default=0) - 1
+    top = max(map(len, facets_over(cx, F)), default=0) - 1
     return top - len(F) == i and _depths(cx, field)[F][1] >= top
 
 

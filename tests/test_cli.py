@@ -346,6 +346,47 @@ def test_suspended_rp2_ledger_digest(capsys, tmp_path, monkeypatch):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SUSP1_FP_DIGEST
 
 
+# `analyze --format json` on two complexes of 2,000+ faces, as the dense
+# coboundary ranks gave them, minus the input path: the boundary of the
+# 7-dimensional cross-polytope, and rp2_6 suspended four times, whose links
+# carry its 2-torsion into the sparse ranks over Q.
+BIG_ANALYZE = {
+    "cross7": ([1, 14, 84, 280, 560, 672, 448, 128], [1, 7, 21, 35, 35, 21, 7, 1]),
+    "rp2_susp4": ([1, 14, 87, 306, 648, 816, 560, 160], [1, 7, 24, 46, 49, 27, 6, 0]),
+}
+
+
+def _big_analyze_input(name):
+    if name == "cross7":
+        facets = [[]]
+        for i in range(1, 8):
+            facets = [F + [v] for F in facets for v in (i, i + 7)]
+        return {"n": 14, "facets": facets}
+    n, facets = 6, sorted(sorted(F) for F in corpus()["rp2_6"].facets)
+    for _ in range(4):
+        facets = [F + [v] for F in facets for v in (n + 1, n + 2)]
+        n += 2
+    return {"n": n, "facets": facets}
+
+
+@pytest.mark.parametrize("field", ["q", "fp:32003"])
+@pytest.mark.parametrize("name", sorted(BIG_ANALYZE))
+def test_big_analyze_reports(capsys, tmp_path, monkeypatch, name, field):
+    monkeypatch.chdir(tmp_path)
+    with open(f"{name}.json", "w") as fh:
+        json.dump(_big_analyze_input(name), fh)
+    code, out, _ = run_cli(capsys, "analyze", f"{name}.json", "--field", field, "--format", "json")
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report.pop("complex") == f"{name}.json"
+    f_vector, h_vector = BIG_ANALYZE[name]
+    assert report == {
+        "command": "analyze", "field": field, "d": 7, "f_vector": f_vector, "h_vector": h_vector,
+        "singularity_dimension": "-inf", "singular_faces": [], "is_cm": True,
+        "is_buchsbaum": True, "cm_in_codim": {str(c): True for c in range(9)},
+    }
+
+
 def test_verify_json_deterministic(capsys):
     args = [
         "verify", "bowtie", "--field", "fp:32003", "--seed", "11",

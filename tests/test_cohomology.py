@@ -11,6 +11,7 @@ from hypothesis import given, settings
 
 from facering.cohomology import (
     coboundary_matrix,
+    coboundary_rank,
     induced_map,
     reduced_cohomology_dim,
     relative_cohomology,
@@ -176,6 +177,18 @@ def test_generated_coboundary_matches_definition(cx):
                 rows, ncols = _reference_coboundary_rows(cx, tau, k, p)
                 assert (M.nrows, M.ncols) == (len(rows), ncols)
                 assert M.tolist() == rows
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(small_complexes())
+def test_generated_coboundary_rank_matches_independent_elimination(cx):
+    # the sparse rows over face ids, unit pivots over Q and the cap at
+    # dim C^k - rank delta^(k-1), against the definition and plain elimination
+    for p, field in ((0, QQ), (2, GF(2)), (3, GF(3))):
+        for tau in cx.faces():
+            for k in range(-2, cx.dim + 2):
+                rows, _ = _reference_coboundary_rows(cx, tau, k, p)
+                assert coboundary_rank(cx, tau, k, field) == _oracle_rank(rows, p)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)

@@ -1,9 +1,13 @@
 """Singular face classification and the codimension Cohen-Macaulay criteria."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 
+from facering import linalg
 from facering.cohomology import reduced_cohomology_dim, relative_cohomology_dim
+from facering.complexes import SimplicialComplex
 from facering.linalg import GF, QQ
 from facering.singularity import (
     NEG_INFINITY,
@@ -146,3 +150,36 @@ def test_depth_table_matches_pair_cohomology(cx):
         for H, (d, least) in table.items():
             assert d == depth[H]
             assert least == min(depth[G] for G in depth if H <= G)
+
+
+def _count_certified_ranks(monkeypatch):
+    """Names of the calls to the certified Q rank and to Bareiss, as they come."""
+    calls = []
+    for name in ("_q_rank", "_bareiss_rank"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    return calls
+
+
+def _analyze(cx, field):
+    """What `analyze` reads from the depth table."""
+    return singular_faces(cx, field), [cm_in_codim(cx, c, field) for c in range(cx.dim + 3)]
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_unit_pivots_settle_cross_polytopes_over_q(monkeypatch, k):
+    # the boundary of the k-dimensional cross-polytope (k = 3: the octahedron);
+    # every link is a sphere, and its coboundary ranks never leave unit pivots
+    cx = SimplicialComplex(2 * k, product(*[(i, i + k) for i in range(1, k + 1)]))
+    calls = _count_certified_ranks(monkeypatch)
+    assert _analyze(cx, QQ) == ([], [True] * (k + 2))
+    assert calls == []
+
+
+def test_torsion_falls_back_to_the_certified_rank(monkeypatch, rp2_6):
+    # the 2-torsion of rp2_6 leaves a leading entry other than +-1 over Z
+    cx = SimplicialComplex(rp2_6.n, rp2_6.facets)  # a fresh memo
+    calls = _count_certified_ranks(monkeypatch)
+    assert is_cm(cx, QQ)
+    assert "_q_rank" in calls
