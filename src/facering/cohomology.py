@@ -36,16 +36,23 @@ zero: the rows of the solution past delta^(i-1) are the coordinates of their
 classes, unique because the representatives are independent modulo
 coboundaries.
 
+The sums over faces of Hochster's count, the kernel and quotient formulas
+and the squarefree table weight dim H^k(X, cost F) by |F| alone, so one table
+per (complex, k, field) holds each face's dimension (`cohomology_by_face`,
+filled by `relative_cohomology_dim`) and their sums h_s over the faces of
+size s (`cohomology_by_size`).
+
 Coboundary matrices are not memoized; face ids, boundary tables, stars,
-cochain bases, ranks, class representatives and induced maps are memoized on
-the complex object (`per_complex`) and freed with it.  Outputs are
-immutable, so an entry recomputed under a race is indistinguishable from the
-first result.
+cochain bases, ranks, cohomology tables, class representatives and induced
+maps are memoized on the complex object (`per_complex`) and freed with it.
+Outputs are immutable, so an entry recomputed under a race is
+indistinguishable from the first result.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from types import MappingProxyType
 
 from .complexes import SimplicialComplex, facets_over, per_complex
 from .linalg import FieldSpec, Matrix, hstack, kernel_basis, pivot_columns, solve, sparse_rank
@@ -150,6 +157,21 @@ def relative_cohomology_dim(cx: SimplicialComplex, tau, i: int, field: FieldSpec
         raise ValueError(f"{sorted(tau)} is not a face")
     return (len(_cochain_ids(cx, tau, i))
             - coboundary_rank(cx, tau, i, field) - coboundary_rank(cx, tau, i - 1, field))
+
+
+@per_complex
+def cohomology_by_face(cx: SimplicialComplex, k: int, field: FieldSpec) -> MappingProxyType:
+    """Face F -> dim H^k(X, cost F), for every face, from relative_cohomology_dim."""
+    return MappingProxyType({F: relative_cohomology_dim(cx, F, k, field) for F in cx.faces()})
+
+
+@per_complex
+def cohomology_by_size(cx: SimplicialComplex, k: int, field: FieldSpec) -> tuple:
+    """(h_0, ..., h_d): h_s = sum of dim H^k(X, cost F) over the faces F of size s."""
+    h = [0] * (0 if cx.is_void else cx.d + 1)
+    for F, dim in cohomology_by_face(cx, k, field).items():
+        h[len(F)] += dim
+    return tuple(h)
 
 
 def relative_cohomology(cx: SimplicialComplex, tau, i: int, field: FieldSpec) -> Matrix:

@@ -7,6 +7,10 @@ so every matrix built downstream has a reproducible layout.
 Two degenerate complexes are distinguished by an explicit flag: the complex
 {emptyset} (facet list empty, not void) and the void complex (no faces at
 all).
+
+Derived data is memoized on the complex itself (`per_complex`) and freed
+with it, such as the facets over a face and each degree-r monomial basis,
+one tuple per (complex, r), built once its size guard passes.
 """
 
 from __future__ import annotations
@@ -137,9 +141,6 @@ class SimplicialComplex:
             object.__setattr__(self, "_by_dim", buckets)
         return list(self._by_dim.get(k + 1, ()))
 
-    def vertices(self) -> list[int]:
-        return sorted({v for f in self.facets for v in f})
-
     def is_pure(self) -> bool:
         sizes = {len(f) for f in self.facets}
         return len(sizes) <= 1
@@ -225,7 +226,7 @@ def count_degree_monomials(cx: SimplicialComplex, r: int) -> int:
     return sum(comb(r - 1, len(F) - 1) for F in cx.faces() if F)
 
 
-def degree_monomials(cx: SimplicialComplex, r: int):
+def degree_monomials(cx: SimplicialComplex, r: int) -> tuple:
     """Exponent vectors U in N^n with |U| = r and support(U) a face, in lex order.
 
     This is simultaneously the degree-r monomial basis of the face ring and
@@ -233,17 +234,22 @@ def degree_monomials(cx: SimplicialComplex, r: int):
     nonempty face F carries the compositions of r into |F| positive parts,
     one per choice of |F| - 1 cut points in 1..r-1, which is the sum that
     count_degree_monomials counts.  More than DEFAULT_BASIS_LIMIT of them
-    raise SizeLimitError before any is built.
+    raise SizeLimitError before any is built or looked up.
     """
     total = count_degree_monomials(cx, r)
     if total > DEFAULT_BASIS_LIMIT:
         raise SizeLimitError(
             f"degree-{r} basis has {total} elements, above the guard of {DEFAULT_BASIS_LIMIT}"
         )
+    return _degree_monomials(cx, r)
+
+
+@per_complex
+def _degree_monomials(cx: SimplicialComplex, r: int) -> tuple:
     if r < 0 or cx.is_void:
-        return []
+        return ()
     if r == 0:
-        return [(0,) * cx.n]
+        return ((0,) * cx.n,)
     out = []
     for F in cx.faces():
         if not F:
@@ -255,4 +261,4 @@ def degree_monomials(cx: SimplicialComplex, r: int):
                 vec[t] = hi - lo
             out.append(tuple(vec))
     out.sort()
-    return out
+    return tuple(out)

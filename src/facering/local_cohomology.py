@@ -4,12 +4,13 @@ The degree -r piece of the cohomological-degree-l local cohomology module
 splits into blocks indexed by the exponent vectors U >= 0 with |U| = r whose
 support is a face; the block at U is the relative cohomology space
 H^{l-1}(X | support(U)).  Multiplication by a linear form maps the -(r+1)
-piece to the -r piece blockwise through the contravariant restriction maps
-(identity blocks when the support does not change, scaled by the form's
-coefficients).
+piece to the -r piece blockwise through the contravariant restriction maps,
+scaled by the form's coefficients.  A block whose support does not change
+is the identity and is written entry by entry, with no cocycle basis built;
+every other block is fetched once per pair of supports as sparse rows.
 
 On top of that structure this module provides:
-  * per-degree dimensions by a closed count over the faces;
+  * per-degree dimensions by a closed count over face sizes (`cohomology_by_size`);
   * the Z-graded Hilbert series as a rational function in one variable with
     denominator a power of (1 - t), with exact pole-order queries;
   * certified-generic coefficient matrices (positive Vandermonde over Q,
@@ -24,10 +25,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
-from .cohomology import induced_map, relative_cohomology_dim
+from .cohomology import cohomology_by_face, cohomology_by_size, induced_map, relative_cohomology_dim
 from .complexes import SimplicialComplex, degree_monomials, per_complex
 from .linalg import QQ, FieldSpec, Matrix, block_pivots
 
@@ -57,17 +58,11 @@ class GradedPiece:
     __slots__ = ("vectors", "dims", "offsets", "total_dim", "_index")
 
     def __init__(self, cx, ell, r, field):
-        self.vectors = tuple(degree_monomials(cx, r))
-        self.dims = tuple(
-            relative_cohomology_dim(cx, support(U), ell - 1, field) for U in self.vectors
-        )
-        offsets = []
-        total = 0
-        for dim in self.dims:
-            offsets.append(total)
-            total += dim
+        self.vectors = degree_monomials(cx, r)
+        by_face = cohomology_by_face(cx, ell - 1, field)
+        self.dims = tuple(by_face[support(U)] for U in self.vectors)
+        *offsets, self.total_dim = accumulate(self.dims, initial=0)
         self.offsets = tuple(offsets)
-        self.total_dim = total
         self._index = {U: k for k, U in enumerate(self.vectors)}
 
     def block_index(self, U) -> int | None:
@@ -85,13 +80,8 @@ def lc_coarse_dim(cx: SimplicialComplex, ell: int, j: int, field: FieldSpec) -> 
         raise ValueError("local cohomology of a face ring vanishes in positive Z-degrees")
     if j == 0:
         return relative_cohomology_dim(cx, frozenset(), ell - 1, field)
-    i = -j - 1
-    total = 0
-    for F in cx.faces():
-        c = binom0(i, len(F) - 1)
-        if c:
-            total += c * relative_cohomology_dim(cx, F, ell - 1, field)
-    return total
+    h = cohomology_by_size(cx, ell - 1, field)
+    return sum(binom0(-j - 1, s - 1) * h_s for s, h_s in enumerate(h))
 
 
 # ---------------------------------------------------------------------------
@@ -161,19 +151,14 @@ def lc_hilbert_series(cx: SimplicialComplex, i: int, field: FieldSpec) -> Hilber
     The coefficient of t^j is the dimension in Z-degree -j: each face F with a
     nonvanishing block contributes dim * t^|F| / (1-t)^|F|.  Over the common
     denominator (1-t)^e, with h_s the summed block dimension of the faces of
-    size s, the numerator is num_k = sum_{s<=k} h_s (-1)^(k-s) C(e-s, k-s).
+    size s and e the largest s with h_s != 0, the numerator is
+    num_k = sum_{s<=k} h_s (-1)^(k-s) C(e-s, k-s).
     """
     if i > cx.d:
         raise ValueError("cohomological degree above the Krull dimension")
-    dims: dict[int, int] = {}
-    for F in cx.faces():
-        h = relative_cohomology_dim(cx, F, i - 1, field)
-        if h:
-            dims[len(F)] = dims.get(len(F), 0) + h
-    if not dims:
-        return HilbertSeries((), 0)
-    e = max(dims)
-    num = [sum(h * (-1) ** (k - s) * comb(e - s, k - s) for s, h in dims.items() if s <= k)
+    h = cohomology_by_size(cx, i - 1, field)
+    e = max((s for s, h_s in enumerate(h) if h_s), default=0)
+    num = [sum(h[s] * (-1) ** (k - s) * comb(e - s, k - s) for s in range(k + 1))
            for k in range(e + 1)]
     return HilbertSeries(_strip(num), e).reduce()
 
@@ -294,8 +279,9 @@ def _theta_rows(cx: SimplicialComplex, ell: int, i: int, thetas, field: FieldSpe
     row r of block p is row r of the map by thetas[p], and a zero row is {}.
     The block structure is walked once for all forms: the sub-block joining
     column vector U = T + e_t to row vector T is theta[t] times the induced
-    map between the corresponding relative cohomology spaces (the identity
-    when the supports agree), fetched once.
+    map between the corresponding relative cohomology spaces.  When T[t] > 0
+    the supports agree and the block is the identity, written directly;
+    every other block is read from `_map_rows`, once per pair of supports.
 
     Rows follow the target piece in the lex order of `degree_monomials`.
     Columns follow the source piece backwards: its last basis vector is
@@ -323,25 +309,36 @@ def _theta_rows(cx: SimplicialComplex, ell: int, i: int, thetas, field: FieldSpe
     src = graded_piece(cx, ell, i + 1, field)
     dst = graded_piece(cx, ell, i, field)
     blocks = [[{} for _ in range(dst.total_dim)] for _ in thetas]
+    scales = [[(rows, theta[t]) for rows, theta in zip(blocks, thetas) if theta[t]]
+              for t in range(cx.n)]
     last = src.total_dim - 1
     for kt, T in enumerate(dst.vectors):
-        if dst.dims[kt] == 0:
+        dim = dst.dims[kt]
+        if dim == 0:
             continue
         sT = support(T)
         roff = dst.offsets[kt]
         for t in range(cx.n):
-            scales = [(rows, theta[t]) for rows, theta in zip(blocks, thetas) if theta[t]]
-            U = T[:t] + (T[t] + 1,) + T[t + 1:]
-            ku = src.block_index(U)
+            ku = src.block_index(T[:t] + (T[t] + 1,) + T[t + 1:])
             if ku is None or src.dims[ku] == 0:
                 continue
-            coff = src.offsets[ku]
-            block = induced_map(cx, support(U), sT, ell - 1, field)
-            for rr, block_row in enumerate(block.tolist()):
-                entries = [(last - coff - cc, val) for cc, val in enumerate(block_row) if val]
-                for rows, a in scales:
-                    rows[roff + rr].update((c, a * val) for c, val in entries)
+            coff = last - src.offsets[ku]
+            if T[t]:
+                for rows, a in scales[t]:
+                    for rr in range(dim):
+                        rows[roff + rr][coff - rr] = a
+                continue
+            for rr, entries in enumerate(_map_rows(cx, sT | {t + 1}, sT, ell - 1, field)):
+                for rows, a in scales[t]:
+                    rows[roff + rr].update((coff - cc, a * val) for cc, val in entries)
     return blocks
+
+
+@per_complex
+def _map_rows(cx: SimplicialComplex, f_big, f_small, k: int, field: FieldSpec) -> tuple:
+    """The rows of induced_map(cx, f_big, f_small, k, field) as (column, nonzero entry) pairs."""
+    return tuple(tuple((c, x) for c, x in enumerate(row) if x)
+                 for row in induced_map(cx, f_big, f_small, k, field).tolist())
 
 
 @per_complex
@@ -380,12 +377,8 @@ def kernel_dim_formula(cx: SimplicialComplex, ell: int, m: int, i: int, field: F
         raise ValueError("cohomological degree out of range")
     if i < m:
         raise ValueError("i must be at least m")
-    total = 0
-    for F in cx.faces():
-        c = binom0(i - m, len(F) - m - 1)
-        if c:
-            total += c * relative_cohomology_dim(cx, F, ell - 1, field)
-    return total
+    h = cohomology_by_size(cx, ell - 1, field)
+    return sum(binom0(i - m, s - m - 1) * h_s for s, h_s in enumerate(h))
 
 
 def restricted_theta_rank(cx: SimplicialComplex, ell: int, m: int, i: int,

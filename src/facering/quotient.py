@@ -16,7 +16,7 @@ and everything else vanishes.
 
 from __future__ import annotations
 
-from .cohomology import induced_map, relative_cohomology_dim
+from .cohomology import cohomology_by_size, induced_map, relative_cohomology_dim
 from .complexes import SimplicialComplex
 from .linalg import FieldSpec, Matrix, hstack, rank
 from .local_cohomology import binom0
@@ -32,12 +32,8 @@ def quotient_lc_dim(cx: SimplicialComplex, m: int, ell: int, i: int, field: Fiel
         raise ValueError("cohomological degree out of range for the quotient")
     if i < 1:
         raise ValueError("i must be positive")
-    total = 0
-    for F in cx.faces():
-        c = binom0(i - 1, len(F) - m - 1)
-        if c:
-            total += c * relative_cohomology_dim(cx, F, ell + m - 1, field)
-    return total
+    h = cohomology_by_size(cx, ell + m - 1, field)
+    return sum(binom0(i - 1, s - m - 1) * h_s for s, h_s in enumerate(h))
 
 
 def predicts_finite_lc(cx: SimplicialComplex, m: int, field: FieldSpec) -> bool:
@@ -49,11 +45,8 @@ def predicts_finite_lc(cx: SimplicialComplex, m: int, field: FieldSpec) -> bool:
     d = cx.d
     if not 0 <= m <= d:
         raise ValueError("m out of range")
-    for ell in range(1, d - m):
-        for F in cx.faces():
-            if len(F) >= m + 1 and relative_cohomology_dim(cx, F, ell + m - 1, field):
-                return False
-    return True
+    return not any(any(cohomology_by_size(cx, ell + m - 1, field)[m + 1:])
+                   for ell in range(1, d - m))
 
 
 def vertex_cohomology_map(cx: SimplicialComplex, i: int, theta, field: FieldSpec) -> Matrix:

@@ -13,9 +13,10 @@ field) holds, for each face H, its depth, the least k >= |H| - 1 with
 H^k(X, cost H) != 0 (capped at dim X), and the least depth of a face
 containing H; it is filled from the largest faces down, so the second entry
 reads the cofaces H + {v}.  One list of the facets containing H
-(`facets_over`) serves three readers: when those facets share a vertex
+(`facets_over`) serves four readers: when those facets share a vertex
 outside H, lk H is a cone, which is acyclic, so depth H = dim X with no
-elimination; otherwise the ranks read the star of H from them; and
+elimination; otherwise the ranks read the star of H from them; the cofaces
+H + {v} are those of the vertices v of their union outside H; and
 `is_cm_along` reads the dimension of lk H from the largest.  F is singular
 iff depth F < dim X.  lk F is Cohen-Macaulay iff no face H containing F has
 depth below top = dim lk F + |F| (the largest facet over F has top + 1
@@ -40,7 +41,6 @@ def _depths(cx: SimplicialComplex, field: FieldSpec) -> dict:
     if cx.is_void:
         return {}
     r = cx.dim
-    vertices = cx.vertices()
     table = {}
     for size in range(r + 1, -1, -1):
         for H in cx.faces_of_dim(size - 1):
@@ -50,8 +50,8 @@ def _depths(cx: SimplicialComplex, field: FieldSpec) -> dict:
             else:
                 depth = next((k for k in range(size - 1, r)
                               if relative_cohomology_dim(cx, H, k, field)), r)
-            cofaces = (H | {v} for v in vertices if v not in H)
-            table[H] = (depth, min([depth, *(table[G][1] for G in cofaces if G in table)]))
+            cofaces = (H | {v} for v in set().union(*over) - H)
+            table[H] = (depth, min([depth, *(table[G][1] for G in cofaces)]))
     return table
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import relative_cohomology_dim
+from .cohomology import cohomology_by_face
 from .complexes import SimplicialComplex
 from .linalg import FieldSpec
 from .local_cohomology import binom0
@@ -81,12 +81,7 @@ def sqfree_lc_data(cx: SimplicialComplex, j: int, field: FieldSpec) -> SqfreeDat
     """Squarefree table of the j-th local cohomology: F -> dim H^{j-1}(X|F)."""
     if j > cx.d:
         raise ValueError("cohomological degree above the Krull dimension")
-    table = {}
-    for F in cx.faces():
-        h = relative_cohomology_dim(cx, F, j - 1, field)
-        if h:
-            table[F] = h
-    return SqfreeData.from_dict(cx.n, table)
+    return SqfreeData.from_dict(cx.n, cohomology_by_face(cx, j - 1, field))
 
 
 def sqfree_hilbert(data: SqfreeData, i: int) -> int:

@@ -167,7 +167,7 @@ def test_degree_monomials_lex_and_counts(complexes):
     for cx in complexes.values():
         for r in range(0, 5):
             vecs = degree_monomials(cx, r)
-            assert vecs == sorted(vecs)
+            assert vecs == tuple(sorted(vecs))
             assert len(vecs) == count_degree_monomials(cx, r)
             faces = cx.faces()
             for U in vecs:
@@ -178,8 +178,8 @@ def test_degree_monomials_lex_and_counts(complexes):
 def _monomials_by_definition(cx, r):
     """Every vector of sum r in N^n whose support is a face, in lex order."""
     faces = cx.faces()
-    return [U for U in product(range(r + 1), repeat=cx.n)
-            if sum(U) == r and frozenset(t + 1 for t, u in enumerate(U) if u) in faces]
+    return tuple(U for U in product(range(r + 1), repeat=cx.n)
+                 if sum(U) == r and frozenset(t + 1 for t, u in enumerate(U) if u) in faces)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -195,9 +195,9 @@ def test_degree_monomials_of_degenerate_complexes():
 
 
 def test_degree_monomials_cycle3_degree2(cycle3):
-    assert degree_monomials(cycle3, 2) == [
+    assert degree_monomials(cycle3, 2) == (
         (0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0),
-    ]
+    )
 
 
 def test_degree_monomials_size_guard(octahedron, monkeypatch):
@@ -206,6 +206,22 @@ def test_degree_monomials_size_guard(octahedron, monkeypatch):
     with pytest.raises(SizeLimitError, match="degree-6 basis has 146 elements"):
         degree_monomials(octahedron, 6)
     monkeypatch.setattr("facering.complexes.DEFAULT_BASIS_LIMIT", 200)
+    assert len(degree_monomials(octahedron, 6)) == 146
+
+
+def test_degree_monomials_built_once_behind_the_guard(monkeypatch):
+    # one tuple per (complex, r); the guard runs before the memo is read, and
+    # a refused basis is not remembered
+    octahedron = SimplicialComplex(6, [[a, b, c] for a in (1, 4) for b in (2, 5) for c in (3, 6)])
+    first = degree_monomials(octahedron, 5)
+    assert type(first) is tuple and degree_monomials(octahedron, 5) is first
+    monkeypatch.setattr("facering.complexes.DEFAULT_BASIS_LIMIT", 100)
+    with pytest.raises(SizeLimitError, match="degree-5 basis has 102 elements"):
+        degree_monomials(octahedron, 5)
+    with pytest.raises(SizeLimitError, match="degree-6 basis has 146 elements"):
+        degree_monomials(octahedron, 6)
+    monkeypatch.setattr("facering.complexes.DEFAULT_BASIS_LIMIT", 200)
+    assert degree_monomials(octahedron, 5) is first
     assert len(degree_monomials(octahedron, 6)) == 146
 
 

@@ -4,13 +4,15 @@ multiplication maps, and the kernel-dimension formula against brute force."""
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facering.artinian import reduction_hilbert
-from facering.cohomology import relative_cohomology_dim
+from facering import cohomology
+from facering.cohomology import induced_map, relative_cohomology_dim
 from facering.complexes import SimplicialComplex
 from facering.linalg import GF, QQ, Matrix, rank
 from facering.local_cohomology import (
@@ -30,6 +32,8 @@ from facering.local_cohomology import (
     theta_ranks,
     vandermonde_coefficients,
 )
+from facering.quotient import predicts_finite_lc, quotient_lc_dim
+from facering.squarefree import SqfreeData, sqfree_lc_data
 from facering import linalg, verification
 from facering.verification import run_checks
 
@@ -51,6 +55,66 @@ def dense_theta(cx, ell, i, thetas, field):
 # ---------------------------------------------------------------------------
 # fine and coarse dimensions
 # ---------------------------------------------------------------------------
+
+def face_sum(cx, k, field, weight):
+    """sum over the faces F of weight(|F|) * dim H^k(X, cost F), face by face."""
+    total = 0
+    for F in cx.faces():
+        c = weight(len(F))
+        if c:
+            total += c * relative_cohomology_dim(cx, F, k, field)
+    return total
+
+
+def series_face_by_face(cx, i, field):
+    """lc_hilbert_series from the block dimensions of the faces, one at a time."""
+    dims = {}
+    for F in cx.faces():
+        h = relative_cohomology_dim(cx, F, i - 1, field)
+        if h:
+            dims[len(F)] = dims.get(len(F), 0) + h
+    if not dims:
+        return HilbertSeries((), 0)
+    e = max(dims)
+    num = [sum(h * (-1) ** (k - s) * comb(e - s, k - s) for s, h in dims.items() if s <= k)
+           for k in range(e + 1)]
+    return HilbertSeries(tuple(num), e).reduce()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)], ids=str)
+def test_closed_formulas_match_per_face_sums(complexes, field):
+    # the formulas read the cohomology table by face size; here every face
+    # is asked on its own
+    for cx in list(complexes.values()) + seeded_complexes(12, seed=4):
+        d, faces = cx.d, cx.faces()
+        for ell in range(0, d + 2):
+            assert lc_coarse_dim(cx, ell, 0, field) == relative_cohomology_dim(
+                cx, frozenset(), ell - 1, field)
+            for j in range(1, 6):
+                assert lc_coarse_dim(cx, ell, -j, field) == face_sum(
+                    cx, ell - 1, field, lambda s: binom0(j - 1, s - 1))
+        for i in range(0, d + 1):
+            assert lc_hilbert_series(cx, i, field) == series_face_by_face(cx, i, field)
+        for ell in range(1, d + 1):
+            for m in range(0, d + 1):
+                for i in range(m, m + 4):
+                    assert kernel_dim_formula(cx, ell, m, i, field) == face_sum(
+                        cx, ell - 1, field, lambda s: binom0(i - m, s - m - 1))
+            for r in range(0, 4):
+                piece = graded_piece(cx, ell, r, field)
+                assert piece.dims == tuple(relative_cohomology_dim(cx, support(U), ell - 1, field)
+                                           for U in piece.vectors)
+        for m in range(0, d + 1):
+            for ell in range(1, d - m + 1):
+                for i in range(1, 5):
+                    assert quotient_lc_dim(cx, m, ell, i, field) == face_sum(
+                        cx, ell + m - 1, field, lambda s: binom0(i - 1, s - m - 1))
+            assert predicts_finite_lc(cx, m, field) == (not any(
+                relative_cohomology_dim(cx, F, ell + m - 1, field)
+                for ell in range(1, d - m) for F in faces if len(F) >= m + 1))
+        for j in range(0, d + 1):
+            table = {F: relative_cohomology_dim(cx, F, j - 1, field) for F in faces}
+            assert sqfree_lc_data(cx, j, field) == SqfreeData.from_dict(cx.n, table)
 
 def test_fine_dims(cycle3, bowtie):
     # the piece of H^2 in multidegree -U is H^1(X | supp U)
@@ -277,6 +341,56 @@ def test_theta_rows_refuse_bad_input(cycle3):
         _theta_rows(cycle3, 2, -1, [[1, 1, 1]], QQ)
     with pytest.raises(ValueError, match="i >= 0"):
         restricted_theta_rank(cycle3, 2, 0, -1, coeffs, QQ)
+
+
+def theta_rows_from_dense_blocks(cx, ell, i, thetas, field):
+    """`_theta_rows` built from the dense `induced_map` of every pair of
+    blocks, the identity blocks of equal supports included."""
+    src, dst = graded_piece(cx, ell, i + 1, field), graded_piece(cx, ell, i, field)
+    last = src.total_dim - 1
+    blocks = [[{} for _ in range(dst.total_dim)] for _ in thetas]
+    for kt, T in enumerate(dst.vectors):
+        for t in range(cx.n):
+            ku = src.block_index(T[:t] + (T[t] + 1,) + T[t + 1:])
+            if ku is None or not src.dims[ku] or not dst.dims[kt]:
+                continue
+            block = induced_map(cx, support(src.vectors[ku]), support(T), ell - 1, field)
+            for rr, row in enumerate(block.tolist()):
+                for cc, val in enumerate(row):
+                    for rows, theta in zip(blocks, thetas):
+                        if val and theta[t]:
+                            rows[dst.offsets[kt] + rr][last - src.offsets[ku] - cc] = theta[t] * val
+    return blocks
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_theta_rows_match_dense_induced_blocks(field, monkeypatch):
+    # identity blocks are written directly and never ask for a map from a
+    # support to itself; every other block is the dense induced map's
+    real = cohomology._induced_map
+    calls = {"theta": [], "reference": []}
+    phase = ["theta"]
+
+    def spy(cx, f_big, f_small, k, fld):
+        calls[phase[0]].append(f_big == f_small)
+        return real(cx, f_big, f_small, k, fld)
+
+    monkeypatch.setattr(cohomology, "_induced_map", spy)
+    zero_rows = 0
+    for k, cx in enumerate(seeded_complexes(12, seed=4)):
+        coeffs = make_generic(cx.n, 2, field, seed=k)
+        first = coeffs.matrix.column(0)
+        # a third form with zero coefficients, so some sub-blocks vanish
+        thetas = [first, coeffs.matrix.column(1), [x if t % 3 else 0 for t, x in enumerate(first)]]
+        for ell in range(1, cx.d + 1):
+            for i in range(3):
+                phase[0] = "theta"
+                got = _theta_rows(cx, ell, i, thetas, field)
+                phase[0] = "reference"
+                assert got == theta_rows_from_dense_blocks(cx, ell, i, thetas, field), (k, ell, i)
+                zero_rows += sum(not row for block in got for row in block)
+    assert calls["theta"] and not any(calls["theta"])
+    assert any(calls["reference"]) and zero_rows
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003), GF(101)], ids=str)
