@@ -19,9 +19,9 @@ which give the cofaces tau + {v}, and from their stars.  The row of delta^k
 at a (k+1)-face H of the star is then {-id of H - {v}: sign} over v outside
 tau, a sparse row of +-1 whose columns run backwards through the
 lexicographic order, and `linalg.sparse_rank` eliminates the rows in the
-lexicographic order of H.  Over Q it pivots on units over Z, which is
-exact; it falls back to the certified rank only at a leading entry other
-than +-1, which torsion such as that of rp2_6 brings.  Since delta^k
+lexicographic order of H.  Over Q the pivots are mostly +-1 and the
+entries stay integers; torsion, such as that of rp2_6, brings a leading
+entry other than +-1, which the same loop divides by exactly.  Since delta^k
 delta^(k-1) = 0, rank delta^k <= dim C^k - rank delta^(k-1), and the
 elimination stops there: on a face whose link has no cohomology in degree
 k, the rows past the rank are never reduced.

@@ -12,42 +12,39 @@ renumber them: the code that builds the rows chooses the order
 (`local_cohomology._theta_rows` for θ stacks, `cohomology.coboundary_rank`
 for coboundaries).
 
-Over F_p the loop works mod p.  Pivot columns and ranks are read off the
-echelon rows.  `kernel_basis` and `solve` (M X = B for a whole matrix B at
-once) read off the reduced echelon form, which back-substitution over the
-sparse rows gives (`_back_substitute`); it is unique, so it does not depend
-on the order in which rows were reduced.
-
-Over Q, `sparse_rank` runs the same loop over Z with unit pivots (p =
-None): a leading ±1 becomes a pivot and rows are reduced in exact
-integers, so the number of echelon rows is the rank over Q with no
-certificate (Kaczynski-Mrozek-Ślusarek 1998).  Coboundary rows, with their
-±1 entries, mostly finish so; a leading entry of any other size, which
-torsion brings, sends the rows to the certified rank below.  Dense matrices
-over Q are eliminated fraction-free (Bareiss, `_q_echelon`) after clearing
-denominators row by row, which keeps every intermediate entry an integer;
-`_q_rref` adds exact Fraction back-substitution.  Entries must be exact: an
+The loop works mod p over F_p and exactly over Q (p = None).  Over Q a
+leading ±1 normalizes its row as an int multiplier, so rows of ±1 such as
+coboundaries mostly stay in exact integers (Kaczynski-Mrozek-Ślusarek
+1998), and any other leading entry, which torsion brings, normalizes it by
+a Fraction.  Pivot columns and ranks are read off the echelon rows.
+`kernel_basis` and `solve` (M X = B for a whole matrix B at once) read off
+the reduced echelon form, which back-substitution over the sparse rows
+gives (`_back_substitute`); it is unique, so it does not depend on the
+order in which rows were reduced.  A dense matrix over Q enters with each
+row scaled to integers with no common factor.  Entries must be exact: an
 int enters F_p as `x % p`, a Fraction through the modular inverse of its
 denominator, and a float raises TypeError (over F_p when the matrix is
 built, over Q when it is eliminated).  No floating point is used anywhere.
 
-The certified rank over Q (`_q_rank`) is proved modulo primes.  Let W be
-the integer matrix or its transpose, whichever has no more rows than
-columns (it touches fewer rows per pivot), and n its number of rows.  For
-every prime p, rank(W mod p) <= rank(W), so full row rank modulo one prime
-settles it.  Otherwise the r pivot columns of W mod p are independent over
-Q, and if the rank is r, the vectors y with y W = 0 are exactly the kernel
-of C, the transpose of those columns.  The reduced echelon forms of C modulo
-a few primes with the same pivots give n - r such vectors, the identity at
-the free columns of C, lifted by CRT and rational reconstruction with one
+`rank` over Q, and `block_pivots` for its rank-deficient prefixes, use
+the certified rank (`_q_rank`), proved modulo primes.  Let W be the integer
+matrix or its transpose, whichever has no more rows than columns (it
+touches fewer rows per pivot), and n its number of rows.  For every prime
+p, rank(W mod p) <= rank(W), so full row rank modulo one prime settles it.
+Otherwise the r pivot columns of W mod p are independent over Q, and if the
+rank is r, the vectors y with y W = 0 are exactly the kernel of C, the
+transpose of those columns.  The reduced echelon forms of C modulo a few
+primes with the same pivots give n - r such vectors, the identity at the
+free columns of C, lifted by CRT and rational reconstruction with one
 common denominator per vector (Wang 1981; Dixon 1982).  If every y W is
 exactly zero, checked by sparse integer dot products, these independent
 vectors prove rank <= r and the bounds meet.  When the lift or the check
-fails, or below `_BAREISS_CELLS` entries, Bareiss decides.  Pivot columns
-are never read modulo a prime: [[p, 1]] has pivot column 0 over Q and 1
-modulo p.  The one exception is `block_pivots`, which reads them modulo p
-only to choose columns whose coordinate vectors span a quotient, and says
-why that is sound.
+fails, or below `_BAREISS_CELLS` entries, Bareiss decides (`_q_echelon`,
+fraction-free, so every intermediate entry is an integer); it runs nowhere
+else.  Pivot columns are never read modulo a prime: [[p, 1]] has pivot
+column 0 over Q and 1 modulo p.  The one exception is `block_pivots`,
+which reads them modulo p only to choose columns whose coordinate vectors
+span a quotient, and says why that is sound.
 
 All pivot choices are "first nonzero", so every result (kernel bases,
 class representatives, ...) is deterministic.
@@ -268,7 +265,7 @@ def hstack(*mats: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# rational engine (fraction-free)
+# integer rows over Q, and Bareiss for the certified rank
 # ---------------------------------------------------------------------------
 
 
@@ -337,46 +334,26 @@ def _q_echelon(rows: list[list[int]], pivot_cols: int):
     return rows, pivots
 
 
-def _q_rref(rows: list[list[int]], pivot_cols: int):
-    """Reduced echelon form over Q: Bareiss forward, then exact back-substitution.
-
-    Returns (Fraction rows, pivot column list); row r has a 1 in column
-    pivots[r] and zeros in every other pivot column.
-    """
-    rows, pivots = _q_echelon(rows, pivot_cols)
-    rows = [[Fraction(x) for x in r] for r in rows]
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        piv = rows[r][c]
-        if piv != 1:
-            rows[r] = [x / piv for x in rows[r]]
-        for r2 in range(r):
-            f = rows[r2][c]
-            if f:
-                rows[r2] = [a - f * b for a, b in zip(rows[r2], rows[r])]
-    return rows, pivots
-
-
 # ---------------------------------------------------------------------------
-# modular engine (sparse rows)
+# the elimination loop (sparse rows, mod p or over Q)
 # ---------------------------------------------------------------------------
 
 
-def _echelon_insert(echelon: dict[int, dict[int, int]], row: dict[int, int], p: int | None) -> bool:
-    """Reduce the row {column: integer} against the echelon rows mod p; store it if it is new.
+def _echelon_insert(echelon: dict, row: dict, p: int | None) -> None:
+    """Reduce the sparse row {column: entry} against the echelon rows; store it if it is new.
 
-    echelon maps each pivot column to its row, a dict {column: residue} with
+    echelon maps each pivot column to its row, a dict {column: entry} with
     1 at the pivot and nothing to the left of it.  The leading column comes
-    off a heap of the row's columns: it is reduced mod p, and eliminated by
-    the echelon row with that pivot, if there is one, or else becomes the
-    pivot of the normalized row.  Other entries gather products of residues
-    as Python ints, unbounded, and are reduced only when they lead or are stored.
-    The row is consumed.
+    off a heap of the row's columns: it is eliminated by the echelon row
+    with that pivot, if there is one, or else becomes the pivot of the
+    normalized row.  The row is consumed.
 
-    p = None works over Z with unit pivots: entries are never reduced, and a
-    leading ±1 becomes a pivot (the row times it has 1 there).  Every step is
-    then exact over Q.  A leading entry other than ±1 is not stored, and the
-    call returns False; otherwise it returns True.
+    Over F_p the entries are integers: the leading one is reduced mod p, and
+    the others gather products of residues as Python ints, unbounded,
+    reduced only when they lead or are stored.  p = None is exact over Q:
+    nothing is reduced, a leading ±1 normalizes the row as an int multiplier
+    (1/x = x), so ±1 rows such as coboundaries stay in ints, and any other
+    leading x normalizes it by the Fraction 1/x.
     """
     heap = list(row)
     heapify(heap)
@@ -388,14 +365,13 @@ def _echelon_insert(echelon: dict[int, dict[int, int]], row: dict[int, int], p: 
             continue
         prow = echelon.get(c)
         if prow is None:
-            if p is None:
-                if x != 1 and x != -1:
-                    return False
-                echelon[c] = {k: y for k, v in row.items() if (y := v * x)}  # 1/x = x
-            else:
+            if p is not None:
                 inv = pow(x, -1, p)
                 echelon[c] = {k: y for k, v in row.items() if (y := v * inv % p)}
-            return True
+            else:
+                inv = x if x == 1 or x == -1 else 1 / Fraction(x)
+                echelon[c] = {k: y for k, v in row.items() if (y := v * inv)}
+            return
         for k, v in prow.items():  # prow[c] = 1 leaves row[c] = 0 (mod p), deleted below
             y = row.get(k)
             if y is None:
@@ -404,16 +380,15 @@ def _echelon_insert(echelon: dict[int, dict[int, int]], row: dict[int, int], p: 
             else:
                 row[k] = y - x * v
         del row[c]
-    return True
 
 
-def _sparse_echelon(rows, p: int, most: int) -> dict[int, dict[int, int]]:
-    """Echelon rows mod p of the sparse rows {column: integer}, inserted in order.
+def _sparse_echelon(rows, p: int | None, most: int) -> dict:
+    """Echelon rows of the sparse rows {column: entry}, inserted in order, mod p or over Q.
 
     Insertion stops once there are `most` echelon rows: with most = ncols
     every column is a pivot then, and no later row can add one.
     """
-    echelon: dict[int, dict[int, int]] = {}
+    echelon: dict = {}
     for row in rows:
         if len(echelon) == most:
             break
@@ -421,12 +396,13 @@ def _sparse_echelon(rows, p: int, most: int) -> dict[int, dict[int, int]]:
     return echelon
 
 
-def _back_substitute(echelon: dict[int, dict[int, int]], p: int) -> None:
+def _back_substitute(echelon: dict, p: int | None) -> None:
     """Clear every other pivot column from each echelon row, in place: the reduced echelon form.
 
     Rows are cleared from the last pivot up, so a row is cleared only by
     rows that are reduced already: each carries no pivot column but its own,
-    and subtracting it brings no new pivot column into the row.
+    and subtracting it brings no new pivot column into the row.  Entries are
+    reduced mod p, or kept exact when p is None.
     """
     for c in sorted(echelon, reverse=True):
         row = echelon[c]
@@ -434,7 +410,9 @@ def _back_substitute(echelon: dict[int, dict[int, int]], p: int) -> None:
             x = row.pop(k)
             for j, v in echelon[k].items():
                 if j != k:
-                    y = (row.get(j, 0) - x * v) % p
+                    y = row.get(j, 0) - x * v
+                    if p:
+                        y %= p
                     if y:
                         row[j] = y
                     else:
@@ -501,21 +479,20 @@ def _bareiss_rank(rows: list[dict[int, int]], ncols: int) -> int:
 
 
 def _q_rank(rows: list[dict[int, int]], ncols: int) -> int:
-    """Rank over Q of nonempty sparse integer rows {column: integer}, proved
-    modulo primes (see module docstring); columns are 0 .. ncols - 1.
+    """Rank over Q of sparse integer rows {column: integer}, proved modulo
+    primes (see module docstring); columns are 0 .. ncols - 1.
 
     Its callers are `block_pivots`, for the rank-deficient prefixes of θ
-    stacks and Artinian reductions, `sparse_rank`, for rows whose unit
-    pivots ran out, and `rank`, for dense matrices.  Columns are eliminated
-    in the order the caller numbers them; the rank does not depend on it,
-    but the fill-in of the echelon rows does.  The tall θ stacks make W
-    their transpose and the columns of C their columns, which
-    `local_cohomology._theta_rows` numbers against the lex order of its rows
-    (its docstring says why); the prefixes of a reduction keep the lex order
-    of `artinian`, whose pivot columns it reads.  The rows keep their order:
-    when W is the matrix itself, the kernel vectors are then 1 at a free row
-    late in the matrix, and rows that are combinations of earlier rows give
-    short lifts.
+    stacks and Artinian reductions, and `rank`, for dense matrices.
+    Columns are eliminated in the order the caller numbers them; the rank
+    does not depend on it, but the fill-in of the echelon rows does.  The
+    tall θ stacks make W their transpose and the columns of C their
+    columns, which `local_cohomology._theta_rows` numbers against the lex
+    order of its rows (its docstring says why); the prefixes of a reduction
+    keep the lex order of `artinian`, whose pivot columns it reads.  The
+    rows keep their order: when W is the matrix itself, the kernel vectors
+    are then 1 at a free row late in the matrix, and rows that are
+    combinations of earlier rows give short lifts.
     """
     nrows = len(rows)
     if nrows * ncols < _BAREISS_CELLS:
@@ -564,20 +541,23 @@ def _q_rank(rows: list[dict[int, int]], ncols: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _rref(M: Matrix, pivot_cols: int):
-    """Reduced echelon form of M in its first pivot_cols columns: (rows, pivots).
+def _echelon(M: Matrix) -> dict:
+    """Echelon rows of all of M, each row of a matrix over Q scaled to integers first."""
+    p = M.field.p
+    return _sparse_echelon(_sparse(M._rows if p else _q_int_rows(M._rows)), p, M.ncols)
 
-    Rows are lists; row r has a 1 in column pivots[r] and zeros in the other
-    pivot columns, and rows past len(pivots) vanish in those columns.  Over
-    F_p the rows are the reduced echelon form of all of M, zero rows left out.
+
+def _rref(M: Matrix, pivot_cols: int):
+    """Reduced echelon form of M, zero rows left out, and its pivots left of pivot_cols.
+
+    Rows are lists sorted by pivot; row r has a 1 in column pivots[r] and
+    zeros in the other pivot columns, and rows past len(pivots) vanish in
+    the first pivot_cols columns.
     """
     if M.nrows == 0 or pivot_cols == 0:
         return M.tolist(), []
-    if M.field.is_rational:
-        return _q_rref(_q_int_rows(M._rows), pivot_cols)
-    p = M.field.p
-    echelon = _sparse_echelon(_sparse(M._rows), p, M.ncols)
-    _back_substitute(echelon, p)
+    echelon = _echelon(M)
+    _back_substitute(echelon, M.field.p)
     rows, pivots = [], []
     for c in sorted(echelon):
         row = [0] * M.ncols
@@ -593,21 +573,16 @@ def pivot_columns(M: Matrix) -> list[int]:
     """Indices of the first maximal independent set of columns of M, in order."""
     if M.nrows == 0 or M.ncols == 0:
         return []
-    if M.field.is_rational:
-        return _q_echelon(_q_int_rows(M._rows), M.ncols)[1]
-    return sorted(_sparse_echelon(_sparse(M._rows), M.field.p, M.ncols))
+    return sorted(_echelon(M))
 
 
 def rank(M: Matrix) -> int:
-    """Rank of M."""
+    """Rank of M; over Q the certified rank `_q_rank`."""
     if M.nrows == 0 or M.ncols == 0:
         return 0
     if M.field.is_rational:
-        rows = _q_int_rows(M._rows)
-        if M.nrows * M.ncols < _BAREISS_CELLS:  # Bareiss on the dense rows, no sparse copy
-            return len(_q_echelon(rows, M.ncols)[1])
-        return _q_rank(list(_sparse(rows)), M.ncols)
-    return len(_sparse_echelon(_sparse(M._rows), M.field.p, M.ncols))
+        return _q_rank(list(_sparse(_q_int_rows(M._rows))), M.ncols)
+    return len(_echelon(M))
 
 
 def sparse_rank(field: FieldSpec, rows, most: int) -> int:
@@ -615,28 +590,12 @@ def sparse_rank(field: FieldSpec, rows, most: int) -> int:
 
     The rows come one at a time from an iterable, and insertion stops once
     the rank reaches `most`, so the rows after that are never built.
-    Columns are any integers, eliminated in ascending order.  Over F_p the
-    rows go to `_sparse_echelon`.  Over Q they are inserted over Z with unit
-    pivots (`_echelon_insert` with p = None), which is exact, so the number
-    of echelon rows is the rank.  Rows of ±1, such as coboundaries, mostly
-    keep unit pivots throughout.  At the first leading entry other than ±1,
-    the original rows, with their columns renumbered 0, 1, ... in order, go
-    to `_q_rank`.
+    Columns are any integers, eliminated in ascending order.  The rows go to
+    `_sparse_echelon`, mod p or exactly over Q: rows of ±1, such as
+    coboundaries, mostly keep unit pivots and int entries, and torsion
+    brings a Fraction pivot.
     """
-    if field.p is not None:
-        return len(_sparse_echelon(rows, field.p, most))
-    echelon: dict[int, dict[int, int]] = {}
-    rows = iter(rows)
-    seen = []
-    for row in rows:
-        if len(echelon) == most:
-            break
-        seen.append(row)
-        if not _echelon_insert(echelon, dict(row), None):
-            seen += rows
-            cols = {c: i for i, c in enumerate(sorted({c for r in seen for c in r}))}
-            return _q_rank([{cols[c]: x for c, x in r.items()} for r in seen], len(cols))
-    return len(echelon)
+    return len(_sparse_echelon(rows, field.p, most))
 
 
 def block_pivots(field: FieldSpec, blocks, ncols: int) -> tuple[list[int], list[list[int]]]:

@@ -52,6 +52,16 @@ def binom0(a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+@per_complex
+def _monomial_supports(cx: SimplicialComplex, r: int) -> tuple[tuple, dict]:
+    """(the support of each degree-r monomial, monomial -> position), shared
+    by the graded pieces of every l and field; monomials with one support
+    share one frozenset."""
+    vectors, faces = degree_monomials(cx, r), {}
+    supports = tuple(faces.setdefault(F, F) for F in map(support, vectors))
+    return supports, {U: k for k, U in enumerate(vectors)}
+
+
 class GradedPiece:
     """The degree -r piece in cohomological degree l, as an ordered block sum."""
 
@@ -59,11 +69,11 @@ class GradedPiece:
 
     def __init__(self, cx, ell, r, field):
         self.vectors = degree_monomials(cx, r)
+        supports, self._index = _monomial_supports(cx, r)
         by_face = cohomology_by_face(cx, ell - 1, field)
-        self.dims = tuple(by_face[support(U)] for U in self.vectors)
+        self.dims = tuple(by_face[F] for F in supports)
         *offsets, self.total_dim = accumulate(self.dims, initial=0)
         self.offsets = tuple(offsets)
-        self._index = {U: k for k, U in enumerate(self.vectors)}
 
     def block_index(self, U) -> int | None:
         return self._index.get(tuple(U))
@@ -168,12 +178,14 @@ def lc_hilbert_series(cx: SimplicialComplex, i: int, field: FieldSpec) -> Hilber
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GenericCoefficients:
     """n x m coefficient matrix of linear forms, certified generic.
 
     Every square submatrix is nonsingular: analytic for the positive
-    Vandermonde over Q, checked minor by minor over prime fields.
+    Vandermonde over Q, checked minor by minor over prime fields.  It
+    compares and hashes by identity, so a `theta_ranks` memo lookup does
+    not hash the matrix.
     """
 
     matrix: Matrix
@@ -312,11 +324,12 @@ def _theta_rows(cx: SimplicialComplex, ell: int, i: int, thetas, field: FieldSpe
     scales = [[(rows, theta[t]) for rows, theta in zip(blocks, thetas) if theta[t]]
               for t in range(cx.n)]
     last = src.total_dim - 1
+    supports = _monomial_supports(cx, i)[0]
     for kt, T in enumerate(dst.vectors):
         dim = dst.dims[kt]
         if dim == 0:
             continue
-        sT = support(T)
+        sT = supports[kt]
         roff = dst.offsets[kt]
         for t in range(cx.n):
             ku = src.block_index(T[:t] + (T[t] + 1,) + T[t + 1:])

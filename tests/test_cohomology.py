@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from facering import linalg
 from facering.cohomology import (
     coboundary_matrix,
     coboundary_rank,
@@ -182,7 +183,7 @@ def test_generated_coboundary_matches_definition(cx):
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(small_complexes())
 def test_generated_coboundary_rank_matches_independent_elimination(cx):
-    # the sparse rows over face ids, unit pivots over Q and the cap at
+    # the sparse rows over face ids, the exact loop over Q and the cap at
     # dim C^k - rank delta^(k-1), against the definition and plain elimination
     for p, field in ((0, QQ), (2, GF(2)), (3, GF(3))):
         for tau in cx.faces():
@@ -258,6 +259,29 @@ def test_functoriality_of_induced_maps(complexes, field):
                                   induced_map(cx, big, mid, i, field))
                 one_step = induced_map(cx, big, small, i, field)
                 assert two_step == one_step
+
+
+def test_basis_route_over_q_runs_no_bareiss(monkeypatch, rp2_6):
+    # rp2_6 suspended twice (288 faces): the cocycle bases and induced maps
+    # over Q at every face of up to two vertices come from the sparse loop,
+    # and Bareiss, which only the certified rank runs, is never reached
+    n, facets = rp2_6.n, [sorted(F) for F in rp2_6.facets]
+    for _ in range(2):
+        facets = [F + [v] for F in facets for v in (n + 1, n + 2)]
+        n += 2
+    cx = SimplicialComplex(n, facets)
+    calls, bareiss = [], linalg._q_echelon
+    monkeypatch.setattr(linalg, "_q_echelon", lambda *a: calls.append(a) or bareiss(*a))
+    for big in cx.faces():
+        if len(big) > 2:
+            continue
+        for i in range(-1, cx.dim + 1):
+            dim = relative_cohomology_dim(cx, big, i, QQ)
+            assert relative_cohomology(cx, big, i, QQ).ncols == dim
+            for small in [big - {v} for v in big]:
+                M = induced_map(cx, big, small, i, QQ)
+                assert (M.nrows, M.ncols) == (relative_cohomology_dim(cx, small, i, QQ), dim)
+    assert calls == []
 
 
 @pytest.mark.parametrize("field", FIELDS)

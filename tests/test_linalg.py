@@ -184,28 +184,30 @@ def test_prime_field_eliminations_agree(p):
 
 
 def _reference_rref(rows, ncols, p):
-    """Nonzero rows and pivot columns of the reduced echelon form mod p, by
-    plain Gauss-Jordan on Python ints over all columns."""
-    rows = [[x % p for x in r] for r in rows]
+    """Nonzero rows and pivot columns of the reduced echelon form mod p, or
+    over Q in Fractions when p is None, by plain Gauss-Jordan over all columns."""
+    exact = Fraction if p is None else (lambda x: x % p)
+    rows = [[exact(x) for x in r] for r in rows]
     pivots, r = [], 0
     for c in range(ncols):
         k = next((k for k in range(r, len(rows)) if rows[k][c]), None)
         if k is None:
             continue
         rows[r], rows[k] = rows[k], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [x * inv % p for x in rows[r]]
+        inv = 1 / rows[r][c] if p is None else pow(rows[r][c], -1, p)
+        rows[r] = [exact(x * inv) for x in rows[r]]
         for k2 in range(len(rows)):
             f = rows[k2][c]
             if k2 != r and f:
-                rows[k2] = [(x - f * y) % p for x, y in zip(rows[k2], rows[r])]
+                rows[k2] = [exact(x - f * y) for x, y in zip(rows[k2], rows[r])]
         pivots.append(c)
         r += 1
     return rows[:r], pivots
 
 
 def _reference_solve(rows, brows, ncols, width, p):
-    """X with M X = B mod p, zero at the non-pivot columns of M, or None."""
+    """X with M X = B mod p (over Q when p is None), zero at the non-pivot
+    columns of M, or None."""
     reduced, pivots = _reference_rref([a + b for a, b in zip(rows, brows)], ncols + width, p)
     if any(c >= ncols for c in pivots):
         return None
@@ -215,32 +217,40 @@ def _reference_solve(rows, brows, ncols, width, p):
     return X
 
 
-@pytest.mark.parametrize("p", [2, 3, 32003])
+@pytest.mark.parametrize("p", [None, 2, 3, 32003])
 def test_prime_field_rref_and_solve_match_gauss_jordan(p):
-    # wide, tall and zero-row matrices.  The reduced echelon form is unique,
-    # so _rref(M, k) gives the reference's rows for every k, and its pivots
-    # left of k; solve meets consistent right-hand sides wider than M and
-    # inconsistent ones
-    field = GF(p)
-    rng = random.Random(p + 1)
+    # wide, tall and zero-row matrices, over F_p and over Q (p = None, with
+    # ints and Fractions mixed, so pivots other than +-1 come up).  The
+    # reduced echelon form is unique, so _rref(M, k) gives the reference's
+    # rows for every k, and its pivots left of k; solve meets consistent
+    # right-hand sides wider than M and inconsistent ones
+    field = FieldSpec(p)
+    rng = random.Random((p or 0) + 1)
+
+    def entry():
+        if p is not None:
+            return rng.randrange(p)
+        x = rng.randint(-9, 9)
+        return x if rng.random() < 0.5 else Fraction(x, rng.randint(2, 5))
+
     shapes = [(0, 4), (3, 8), (8, 3), (6, 6)]
     shapes += [(rng.randint(0, 9), rng.randint(1, 9)) for _ in range(30)]
     inconsistent = 0
     for m, n in shapes:
         density = rng.choice([0.2, 0.5, 1.0])
-        rows = [[rng.randrange(p) if rng.random() < density else 0 for _ in range(n)]
+        rows = [[entry() if rng.random() < density else 0 for _ in range(n)]
                 for _ in range(m)]
         if m > 2:  # a dependent row
-            rows[-1] = [(a + 2 * b) % p for a, b in zip(rows[0], rows[1])]
+            rows[-1] = [a + 2 * b for a, b in zip(rows[0], rows[1])]
         M = Matrix(field, rows, n)
         want, want_pivots = _reference_rref(rows, n, p)
         for k in range(1, n + 1):
             assert _rref(M, k) == (want, [c for c in want_pivots if c < k])
         width = n + rng.randint(1, 3)
-        X = Matrix(field, [[rng.randrange(p) for _ in range(width)] for _ in range(n)], width)
+        X = Matrix(field, [[entry() for _ in range(width)] for _ in range(n)], width)
         B = matmul(M, X)
         assert solve(M, B).tolist() == _reference_solve(rows, B.tolist(), n, width, p)
-        brows = [[rng.randrange(p) for _ in range(width)] for _ in range(m)]
+        brows = [[entry() for _ in range(width)] for _ in range(m)]
         got = solve(M, Matrix(field, brows, width))
         assert (got and got.tolist()) == _reference_solve(rows, brows, n, width, p)
         inconsistent += got is None

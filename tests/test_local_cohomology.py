@@ -34,7 +34,7 @@ from facering.local_cohomology import (
 )
 from facering.quotient import predicts_finite_lc, quotient_lc_dim
 from facering.squarefree import SqfreeData, sqfree_lc_data
-from facering import linalg, verification
+from facering import linalg, local_cohomology, verification
 from facering.verification import run_checks
 
 from complex_strategies import small_complexes
@@ -123,6 +123,13 @@ def test_fine_dims(cycle3, bowtie):
     assert relative_cohomology_dim(bowtie, support((1, 1, 0, 0, 0)), 1, QQ) == 0
     # a support that is not a face has no block
     assert graded_piece(cycle3, 2, 3, QQ).block_index((1, 1, 1)) is None
+
+
+def test_graded_pieces_share_one_index_per_degree(bowtie):
+    # the supports and the block index depend on (complex, r) alone
+    a, b = graded_piece(bowtie, 1, 2, QQ), graded_piece(bowtie, 2, 2, GF(2))
+    assert a._index is b._index
+    assert [a.block_index(U) for U in a.vectors] == list(range(len(a.vectors)))
 
 
 def test_coarse_dims(cycle3):
@@ -471,6 +478,23 @@ def test_bruteforce_m0_equals_piece_dim(cycle3):
 def test_bruteforce_default_coefficients(cycle3):
     # make_generic's default over Q is the Vandermonde on nodes 1..n
     assert kernel_dim_bruteforce(cycle3, 2, 1, 2, make_generic(3, 1, QQ), QQ) == 3
+
+
+def test_theta_memo_never_hashes_the_coefficient_matrix(monkeypatch, octahedron):
+    # the coefficients key the theta_ranks memo by identity: a lookup hashes
+    # no Matrix, and the second call on the same coefficients is a hit
+    def refuse(self):
+        raise AssertionError("Matrix hashed")
+
+    monkeypatch.setattr(Matrix, "__hash__", refuse)
+    calls = []
+    monkeypatch.setattr(local_cohomology, "_theta_rows",
+                        lambda *a, real=_theta_rows: calls.append(a) or real(*a))
+    cx = SimplicialComplex(octahedron.n, octahedron.facets)  # a fresh memo
+    coeffs = make_generic(cx.n, 2, QQ)
+    first = kernel_dim_bruteforce(cx, 3, 1, 2, coeffs, QQ)
+    assert kernel_dim_bruteforce(cx, 3, 2, 2, coeffs, QQ) <= first
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from facering import linalg
 from facering.cohomology import reduced_cohomology_dim, relative_cohomology_dim
 from facering.complexes import SimplicialComplex
-from facering.linalg import GF, QQ
+from facering.linalg import GF, QQ, sparse_rank
 from facering.singularity import (
     NEG_INFINITY,
     _depths,
@@ -177,9 +177,13 @@ def test_unit_pivots_settle_cross_polytopes_over_q(monkeypatch, k):
     assert calls == []
 
 
-def test_torsion_falls_back_to_the_certified_rank(monkeypatch, rp2_6):
-    # the 2-torsion of rp2_6 leaves a leading entry other than +-1 over Z
+def test_torsion_needs_no_certified_rank(monkeypatch, rp2_6):
+    # the 2-torsion of rp2_6, which makes it CM over Q but not over F_2,
+    # leaves leading entries other than +-1 in its coboundary ranks; the
+    # sparse loop divides by them exactly, with no certified rank
     cx = SimplicialComplex(rp2_6.n, rp2_6.facets)  # a fresh memo
     calls = _count_certified_ranks(monkeypatch)
     assert is_cm(cx, QQ)
-    assert "_q_rank" in calls
+    assert not is_cm(cx, GF(2))
+    assert sparse_rank(QQ, [{0: 2, 1: 1}, {0: 1, 1: 2}], 2) == 2  # a pivot 2, then 3/2
+    assert calls == []
