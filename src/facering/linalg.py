@@ -12,39 +12,25 @@ renumber them: the code that builds the rows chooses the order
 (`local_cohomology._theta_rows` for θ stacks, `cohomology.coboundary_rank`
 for coboundaries).
 
-The loop works mod p over F_p and exactly over Q (p = None).  Over Q a
-leading ±1 normalizes its row as an int multiplier, so rows of ±1 such as
-coboundaries mostly stay in exact integers (Kaczynski-Mrozek-Ślusarek
-1998), and any other leading entry, which torsion brings, normalizes it by
-a Fraction.  Pivot columns and ranks are read off the echelon rows.
+The loop works mod p over F_p and exactly over Q (p = None).  Over Q it
+works in integers, fraction-free: each row enters scaled to integers with
+no common factor, and an echelon row is kept primitive with a positive
+leading entry.  A row whose leading x meets the echelon row with pivot a
+becomes the row times a/g minus that echelon row times x/g, g = gcd(a, x),
+so the span of the rows seen so far never changes.  A pivot 1 makes that
+the int multiplier x, so rows of ±1 such as coboundaries eliminate as they
+would over Z (Kaczynski-Mrozek-Ślusarek 1998), and torsion brings the
+other pivots.  Ranks and pivot columns are read off the echelon rows, so
+every prefix of the rows has them exactly, with no second method.
 `kernel_basis` and `solve` (M X = B for a whole matrix B at once) read off
-the reduced echelon form, which back-substitution over the sparse rows
-gives (`_back_substitute`); it is unique, so it does not depend on the
-order in which rows were reduced.  A dense matrix over Q enters with each
-row scaled to integers with no common factor.  Entries must be exact: an
-int enters F_p as `x % p`, a Fraction through the modular inverse of its
-denominator, and a float raises TypeError (over F_p when the matrix is
-built, over Q when it is eliminated).  No floating point is used anywhere.
-
-`rank` over Q, and `block_pivots` for its rank-deficient prefixes, use
-the certified rank (`_q_rank`), proved modulo primes.  Let W be the integer
-matrix or its transpose, whichever has no more rows than columns (it
-touches fewer rows per pivot), and n its number of rows.  For every prime
-p, rank(W mod p) <= rank(W), so full row rank modulo one prime settles it.
-Otherwise the r pivot columns of W mod p are independent over Q, and if the
-rank is r, the vectors y with y W = 0 are exactly the kernel of C, the
-transpose of those columns.  The reduced echelon forms of C modulo a few
-primes with the same pivots give n - r such vectors, the identity at the
-free columns of C, lifted by CRT and rational reconstruction with one
-common denominator per vector (Wang 1981; Dixon 1982).  If every y W is
-exactly zero, checked by sparse integer dot products, these independent
-vectors prove rank <= r and the bounds meet.  When the lift or the check
-fails, or below `_BAREISS_CELLS` entries, Bareiss decides (`_q_echelon`,
-fraction-free, so every intermediate entry is an integer); it runs nowhere
-else.  Pivot columns are never read modulo a prime: [[p, 1]] has pivot
-column 0 over Q and 1 modulo p.  The one exception is `block_pivots`,
-which reads them modulo p only to choose columns whose coordinate vectors
-span a quotient, and says why that is sound.
+the reduced echelon form: over Q the integer echelon rows are divided by
+their pivots, and back-substitution over the sparse rows
+(`_back_substitute`) clears the other pivot columns.  That form is unique,
+so it does not depend on the order in which rows were reduced.  Entries
+must be exact: an int enters F_p as `x % p`, a Fraction through the
+modular inverse of its denominator, and a float raises TypeError (over F_p
+when the matrix is built, over Q when it is eliminated).  No floating
+point is used anywhere.
 
 All pivot choices are "first nonzero", so every result (kernel bases,
 class representatives, ...) is deterministic.
@@ -54,21 +40,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import index
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# Certified rank over Q: matrices with fewer entries go to Bareiss, larger ones
-# are eliminated modulo the largest primes below 2^31.  Timed per call, best of
-# 9 each way, on every Q rank of `verify corpus --m-max 2`, `analyze` of the
-# perfbench analyze-grow complexes, `reduce rp2_6 --m 2 --cutoff 10` and
-# `reduce octahedron --m 3 --cutoff 10`, Bareiss against modular took on
-# average 0.21 against 0.27 ms at 1024-2047 entries (17 calls), 0.48 against
-# 0.36 ms at 2048-4095 (12 calls), 1.07 against 1.10 ms at 4096-8191 (6 calls),
-# and 4 to 28 against 2 to 5 ms above.
-_BAREISS_CELLS = 2048
-_RANK_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549)
 
 
 def is_prime(p: int) -> bool:
@@ -265,7 +240,7 @@ def hstack(*mats: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# integer rows over Q, and Bareiss for the certified rank
+# integer rows over Q
 # ---------------------------------------------------------------------------
 
 
@@ -273,8 +248,8 @@ def _q_int_rows(rows) -> list[list[int]]:
     """Scale each row to integer entries and strip the content.
 
     Entries are integers or Fractions; anything else raises TypeError.  A row
-    that needs no change is returned as it is: the eliminations replace rows
-    of the returned list but never change one.
+    that needs no change is returned as it is: the eliminations copy the rows
+    into sparse dicts and never change them.
     """
     out = []
     for r in rows:
@@ -297,43 +272,6 @@ def _q_int_rows(rows) -> list[list[int]]:
     return out
 
 
-def _q_echelon(rows: list[list[int]], pivot_cols: int):
-    """Bareiss forward elimination in place; returns (rows, pivot column list).
-
-    Row k of the result has its pivot in column pivots[k].  Row operations are
-    scalings and eliminations only, so row space and null space are preserved.
-    """
-    m = len(rows)
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(pivot_cols):
-        if r == m:
-            break
-        k = None
-        for k2 in range(r, m):
-            if rows[k2][c]:
-                k = k2
-                break
-        if k is None:
-            continue
-        if k != r:
-            rows[r], rows[k] = rows[k], rows[r]
-        prow = rows[r]
-        piv = prow[c]
-        for k2 in range(r + 1, m):
-            row = rows[k2]
-            f = row[c]
-            if f:
-                rows[k2] = [(piv * x - f * y) // prev for x, y in zip(row, prow)]
-            elif piv != prev:
-                rows[k2] = [piv * x // prev if x else 0 for x in row]
-        pivots.append(c)
-        prev = piv
-        r += 1
-    return rows, pivots
-
-
 # ---------------------------------------------------------------------------
 # the elimination loop (sparse rows, mod p or over Q)
 # ---------------------------------------------------------------------------
@@ -343,17 +281,20 @@ def _echelon_insert(echelon: dict, row: dict, p: int | None) -> None:
     """Reduce the sparse row {column: entry} against the echelon rows; store it if it is new.
 
     echelon maps each pivot column to its row, a dict {column: entry} with
-    1 at the pivot and nothing to the left of it.  The leading column comes
-    off a heap of the row's columns: it is eliminated by the echelon row
-    with that pivot, if there is one, or else becomes the pivot of the
-    normalized row.  The row is consumed.
+    nothing to the left of the pivot.  The leading column comes off a heap
+    of the row's columns: it is eliminated by the echelon row with that
+    pivot, if there is one, or else becomes the pivot of the stored row.
+    The row is consumed.
 
     Over F_p the entries are integers: the leading one is reduced mod p, and
     the others gather products of residues as Python ints, unbounded,
-    reduced only when they lead or are stored.  p = None is exact over Q:
-    nothing is reduced, a leading ±1 normalizes the row as an int multiplier
-    (1/x = x), so ±1 rows such as coboundaries stay in ints, and any other
-    leading x normalizes it by the Fraction 1/x.
+    reduced only when they lead or are stored; a stored row has 1 at its
+    pivot.  p = None is exact over Q on integer rows, fraction-free: a
+    stored row is primitive with a positive pivot a, and a leading x
+    against it turns the row into row * (a/g) - echelon row * (x/g) with
+    g = gcd(a, x).  A pivot 1 leaves that x times the echelon row, an int
+    multiplier, so a row that meets only pivots 1 and is stored at a lead
+    ±1, as coboundaries mostly are, calls no gcd.
     """
     heap = list(row)
     heapify(heap)
@@ -368,11 +309,20 @@ def _echelon_insert(echelon: dict, row: dict, p: int | None) -> None:
             if p is not None:
                 inv = pow(x, -1, p)
                 echelon[c] = {k: y for k, v in row.items() if (y := v * inv % p)}
+            elif x == 1 or x == -1:
+                echelon[c] = {k: y for k, v in row.items() if (y := v * x)}
             else:
-                inv = x if x == 1 or x == -1 else 1 / Fraction(x)
-                echelon[c] = {k: y for k, v in row.items() if (y := v * inv)}
+                g = gcd(*row.values()) if x > 0 else -gcd(*row.values())
+                echelon[c] = {k: v // g for k, v in row.items() if v}
             return
-        for k, v in prow.items():  # prow[c] = 1 leaves row[c] = 0 (mod p), deleted below
+        if p is None and (a := prow[c]) != 1:
+            g = gcd(a, x)
+            x //= g
+            if a != g:
+                a //= g
+                for k in row:
+                    row[k] *= a
+        for k, v in prow.items():  # leaves row[c] = 0 (mod p), deleted below
             y = row.get(k)
             if y is None:
                 row[k] = -x * v
@@ -430,113 +380,6 @@ def _non_pivots(pivots: list[int], ncols: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# certified rank over Q (modular elimination, exact kernel check)
-# ---------------------------------------------------------------------------
-
-
-def _rational(y: int, N: int, bound: int):
-    """(a, b) with a = b*y mod N, |a| <= bound and 0 < b <= bound, or None (Wang)."""
-    r0, r1, t0, t1 = N, y, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if abs(t1) > bound:
-        return None
-    return (r1, t1) if t1 > 0 else (-r1, -t1)
-
-
-def _lift(images: list[list[int]], N: int):
-    """Integer vectors from rational images mod N: a list of (d, numerators), or None.
-
-    Each vector is its numerators over one common denominator d; the
-    denominator found so far multiplies each next entry before its
-    reconstruction, so it is mostly an integer by then.
-    """
-    bound = isqrt(N // 2)
-    vectors = []
-    for image in images:
-        d, nums = 1, []
-        for y in image:
-            ab = _rational(y * d % N, N, bound)
-            if ab is None:
-                return None
-            a, b = ab
-            if b != 1:
-                nums = [x * b for x in nums]
-                d *= b
-            nums.append(a)
-        vectors.append((d, nums))
-    return vectors
-
-
-def _bareiss_rank(rows: list[dict[int, int]], ncols: int) -> int:
-    """Rank of sparse integer rows by Bareiss on a dense copy."""
-    dense = [[0] * ncols for _ in rows]
-    for out, row in zip(dense, rows):
-        for c, x in row.items():
-            out[c] = x
-    return len(_q_echelon(dense, ncols)[1])
-
-
-def _q_rank(rows: list[dict[int, int]], ncols: int) -> int:
-    """Rank over Q of sparse integer rows {column: integer}, proved modulo
-    primes (see module docstring); columns are 0 .. ncols - 1.
-
-    Its callers are `block_pivots`, for the rank-deficient prefixes of θ
-    stacks and Artinian reductions, and `rank`, for dense matrices.
-    Columns are eliminated in the order the caller numbers them; the rank
-    does not depend on it, but the fill-in of the echelon rows does.  The
-    tall θ stacks make W their transpose and the columns of C their
-    columns, which `local_cohomology._theta_rows` numbers against the lex
-    order of its rows (its docstring says why); the prefixes of a reduction
-    keep the lex order of `artinian`, whose pivot columns it reads.  The
-    rows keep their order: when W is the matrix itself, the kernel vectors
-    are then 1 at a free row late in the matrix, and rows that are
-    combinations of earlier rows give short lifts.
-    """
-    nrows = len(rows)
-    if nrows * ncols < _BAREISS_CELLS:
-        return _bareiss_rank(rows, ncols)
-    columns: list[dict[int, int]] = [{} for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for c, x in row.items():
-            columns[c][i] = x
-    # W has no more rows than columns: it touches fewer rows per pivot
-    wrows, wcols = (columns, rows) if nrows > ncols else (rows, columns)
-    n = len(wrows)
-    cols = sorted(_sparse_echelon(map(dict, wrows), _RANK_PRIMES[0], len(wcols)))
-    if len(cols) == n:
-        return n
-    best = None
-    for p in _RANK_PRIMES:
-        echelon = _sparse_echelon((dict(wcols[c]) for c in cols), p, n)  # y W = 0 => y in ker C
-        pivots = sorted(echelon)
-        if len(pivots) < len(cols) or (best is not None and pivots > best):
-            continue  # the rank or the pivots of C drop modulo p
-        if pivots != best:
-            best, images, N = pivots, [[0] * len(pivots)] * (n - len(pivots)), 1
-        _back_substitute(echelon, p)
-        free = _non_pivots(pivots, n)
-        block = [[-echelon[c].get(f, 0) % p for c in pivots] for f in free]
-        del echelon
-        inv = pow(N, -1, p)
-        images = [[x + N * ((y - x) * inv % p) for x, y in zip(xs, ys)]
-                  for xs, ys in zip(images, block)]
-        N *= p
-        vectors = _lift(images, N)
-        if vectors is None:
-            continue
-        ys = []
-        for f, (d, nums) in zip(free, vectors):
-            y = dict(zip(pivots, nums))
-            y[f] = d
-            ys.append(y)
-        if all(not sum(y.get(j, 0) * x for j, x in col.items()) for y in ys for col in wcols):
-            return len(cols)
-    return _bareiss_rank(rows, ncols)
-
-
-# ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
@@ -557,6 +400,10 @@ def _rref(M: Matrix, pivot_cols: int):
     if M.nrows == 0 or pivot_cols == 0:
         return M.tolist(), []
     echelon = _echelon(M)
+    if M.field.is_rational:  # divide each integer row by its pivot
+        for c, row in echelon.items():
+            if (a := row[c]) != 1:
+                echelon[c] = {k: Fraction(x, a) for k, x in row.items()}
     _back_substitute(echelon, M.field.p)
     rows, pivots = [], []
     for c in sorted(echelon):
@@ -571,17 +418,11 @@ def _rref(M: Matrix, pivot_cols: int):
 
 def pivot_columns(M: Matrix) -> list[int]:
     """Indices of the first maximal independent set of columns of M, in order."""
-    if M.nrows == 0 or M.ncols == 0:
-        return []
     return sorted(_echelon(M))
 
 
 def rank(M: Matrix) -> int:
-    """Rank of M; over Q the certified rank `_q_rank`."""
-    if M.nrows == 0 or M.ncols == 0:
-        return 0
-    if M.field.is_rational:
-        return _q_rank(list(_sparse(_q_int_rows(M._rows))), M.ncols)
+    """Rank of M: the number of its echelon rows."""
     return len(_echelon(M))
 
 
@@ -591,9 +432,8 @@ def sparse_rank(field: FieldSpec, rows, most: int) -> int:
     The rows come one at a time from an iterable, and insertion stops once
     the rank reaches `most`, so the rows after that are never built.
     Columns are any integers, eliminated in ascending order.  The rows go to
-    `_sparse_echelon`, mod p or exactly over Q: rows of ±1, such as
-    coboundaries, mostly keep unit pivots and int entries, and torsion
-    brings a Fraction pivot.
+    `_sparse_echelon`, mod p or exactly over Q in integers: rows of ±1, such
+    as coboundaries, mostly keep pivots 1, and torsion brings the others.
     """
     return len(_sparse_echelon(rows, field.p, most))
 
@@ -605,49 +445,36 @@ def block_pivots(field: FieldSpec, blocks, ncols: int) -> tuple[list[int], list[
     zero row may be {}.  ranks[k] and pivots[k] belong to the first k blocks,
     so ranks[0] = 0 and pivots[0] = [] for the empty stack.  The coordinate
     vectors at the columns outside pivots[k] span the quotient by the rows of
-    the first k blocks.  Over F_p all of it is exact.  Over Q each row is
-    scaled to integers and the rows are eliminated modulo _RANK_PRIMES[0]; a
-    prefix whose rank there equals its number of nonzero rows or ncols has
-    that rank over Q, and any other prefix goes to `_q_rank`.
+    the first k blocks.  All of it is exact, over Q as over F_p.
 
     The rows are sparse, so they are eliminated one at a time in pure Python
     (`_echelon_insert`): each is reduced against the echelon rows kept from
     all rows before it, never eliminated again, and either adds one pivot or
-    none.  pivots[k] is the set of leading columns of an echelon basis of
-    the span of the first k blocks, and that set depends only on the span
-    (column c leads exactly when the span's dimension grows on adding the
-    coordinates at c), so it equals the pivot columns of any forward
-    elimination of the dense prefix, `pivot_columns` included.  Once every
-    column is a pivot no row can add rank, and later rows skip elimination;
-    every entry of every row is still mapped into F_p, so a float raises
-    TypeError and a Fraction whose denominator p divides raises ValueError.
-
-    The pivot columns over Q are read modulo p, the one exception to the
-    rule of the module docstring.  The r pivot columns mod p carry an r x r
-    minor of the integer rows that is nonzero mod p, hence nonzero over Q, so
-    over Q the rows reach every vector on those columns and the coordinate
-    vectors at the other columns still span the quotient.  They may be more
-    than its dimension when the rank drops modulo p.
+    none, so every prefix's rank is the number of echelon rows after it.
+    Over Q each row enters scaled to integers with no common factor.
+    pivots[k] is the set of leading columns of an echelon basis of the span
+    of the first k blocks, and that set depends only on the span (column c
+    leads exactly when the span's dimension grows on adding the coordinates
+    at c), so it equals the pivot columns of any forward elimination of the
+    dense prefix, `pivot_columns` included.  Once every column is a pivot no
+    row can add rank, and later rows skip elimination; every entry of every
+    row is still checked, so a float raises TypeError, and over F_p a
+    Fraction whose denominator p divides raises ValueError.
     """
-    p = field.p or _RANK_PRIMES[0]
-    if field.is_rational:  # rows scaled to integers; {} adds no rank, nor a row to count
-        blocks = [[dict(zip(row, ints)) for row, ints in
-                   zip(block, _q_int_rows([list(row.values()) for row in block])) if row]
-                  for block in blocks]
+    p = field.p
     echelon: dict[int, dict[int, int]] = {}
-    rows, ranks, after = [], [0], [[]]
+    ranks, after = [0], [[]]
     for block in blocks:
+        if p is None:
+            block = [dict(zip(row, ints)) for row, ints in
+                     zip(block, _q_int_rows([list(row.values()) for row in block]))]
         for row in block:
-            row = {c: x % p if type(x) is int else _residue(x, p) for c, x in row.items()}
+            if p is not None:
+                row = {c: x % p if type(x) is int else _residue(x, p) for c, x in row.items()}
             if len(echelon) < ncols:
                 _echelon_insert(echelon, row, p)
-        pivots = sorted(echelon)
-        rows += block
-        rank = len(pivots)
-        if field.is_rational and rank < min(len(rows), ncols):
-            rank = _q_rank(rows, ncols)
-        ranks.append(rank)
-        after.append(pivots)
+        ranks.append(len(echelon))
+        after.append(sorted(echelon))
     return ranks, after
 
 

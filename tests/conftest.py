@@ -1,7 +1,22 @@
+from fractions import Fraction
+
 import pytest
 
+from facering import linalg
 from facering.corpus import corpus
 from facering.linalg import GF, QQ
+
+
+@pytest.fixture
+def no_fractions(monkeypatch):
+    """Make building a Fraction inside `linalg` raise: what runs meanwhile
+    takes the integer path.  Its input must hold no Fraction entries."""
+
+    class NoFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("linalg built a Fraction")
+
+    monkeypatch.setattr(linalg, "Fraction", NoFraction)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,7 @@
-"""Matrix product for the tests, which check identities such as M X = B with it."""
+"""Matrix product and plain Gauss-Jordan elimination for the tests, which
+check identities such as M X = B and the engine's echelon forms with them."""
+
+from fractions import Fraction
 
 from facering.linalg import Matrix
 
@@ -12,3 +15,25 @@ def matmul(A: Matrix, B: Matrix) -> Matrix:
     bcols = [B.column(j) for j in range(B.ncols)]
     rows = [[sum(x * y for x, y in zip(r, c) if x and y) for c in bcols] for r in A.tolist()]
     return Matrix(A.field, rows, B.ncols)
+
+
+def gauss_jordan(rows, ncols, p=None):
+    """Nonzero rows and pivot columns of the reduced echelon form mod p, or
+    over Q in Fractions when p is None, by plain Gauss-Jordan over all columns."""
+    exact = Fraction if p is None else (lambda x: x % p)
+    rows = [[exact(x) for x in r] for r in rows]
+    pivots, r = [], 0
+    for c in range(ncols):
+        k = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        inv = 1 / rows[r][c] if p is None else pow(rows[r][c], -1, p)
+        rows[r] = [exact(x * inv) for x in rows[r]]
+        for k2 in range(len(rows)):
+            f = rows[k2][c]
+            if k2 != r and f:
+                rows[k2] = [exact(x - f * y) for x, y in zip(rows[k2], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots

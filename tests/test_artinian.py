@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from facering import linalg
 from facering.artinian import determinacy_probe, reduction_hilbert
 from facering.complexes import (
     SimplicialComplex,
@@ -69,31 +68,22 @@ def test_fraction_coefficients_match_full_stack_oracle(field):
     assert got == (1, 1, 0, 0, 0, 0)
 
 
-def count_q_ranks(monkeypatch):
-    calls = []
-    q_rank = linalg._q_rank
-    monkeypatch.setattr(linalg, "_q_rank", lambda rows, ncols: calls.append(1) or q_rank(rows, ncols))
-    return calls
-
-
-def test_cohen_macaulay_reduction_needs_no_certificate(rp2_6, monkeypatch):
-    # every stack has full row rank modulo the first rank prime
-    calls = count_q_ranks(monkeypatch)
+def test_cohen_macaulay_reduction_needs_no_certificate(rp2_6, no_fractions):
+    # every stack has full row rank, and the integer loop over Q reads it
+    # off its echelon rows, building no Fraction
     red = reduction_hilbert(rp2_6, make_generic(6, 2, QQ), 2, 10, QQ)
     assert red.dims == (1, 4) + (10,) * 9
-    assert calls == []
 
 
-def test_rank_deficient_reduction_is_certified_over_q(monkeypatch):
+def test_rank_deficient_reduction_is_certified_over_q(no_fractions):
     # two disjoint triangles are not Cohen-Macaulay: the second form is a
-    # zero divisor modulo the first, so the stacks drop rank and the Q rank
-    # is proved by `_q_rank`
+    # zero divisor modulo the first, so the stacks drop rank, and each rank
+    # and pivot set over Q is exact without a Fraction
     triangles = SimplicialComplex(6, [[1, 2, 3], [4, 5, 6]])
     coeffs = make_generic(6, 2, QQ)
-    calls = count_q_ranks(monkeypatch)
     got = reduction_hilbert(triangles, coeffs, 2, 6, QQ).dims
-    assert calls
     assert got == full_stack_dims(triangles, coeffs, 2, 6, QQ)
+    assert got == (1, 4, 2, 2, 2, 2, 2)  # k[t] on each triangle from degree 2
 
 
 def test_reduction_cycle3(cycle3):

@@ -331,19 +331,35 @@ def test_non_pure_analyze_digest(capsys, tmp_path, monkeypatch, field):
 
 
 # `rp2_6` suspended: its F_p ledger holds the largest θ stacks of any pinned
-# run (2,964 x 1,168 at l = 4, i = 6), so it pins their column order.
+# run (2,964 x 1,168 at l = 4, i = 6), so it pins their column order.  Over
+# Q the stacks drop rank, and the integer loop ranks every prefix of them.
 SUSP1_FP_DIGEST = "85e8cd189f822905f0bd0330638930ba271530f2e4af957353cd09e66f7d17da"
+SUSP1_Q_DIGEST = "e86c03172e60196e1245fe479f6f2ceebabd5ed83cd044b492354f52719e1973"
+
+
+def _write_susp1():
+    facets = sorted(sorted(F) for F in corpus()["rp2_6"].facets)
+    with open("susp1.json", "w") as fh:
+        json.dump({"n": 8, "facets": [F + [7] for F in facets] + [F + [8] for F in facets]}, fh)
 
 
 def test_suspended_rp2_ledger_digest(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    facets = sorted(sorted(F) for F in corpus()["rp2_6"].facets)
-    with open("susp1.json", "w") as fh:
-        json.dump({"n": 8, "facets": [F + [7] for F in facets] + [F + [8] for F in facets]}, fh)
+    _write_susp1()
     code, out, _ = run_cli(capsys, "verify", "susp1.json", "--field", "fp:32003",
                            "--m-max", "3", "--seed", "1", "--format", "json")
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SUSP1_FP_DIGEST
+
+
+def test_suspended_rp2_q_ledger_digest(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_susp1()
+    code, out, _ = run_cli(capsys, "verify", "susp1.json", "--field", "q",
+                           "--m-max", "3", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["summary"] == {"total": 750, "failed": 0}
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SUSP1_Q_DIGEST
 
 
 # `analyze --format json` on two complexes of 2,000+ faces, as the dense

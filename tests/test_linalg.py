@@ -13,8 +13,6 @@ from facering.linalg import (
     QQ,
     FieldSpec,
     Matrix,
-    _q_echelon,
-    _q_int_rows,
     _rref,
     block_pivots,
     hstack,
@@ -25,7 +23,7 @@ from facering.linalg import (
     solve,
 )
 
-from matrices import matmul
+from matrices import gauss_jordan, matmul
 
 FIELDS = [QQ, GF(2), GF(3), GF(32003)]
 
@@ -183,32 +181,10 @@ def test_prime_field_eliminations_agree(p):
             assert all(v % p == 0 for v in _matvec(M, K.column(j)))
 
 
-def _reference_rref(rows, ncols, p):
-    """Nonzero rows and pivot columns of the reduced echelon form mod p, or
-    over Q in Fractions when p is None, by plain Gauss-Jordan over all columns."""
-    exact = Fraction if p is None else (lambda x: x % p)
-    rows = [[exact(x) for x in r] for r in rows]
-    pivots, r = [], 0
-    for c in range(ncols):
-        k = next((k for k in range(r, len(rows)) if rows[k][c]), None)
-        if k is None:
-            continue
-        rows[r], rows[k] = rows[k], rows[r]
-        inv = 1 / rows[r][c] if p is None else pow(rows[r][c], -1, p)
-        rows[r] = [exact(x * inv) for x in rows[r]]
-        for k2 in range(len(rows)):
-            f = rows[k2][c]
-            if k2 != r and f:
-                rows[k2] = [exact(x - f * y) for x, y in zip(rows[k2], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows[:r], pivots
-
-
 def _reference_solve(rows, brows, ncols, width, p):
     """X with M X = B mod p (over Q when p is None), zero at the non-pivot
     columns of M, or None."""
-    reduced, pivots = _reference_rref([a + b for a, b in zip(rows, brows)], ncols + width, p)
+    reduced, pivots = gauss_jordan([a + b for a, b in zip(rows, brows)], ncols + width, p)
     if any(c >= ncols for c in pivots):
         return None
     X = [[0] * width for _ in range(ncols)]
@@ -243,7 +219,7 @@ def test_prime_field_rref_and_solve_match_gauss_jordan(p):
         if m > 2:  # a dependent row
             rows[-1] = [a + 2 * b for a, b in zip(rows[0], rows[1])]
         M = Matrix(field, rows, n)
-        want, want_pivots = _reference_rref(rows, n, p)
+        want, want_pivots = gauss_jordan(rows, n, p)
         for k in range(1, n + 1):
             assert _rref(M, k) == (want, [c for c in want_pivots if c < k])
         width = n + rng.randint(1, 3)
@@ -326,46 +302,37 @@ def test_fraction_entries_are_exact():
 
 
 # ---------------------------------------------------------------------------
-# certified rank over Q
+# exact rank over Q: the integer loop
 # ---------------------------------------------------------------------------
 
+P31 = 2147483647  # 2^31 - 1, the largest prime modulus
+
+
 def _bareiss_rank(rows, ncols):
-    return len(_q_echelon(_q_int_rows(rows), ncols)[1])
+    """Rank of integer rows by dense fraction-free Bareiss elimination, apart from linalg."""
+    rows, prev, r = [list(row) for row in rows], 1, 0
+    for c in range(ncols):
+        k = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        piv = rows[r][c]
+        for k in range(r + 1, len(rows)):
+            f = rows[k][c]
+            rows[k] = [(piv * x - f * y) // prev for x, y in zip(rows[k], rows[r])]
+        prev, r = piv, r + 1
+    return r
 
 
 def _product(U, V, n):
     return [[sum(u * row[j] for u, row in zip(urow, V)) for j in range(n)] for urow in U]
 
 
-def _count_bareiss(monkeypatch):
-    calls = []
-    monkeypatch.setattr(linalg, "_q_echelon", lambda *a: calls.append(a) or _q_echelon(*a))
-    return calls
-
-
-def test_certificate_primes():
-    assert all(is_prime(p) and 2**30 < p < 2**31 for p in linalg._RANK_PRIMES)
-    assert len(set(linalg._RANK_PRIMES)) == len(linalg._RANK_PRIMES)
-
-
-def test_annihilation_check_is_exact(monkeypatch):
-    # columns 0 and 1 are the pivots modulo every rank prime, and the left
-    # kernel of C there is y = (1, 1, -1), which lifts at once.  y W = (0, 0, -P)
-    # vanishes modulo every rank prime but not over Z, so the exact check
-    # rejects y on every prime and Bareiss decides
-    monkeypatch.setattr(linalg, "_BAREISS_CELLS", 0)
-    calls = _count_bareiss(monkeypatch)
-    P = 1
-    for p in linalg._RANK_PRIMES:
-        P *= p
-    assert rank(Matrix(QQ, [[1, 0, P], [0, 1, 2 * P], [1, 1, 4 * P]])) == 3
-    assert len(calls) == 1
-
-
 @pytest.mark.parametrize("scale", [2, 2**70])
-def test_certified_rank_agrees_with_bareiss(monkeypatch, scale):
-    # every nonempty shape takes the modular route; 2^70 is beyond int64
-    monkeypatch.setattr(linalg, "_BAREISS_CELLS", 0)
+def test_certified_rank_agrees_with_bareiss(scale):
+    # low-rank products, wide and tall, with entries up to 2^70 (past any
+    # machine word) and with rows divided by 1, 2, 3, ...: the exact rank
+    # over Q is the rank Bareiss gives
     rng = random.Random(scale)
     shapes = [(1, 1), (1, 9), (9, 1), (6, 6), (6, 14), (14, 6), (25, 40), (40, 25)]
     shapes += [(rng.randint(1, 30), rng.randint(1, 30)) for _ in range(25)]
@@ -382,78 +349,37 @@ def test_certified_rank_agrees_with_bareiss(monkeypatch, scale):
         assert rank(Matrix(QQ, [[]] * m if n == 0 else [[0] * n] * m, n)) == 0
 
 
-@pytest.mark.parametrize("seed", [1, 1 << 13])
-def test_certified_rank_lifts_small_kernels(monkeypatch, seed):
-    # rows past the first r are small combinations of them, so the kernel on
-    # the smaller side is small and the certificate needs no Bareiss, with
-    # entries of 2^70 too; two seeds give two sets of random matrices
-    calls = _count_bareiss(monkeypatch)
-    rng = random.Random(seed)
-    for r, extra, n, scale in ((50, 20, 90, 3), (40, 30, 75, 2**70), (79, 1, 85, 3)):
-        A = [[rng.randint(-scale, scale) for _ in range(n)] for _ in range(r)]
-        T = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(extra)]
-        wide = A + _product(T, A, n)
-        for rows in (wide, [list(c) for c in zip(*wide)]):
-            assert len(rows) * len(rows[0]) >= linalg._BAREISS_CELLS
-            assert rank(Matrix(QQ, rows)) == r
-    assert not calls
-    assert rank(Matrix(QQ, [[1, 2], [2, 4]])) == 1  # below _BAREISS_CELLS entries
-    assert len(calls) == 1
-
-
-def test_certified_rank_lifts_over_several_primes(monkeypatch):
-    # the left kernel (T, -I) has entries near 2^70, so its lift takes five
-    # primes; columns 6 and 7, which the modular pass takes first since it
-    # reads the columns backwards, agree modulo the second prime, which
-    # drops the rank of C there and must be skipped, leaving exactly five
-    monkeypatch.setattr(linalg, "_BAREISS_CELLS", 0)
-    calls = _count_bareiss(monkeypatch)
-    rng = random.Random(11)
-    p1 = linalg._RANK_PRIMES[1]
-    A = [[rng.randint(-3, 3) for _ in range(8)] for _ in range(4)]
-    for i, row in enumerate(A):
-        row[6] = row[7] + (p1 if i == 0 else 0)
-    T = [[rng.randint(-2**70, 2**70) for _ in range(4)] for _ in range(2)]
-    rows = A + _product(T, A, 8)
-    assert _bareiss_rank(rows, 8) == 4
-    assert rank(Matrix(QQ, rows)) == 4
-    assert not calls
-
-
-def test_certified_rank_falls_back_to_bareiss(monkeypatch):
-    # the left kernel is spanned by (a, b, -1), near 2^400: past what the
-    # primes can lift, so Bareiss decides
-    monkeypatch.setattr(linalg, "_BAREISS_CELLS", 0)
-    calls = _count_bareiss(monkeypatch)
-    a, b = 3**252, 2**400 + 1
-    assert rank(Matrix(QQ, [[1, 0, 5], [0, 1, 7], [a, b, 5 * a + 7 * b]])) == 2
-    assert calls
-
-
-def test_certified_rank_survives_a_drop_modulo_the_first_prime(monkeypatch):
+def test_certified_rank_survives_a_drop_modulo_the_first_prime():
     # the last column vanishes modulo p, but the determinant is p
-    monkeypatch.setattr(linalg, "_BAREISS_CELLS", 0)
-    p = linalg._RANK_PRIMES[0]
-    M = Matrix(QQ, [[1, 0, p], [0, 1, 2 * p], [1, 1, 4 * p]])
-    assert rank(Matrix(GF(p), M.tolist())) == 2
+    M = Matrix(QQ, [[1, 0, P31], [0, 1, 2 * P31], [1, 1, 4 * P31]])
+    assert rank(Matrix(GF(P31), M.tolist())) == 2
     assert rank(M) == 3
     # equal ranks do not give equal pivots, so pivots are never read mod p
-    assert pivot_columns(Matrix(QQ, [[p, 1]])) == [0]
-    assert pivot_columns(Matrix(GF(p), [[p, 1]])) == [1]
+    assert pivot_columns(Matrix(QQ, [[P31, 1]])) == [0]
+    assert pivot_columns(Matrix(GF(P31), [[P31, 1]])) == [1]
 
 
 def test_block_pivots_proves_every_prefix_over_q():
-    # each prefix rank is exact, not only the last.  A single row [p] is
-    # scaled to [1] first; the rows [1, 1, 0] and [1, 1 + p, 0] have rank 2
-    # over Q but 1 modulo p, so only a proof of the first prefix reads 2
-    p = linalg._RANK_PRIMES[0]
-    ranks, pivots = block_pivots(QQ, [[{0: p}], [{1: 1}]], 2)
-    assert ranks == [0, 1, 2]
-    assert pivots == [[], [0], [0, 1]]
-    ranks, pivots = block_pivots(QQ, [[{0: 1, 1: 1}, {0: 1, 1: 1 + p}], [{2: 1}]], 3)
-    assert ranks == [0, 2, 3]
-    assert pivots == [[], [0], [0, 2]]  # read modulo p, as the docstring says
-    assert block_pivots(GF(p), [[{0: 1, 1: 1}, {0: 1, 1: 1 + p}], [{2: 1}]], 3)[0] == [0, 1, 2]
+    # every prefix gets its own rank and pivots over Q, also where they drop
+    # modulo p: the row [p, 1] leads at column 0 over Q and at column 1
+    # modulo p, and the rows [1, 1] and [1, 1 + p] have rank 2 over Q but 1
+    # modulo p.  The fraction-free steps against the pivot p stay exact
+    blocks = [[{0: P31, 1: 1}], [{1: 1}], [{0: 1}]]
+    assert block_pivots(QQ, blocks, 2) == ([0, 1, 2, 2], [[], [0], [0, 1], [0, 1]])
+    assert block_pivots(GF(P31), blocks, 2) == ([0, 1, 1, 2], [[], [1], [1], [0, 1]])
+    blocks = [[{0: 1, 1: 1}, {0: 1, 1: 1 + P31}], [{2: 1}]]
+    assert block_pivots(QQ, blocks, 3) == ([0, 2, 3], [[], [0, 1], [0, 1, 2]])
+    assert block_pivots(GF(P31), blocks, 3) == ([0, 1, 2], [[], [0], [0, 2]])
+
+
+def test_integer_loop_keeps_primitive_rows():
+    # over Q a stored row is primitive with a positive pivot, whatever the
+    # scaling and sign of the rows that produced it: [6, 4, 0] is kept as
+    # [3, 2, 0]; [4, 0, 2] becomes 3 [4, 0, 2] - 4 [3, 2, 0] = [0, -8, 6],
+    # kept as [0, 4, -3]; and [0, 8, -6] reduces to zero against it
+    echelon = linalg._sparse_echelon([{0: 6, 1: 4}, {0: 4, 2: 2}, {1: 8, 2: -6}], None, 3)
+    assert echelon == {0: {0: 3, 1: 2}, 1: {1: 4, 2: -3}}
+    assert all(type(x) is int for row in echelon.values() for x in row.values())
 
 
 def _block_row(rng, p, ncols, earlier):
@@ -476,15 +402,21 @@ def _block_row(rng, p, ncols, earlier):
     return row
 
 
+def _in_field(x, p):
+    """x as a Fraction over Q (p is None), or its residue mod p."""
+    x = Fraction(x)
+    return x if p is None else x.numerator * pow(x.denominator, -1, p) % p
+
+
 def test_block_pivots_ranks_match_dense_prefixes():
     # random sparse blocks with zero rows {}, dependent rows, entries near
     # +-p and Fractions, and tall blocks that reach rank ncols inside a block.
-    # Pivots are read mod p' (p over F_p, the first rank prime over Q, after
-    # the rows are scaled to coprime integers as block_pivots scales them)
-    # and must be those of the dense prefix
+    # Over Q the entries near +-(2^31 - 1) make ranks and pivots drop modulo
+    # that prime.  Ranks and pivots must be those of the dense prefix by
+    # plain Gauss-Jordan, in Fractions over Q
     rng = random.Random(9)
-    for field in FIELDS + [GF(linalg._RANK_PRIMES[0])]:
-        p = field.p or linalg._RANK_PRIMES[0]
+    for field in FIELDS + [GF(P31)]:
+        p = field.p or P31
         for trial in range(60):
             ncols = rng.randint(0, 9)
             tall = trial % 3 == 0
@@ -498,12 +430,10 @@ def test_block_pivots_ranks_match_dense_prefixes():
             ranks, pivots = block_pivots(field, blocks, ncols)
             assert len(ranks) == len(pivots) == len(blocks) + 1
             for k in range(len(blocks) + 1):
-                dense = [[row.get(c, 0) for c in range(ncols)]
+                dense = [[_in_field(row.get(c, 0), field.p) for c in range(ncols)]
                          for block in blocks[:k] for row in block]
-                assert ranks[k] == rank(Matrix(field, dense, ncols))
-                if field.is_rational:
-                    dense = _q_int_rows(dense)
-                assert pivots[k] == pivot_columns(Matrix(GF(p), dense, ncols))
+                want = gauss_jordan(dense, ncols, field.p)[1]
+                assert (ranks[k], pivots[k]) == (len(want), want)
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(3), GF(2147483647)], ids=str)

@@ -14,7 +14,7 @@ from facering.artinian import reduction_hilbert
 from facering import cohomology
 from facering.cohomology import induced_map, relative_cohomology_dim
 from facering.complexes import SimplicialComplex
-from facering.linalg import GF, QQ, Matrix, rank
+from facering.linalg import GF, QQ, Matrix, block_pivots, rank
 from facering.local_cohomology import (
     GenericCoefficients,
     HilbertSeries,
@@ -34,11 +34,11 @@ from facering.local_cohomology import (
 )
 from facering.quotient import predicts_finite_lc, quotient_lc_dim
 from facering.squarefree import SqfreeData, sqfree_lc_data
-from facering import linalg, local_cohomology, verification
+from facering import local_cohomology, verification
 from facering.verification import run_checks
 
 from complex_strategies import small_complexes
-from matrices import matmul
+from matrices import gauss_jordan, matmul
 from test_artinian import seeded_complexes
 
 
@@ -414,26 +414,53 @@ def test_theta_ranks_match_dense_stacks(complexes, field):
                 assert list(theta_ranks(cx, ell, i, coeffs, field)) == want, (k, ell, i)
 
 
-def test_q_rank_ignores_the_theta_column_order(complexes, monkeypatch):
-    # `_q_rank` eliminates the columns in the order `_theta_rows` numbers
-    # them; every stack, proved modulo primes, has the same rank with its
-    # columns reversed, and it is the rank Bareiss gives
-    monkeypatch.setattr(linalg, "_BAREISS_CELLS", 0)
+def test_q_rank_ignores_the_theta_column_order(complexes):
+    # `block_pivots` over Q eliminates the columns in the order `_theta_rows`
+    # numbers them; every prefix of every stack has the rank and pivots of
+    # plain Gauss-Jordan in Fractions, and the same ranks with its columns
+    # reversed
     for cx in list(complexes.values()) + seeded_complexes(12, seed=4):
         coeffs = make_generic(cx.n, min(cx.d + 1, cx.n), QQ)
         thetas = [coeffs.matrix.column(p) for p in range(coeffs.m)]
         for ell in range(1, cx.d + 1):
             for i in range(3):
                 ncols = graded_piece(cx, ell, i + 1, QQ).total_dim
-                stack = [row for block in _theta_rows(cx, ell, i, thetas, QQ)
-                         for row in block if row]
-                if not stack:
-                    continue
-                rows = [dict(zip(row, ints)) for row, ints in
-                        zip(stack, linalg._q_int_rows([list(row.values()) for row in stack]))]
-                backwards = [{ncols - 1 - c: x for c, x in row.items()} for row in rows]
-                want = linalg._bareiss_rank(rows, ncols)
-                assert linalg._q_rank(rows, ncols) == linalg._q_rank(backwards, ncols) == want
+                blocks = _theta_rows(cx, ell, i, thetas, QQ)
+                backwards = [[{ncols - 1 - c: x for c, x in row.items()} for row in block]
+                             for block in blocks]
+                want = [gauss_jordan([[row.get(c, 0) for c in range(ncols)]
+                                      for block in blocks[:k] for row in block], ncols)[1]
+                        for k in range(len(blocks) + 1)]
+                assert block_pivots(QQ, blocks, ncols) == ([len(w) for w in want], want)
+                assert block_pivots(QQ, backwards, ncols)[0] == [len(w) for w in want]
+
+
+@pytest.fixture(scope="module")
+def susp1_theta_stacks(rp2_6):
+    """rp2_6 suspended once, and its theta stacks over Q for four forms at
+    every l and i = 0..6, as (l, i, number of columns, blocks); built on the
+    basis route, before any test of the module patches linalg."""
+    facets = sorted(sorted(F) for F in rp2_6.facets)
+    cx = SimplicialComplex(8, [F + [7] for F in facets] + [F + [8] for F in facets])
+    coeffs = make_generic(cx.n, 4, QQ)
+    thetas = [coeffs.matrix.column(p) for p in range(coeffs.m)]
+    return cx, [(ell, i, graded_piece(cx, ell, i + 1, QQ).total_dim,
+                 _theta_rows(cx, ell, i, thetas, QQ))
+                for ell in range(1, cx.d + 1) for i in range(7)]
+
+
+def test_theta_stacks_stay_in_integers_over_q(susp1_theta_stacks, no_fractions):
+    # with a Fraction built inside linalg raising, block_pivots still ranks
+    # the theta stacks of rp2_6 suspended, and the ranks give the closed
+    # kernel count and the surjectivity of the next form, as the
+    # lemma-equality ledger reads them for m <= 3
+    cx, stacks = susp1_theta_stacks
+    for ell, i, ncols, blocks in stacks:
+        ranks = block_pivots(QQ, blocks, ncols)[0]
+        for m in range(min(i, 3) + 1):
+            assert ncols - ranks[m] == kernel_dim_formula(cx, ell, m, i, QQ)
+            if i > m:
+                assert ranks[m + 1] - ranks[m] == kernel_dim_formula(cx, ell, m, i - 1, QQ)
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +541,7 @@ def test_lemma_equality_small(cycle3, bowtie, pair_edges, field):
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(cx=small_complexes(), seed=st.integers(0, 2**16))
 def test_generated_lemma_equality(field, cx, seed):
-    # over Q the seed draws nothing; the stacks take the modular pass and
-    # the _q_rank proofs of block_pivots
+    # over Q the seed draws nothing; the stacks take the integer loop
     with pytest.MonkeyPatch.context() as mp:  # a fixture would span all examples
         mp.setattr(verification, "I_EXTENT", 2)
         records = run_checks("generated", cx, field, checks=("lemma-equality",),

@@ -152,13 +152,12 @@ def test_depth_table_matches_pair_cohomology(cx):
             assert least == min(depth[G] for G in depth if H <= G)
 
 
-def _count_certified_ranks(monkeypatch):
-    """Names of the calls to the certified Q rank and to Bareiss, as they come."""
+def _count_gcds(monkeypatch):
+    """The gcds the Q loop takes: one for each leading entry it stores or
+    pivot it eliminates against that is not 1 (or -1 for a lead)."""
     calls = []
-    for name in ("_q_rank", "_bareiss_rank"):
-        real = getattr(linalg, name)
-        monkeypatch.setattr(linalg, name,
-                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    real = linalg.gcd
+    monkeypatch.setattr(linalg, "gcd", lambda *args: calls.append(args) or real(*args))
     return calls
 
 
@@ -172,18 +171,20 @@ def test_unit_pivots_settle_cross_polytopes_over_q(monkeypatch, k):
     # the boundary of the k-dimensional cross-polytope (k = 3: the octahedron);
     # every link is a sphere, and its coboundary ranks never leave unit pivots
     cx = SimplicialComplex(2 * k, product(*[(i, i + k) for i in range(1, k + 1)]))
-    calls = _count_certified_ranks(monkeypatch)
+    calls = _count_gcds(monkeypatch)
     assert _analyze(cx, QQ) == ([], [True] * (k + 2))
     assert calls == []
 
 
-def test_torsion_needs_no_certified_rank(monkeypatch, rp2_6):
+def test_torsion_needs_no_certified_rank(monkeypatch, rp2_6, no_fractions):
     # the 2-torsion of rp2_6, which makes it CM over Q but not over F_2,
     # leaves leading entries other than +-1 in its coboundary ranks; the
-    # sparse loop divides by them exactly, with no certified rank
+    # integer loop eliminates them fraction-free, with no Fraction
     cx = SimplicialComplex(rp2_6.n, rp2_6.facets)  # a fresh memo
-    calls = _count_certified_ranks(monkeypatch)
+    calls = _count_gcds(monkeypatch)
     assert is_cm(cx, QQ)
+    assert calls
     assert not is_cm(cx, GF(2))
-    assert sparse_rank(QQ, [{0: 2, 1: 1}, {0: 1, 1: 2}], 2) == 2  # a pivot 2, then 3/2
-    assert calls == []
+    del calls[:]
+    assert sparse_rank(QQ, [{0: 2, 1: 1}, {0: 1, 1: 2}], 2) == 2  # a pivot 2, then 3
+    assert calls == [(2, 1), (2, 1), (3,)]
