@@ -27,14 +27,19 @@ elimination stops there: on a face whose link has no cohomology in degree
 k, the rows past the rank are never reduced.
 
 Cocycle bases are built only for the contravariant maps induced by
-contrastar inclusions, from dense coboundary matrices (`coboundary_matrix`),
-a second route to the same dimensions.  The class representatives are the
-cocycles Z (a kernel basis of delta^i) at the pivot columns of
-[delta^(i-1) | Z] past delta^(i-1).  A map is read off one `solve` of
-[delta^(i-1) | target reps] against all source representatives, extended by
-zero: the rows of the solution past delta^(i-1) are the coordinates of their
-classes, unique because the representatives are independent modulo
-coboundaries.
+contrastar inclusions, a second route to the same dimensions: its sparse
+coboundary rows (`coboundary_rows`) come from the faces and their sorted
+positions, not from the face ids of the rank route.  The cocycles Z are a
+kernel basis of delta^i (`linalg.kernel_vectors`), and a cocycle is a class
+representative when it raises the rank of the coboundary images (the
+columns of delta^(i-1)) and the representatives before it.  A map is read
+off one `solve` of [delta^(i-1) | target reps | source reps extended by
+zero]: the rows of the solution at the target representatives are the
+coordinates of the source classes, unique because the representatives are
+independent modulo coboundaries.  Each target class keeps its row as
+(source class, entry) pairs (`_induced_map`), which the θ stacks and the
+vertex maps read; only the public `relative_cohomology` and `induced_map`
+write a dense Matrix.
 
 The sums over faces of Hochster's count, the kernel and quotient formulas
 and the squarefree table weight dim H^k(X, cost F) by |F| alone, so one table
@@ -42,9 +47,10 @@ per (complex, k, field) holds each face's dimension (`cohomology_by_face`,
 filled by `relative_cohomology_dim`) and their sums h_s over the faces of
 size s (`cohomology_by_size`).
 
-Coboundary matrices are not memoized; face ids, boundary tables, stars,
-cochain bases, ranks, cohomology tables, class representatives and induced
-maps are memoized on the complex object (`per_complex`) and freed with it.
+Coboundary rows are not memoized; face ids, boundary tables, stars,
+cochain bases, ranks, cohomology tables, class representatives (sparse
+vectors) and induced maps (their rows) are memoized on the complex object
+(`per_complex`) and freed with it.
 Outputs are immutable, so an entry recomputed under a race is
 indistinguishable from the first result.
 """
@@ -55,7 +61,7 @@ from bisect import bisect_left
 from types import MappingProxyType
 
 from .complexes import SimplicialComplex, facets_over, per_complex
-from .linalg import FieldSpec, Matrix, hstack, kernel_basis, pivot_columns, solve, sparse_rank
+from .linalg import FieldSpec, Matrix, _echelon_insert, kernel_vectors, solve, sparse_rank
 
 
 @per_complex
@@ -114,22 +120,16 @@ def relative_cochain_basis(cx: SimplicialComplex, tau: frozenset, k: int) -> tup
     return tuple(faces[i - first] for i in ids)
 
 
-def coboundary_matrix(cx: SimplicialComplex, tau: frozenset, k: int, field: FieldSpec) -> Matrix:
-    """Matrix of delta: C^k(X, cost tau) -> C^{k+1}(X, cost tau), built by rows.
+def coboundary_rows(cx: SimplicialComplex, tau: frozenset, k: int) -> list[dict]:
+    """Sparse rows of delta: C^k(X, cost tau) -> C^{k+1}(X, cost tau), as new dicts.
 
     The row of a (k+1)-face H holds (-1)^(position of v in sorted H) at the
     column of H - {v}, for each v in H - tau.
     """
-    source = relative_cochain_basis(cx, tau, k)
-    index = {G: c for c, G in enumerate(source)}
-    rows = []
-    for H in relative_cochain_basis(cx, tau, k + 1):
-        row = [0] * len(source)
-        for pos, v in enumerate(sorted(H)):
-            if v not in tau:
-                row[index[H - {v}]] = -1 if pos & 1 else 1
-        rows.append(row)
-    return Matrix(field, rows, len(source))
+    index = {G: c for c, G in enumerate(relative_cochain_basis(cx, tau, k))}
+    return [{index[H - {v}]: -1 if pos & 1 else 1
+             for pos, v in enumerate(sorted(H)) if v not in tau}
+            for H in relative_cochain_basis(cx, tau, k + 1)]
 
 
 @per_complex
@@ -180,18 +180,31 @@ def relative_cohomology(cx: SimplicialComplex, tau, i: int, field: FieldSpec) ->
     The rows follow relative_cochain_basis(cx, tau, i); the columns are
     independent modulo coboundaries.  tau = emptyset is reduced cohomology.
     """
-    return _relative_cohomology(cx, frozenset(tau), i, field)
+    tau = frozenset(tau)
+    reps = _relative_cohomology(cx, tau, i, field)
+    return Matrix.from_entries(field, len(relative_cochain_basis(cx, tau, i)), len(reps),
+                               ((r, j, x) for j, rep in enumerate(reps) for r, x in rep))
 
 
 @per_complex
-def _relative_cohomology(cx: SimplicialComplex, tau: frozenset, i: int, field: FieldSpec) -> Matrix:
+def _relative_cohomology(cx: SimplicialComplex, tau: frozenset, i: int, field: FieldSpec) -> tuple:
+    """The representatives of relative_cohomology as sparse vectors: (row, entry) pairs."""
     if tau not in cx:
         raise ValueError(f"{sorted(tau)} is not a face")
-    cocycles = kernel_basis(coboundary_matrix(cx, tau, i, field))
-    delta_in = coboundary_matrix(cx, tau, i - 1, field)
-    pivots = pivot_columns(hstack(delta_in, cocycles))
-    reps = [cocycles.column(c - delta_in.ncols) for c in pivots if c >= delta_in.ncols]
-    return Matrix.from_columns(field, reps, len(relative_cochain_basis(cx, tau, i)))
+    images = {}  # the columns of delta^(i-1)
+    for r, row in enumerate(coboundary_rows(cx, tau, i - 1)):
+        for c, x in row.items():
+            images.setdefault(c, {})[r] = x
+    echelon, p, reps = {}, field.p, []
+    for image in images.values():
+        _echelon_insert(echelon, image, p)
+    dim = len(relative_cochain_basis(cx, tau, i))
+    for z in kernel_vectors(field, coboundary_rows(cx, tau, i), dim):
+        rank = len(echelon)
+        _echelon_insert(echelon, dict(z), p)
+        if len(echelon) > rank:
+            reps.append(tuple(sorted(z.items())))
+    return tuple(reps)
 
 
 def reduced_cohomology_dim(cx: SimplicialComplex, i: int, field: FieldSpec) -> int:
@@ -208,23 +221,35 @@ def induced_map(cx: SimplicialComplex, f_big, f_small, i: int, field: FieldSpec)
     to the cochain space over f_small, then rewritten in the target basis
     modulo coboundaries.
     """
-    return _induced_map(cx, frozenset(f_big), frozenset(f_small), i, field)
+    f_big, f_small = frozenset(f_big), frozenset(f_small)
+    rows = _induced_map(cx, f_big, f_small, i, field)
+    return Matrix.from_entries(field, len(rows), len(_relative_cohomology(cx, f_big, i, field)),
+                               ((r, s, x) for r, row in enumerate(rows) for s, x in row))
 
 
 @per_complex
-def _induced_map(cx: SimplicialComplex, f_big: frozenset, f_small: frozenset, i: int, field: FieldSpec) -> Matrix:
+def _induced_map(cx: SimplicialComplex, f_big: frozenset, f_small: frozenset, i: int,
+                 field: FieldSpec) -> tuple:
+    """The rows of induced_map, one per target class, as (source class, nonzero entry) pairs."""
     if not f_small <= f_big:
         raise ValueError("the target face must be contained in the source face")
-    source = relative_cohomology(cx, f_big, i, field)
-    target = relative_cohomology(cx, f_small, i, field)
+    source = _relative_cohomology(cx, f_big, i, field)
+    target = _relative_cohomology(cx, f_small, i, field)
     if f_big == f_small:
-        return Matrix.identity(field, source.ncols)
+        return tuple(((s, 1),) for s in range(len(source)))
+    # the rows of [delta^(i-1) | target reps | source reps extended by zero]
+    rows = coboundary_rows(cx, f_small, i - 1)
+    n0 = len(relative_cochain_basis(cx, f_small, i - 1))
+    n = n0 + len(target)
+    for t, rep in enumerate(target):
+        for r, x in rep:
+            rows[r][n0 + t] = x
     index = {F: r for r, F in enumerate(relative_cochain_basis(cx, f_small, i))}
-    extended = [[0] * source.ncols for _ in index]
-    for F, row in zip(relative_cochain_basis(cx, f_big, i), source.tolist()):
-        extended[index[F]] = row
-    delta_in = coboundary_matrix(cx, f_small, i - 1, field)
-    X = solve(hstack(delta_in, target), Matrix(field, extended, source.ncols))
+    big = relative_cochain_basis(cx, f_big, i)
+    for s, rep in enumerate(source):
+        for r, x in rep:
+            rows[index[big[r]]][n + s] = x
+    X = solve(field, rows, n)
     if X is None:
         raise AssertionError("cocycle does not reduce against the stored bases")
-    return X.submatrix(range(delta_in.ncols, X.nrows), range(source.ncols))
+    return tuple(tuple(sorted(X.get(n0 + t, {}).items())) for t in range(len(target)))

@@ -22,15 +22,15 @@ the int multiplier x, so rows of ±1 such as coboundaries eliminate as they
 would over Z (Kaczynski-Mrozek-Ślusarek 1998), and torsion brings the
 other pivots.  Ranks and pivot columns are read off the echelon rows, so
 every prefix of the rows has them exactly, with no second method.
-`kernel_basis` and `solve` (M X = B for a whole matrix B at once) read off
-the reduced echelon form: over Q the integer echelon rows are divided by
-their pivots, and back-substitution over the sparse rows
-(`_back_substitute`) clears the other pivot columns.  That form is unique,
-so it does not depend on the order in which rows were reduced.  Entries
-must be exact: an int enters F_p as `x % p`, a Fraction through the
-modular inverse of its denominator, and a float raises TypeError (over F_p
-when the matrix is built, over Q when it is eliminated).  No floating
-point is used anywhere.
+
+Every elimination takes sparse rows, which `_field_rows` maps into the
+field as new rows; a float raises TypeError, and no floating point is used
+anywhere.  Kernels (`kernel_vectors`) and solutions of M X = B for a whole
+matrix B at once (`solve`, on the rows of [M | B]) are read off the reduced
+echelon form: over Q the integer echelon rows are divided by their pivots,
+and back-substitution (`_back_substitute`) clears the other pivot columns.
+That form is unique, so it does not depend on the order of the rows.
+`Matrix` is only the dense form in which results are handed out.
 
 All pivot choices are "first nonzero", so every result (kernel bases,
 class representatives, ...) is deterministic.
@@ -142,7 +142,7 @@ def _residue(x, p: int) -> int:
 
 
 class Matrix:
-    """Immutable dense matrix with exact entries.
+    """Immutable dense matrix with exact entries, for results; no elimination reads one.
 
     Over Q the entries are ints or Fractions; over F_p they are residues in
     [0, p).  Rows with no entries still carry an explicit column count.
@@ -171,21 +171,13 @@ class Matrix:
     def __setattr__(self, *_):
         raise AttributeError("Matrix is immutable")
 
-    # -- constructors ------------------------------------------------------
-
     @staticmethod
-    def identity(field: FieldSpec, n: int) -> "Matrix":
-        return Matrix(field, [[int(i == j) for j in range(n)] for i in range(n)], n)
-
-    @staticmethod
-    def from_columns(field: FieldSpec, columns, nrows: int) -> "Matrix":
-        """The matrix with the given columns, for results whose columns carry meaning."""
-        columns = list(columns)
-        if any(len(c) != nrows for c in columns):
-            raise ValueError("column length mismatch")
-        return Matrix(field, zip(*columns) if columns else [()] * nrows, len(columns))
-
-    # -- access ------------------------------------------------------------
+    def from_entries(field: FieldSpec, nrows: int, ncols: int, entries) -> "Matrix":
+        """The matrix with the given (row, column, entry) triples and zeros elsewhere."""
+        rows = [[0] * ncols for _ in range(nrows)]
+        for r, c, x in entries:
+            rows[r][c] = x
+        return Matrix(field, rows, ncols)
 
     def column(self, j: int) -> list:
         return [r[j] for r in self._rows]
@@ -193,83 +185,55 @@ class Matrix:
     def tolist(self) -> list[list]:
         return [list(r) for r in self._rows]
 
-    def submatrix(self, row_idx, col_idx) -> "Matrix":
-        row_idx, col_idx = list(row_idx), list(col_idx)
-        rows = [[self._rows[i][j] for j in col_idx] for i in row_idx]
-        return Matrix(self.field, rows, len(col_idx))
-
+    # ints and Fractions compare and hash by value (Fraction(2) == 2, with
+    # equal hashes), so neither method needs to know the field
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.field != other.field or self.nrows != other.nrows or self.ncols != other.ncols:
-            return False
-        if self.field.is_rational:
-            return all(
-                Fraction(a) == Fraction(b)
-                for ra, rb in zip(self._rows, other._rows)
-                for a, b in zip(ra, rb)
-            )
-        return self._rows == other._rows
+        return (self.field, self.ncols, self._rows) == (other.field, other.ncols, other._rows)
 
     def __hash__(self):
-        if self.field.is_rational:
-            body = tuple(tuple(Fraction(x) for x in r) for r in self._rows)
-        else:
-            body = tuple(tuple(r) for r in self._rows)
-        return hash((self.field, self.nrows, self.ncols, body))
+        return hash((self.field, self.ncols, tuple(map(tuple, self._rows))))
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.nrows}x{self.ncols})"
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def scaled(self, c) -> "Matrix":
-        return Matrix(self.field, [[c * x for x in r] for r in self._rows], self.ncols)
-
-
-def hstack(*mats: Matrix) -> Matrix:
-    mats = [m for m in mats]
-    if not mats:
-        raise ValueError("hstack of nothing")
-    field, nrows = mats[0].field, mats[0].nrows
-    for m in mats:
-        if m.field != field or m.nrows != nrows:
-            raise ValueError("hstack shape/field mismatch")
-    rows = [[x for m in mats for x in m._rows[i]] for i in range(nrows)]
-    return Matrix(field, rows, sum(m.ncols for m in mats))
-
 
 # ---------------------------------------------------------------------------
-# integer rows over Q
+# rows into the field
 # ---------------------------------------------------------------------------
 
 
-def _q_int_rows(rows) -> list[list[int]]:
-    """Scale each row to integer entries and strip the content.
+def _q_int_row(row: dict) -> dict:
+    """The sparse row scaled to integer entries with no common factor, as a new dict.
 
-    Entries are integers or Fractions; anything else raises TypeError.  A row
-    that needs no change is returned as it is: the eliminations copy the rows
-    into sparse dicts and never change them.
+    Entries are integers or Fractions; anything else raises TypeError.
     """
-    out = []
-    for r in rows:
-        if set(map(type, r)) <= {int}:
-            ints = r
-        else:
-            den = 1
-            for x in r:
-                if type(x) is not int:
-                    if isinstance(x, Fraction):
-                        if x.denominator != 1:
-                            den = lcm(den, x.denominator)
-                    else:
-                        index(x)
-            ints = [int(x * den) for x in r] if den != 1 else [int(x) for x in r]
-        g = gcd(*ints)
-        if g > 1:
-            ints = [x // g for x in ints]
-        out.append(ints)
-    return out
+    ints = row
+    if not set(map(type, row.values())) <= {int}:
+        den = 1
+        for x in row.values():
+            if isinstance(x, Fraction):
+                den = lcm(den, x.denominator)
+            else:
+                index(x)
+        ints = {c: int(x * den) if den != 1 else int(x) for c, x in row.items()}
+    g = gcd(*ints.values())
+    return {c: x // g for c, x in ints.items()} if g > 1 else dict(ints)
+
+
+def _field_rows(rows, p: int | None):
+    """The sparse rows {column: entry} as new rows in the field, one at a time.
+
+    Over F_p an int enters as x % p and a Fraction through the modular
+    inverse of its denominator (ValueError when p divides it); over Q each
+    row is scaled to integers with no common factor.  A float raises
+    TypeError.  The eliminations consume these rows, never the caller's.
+    """
+    if p is None:
+        return map(_q_int_row, rows)
+    return ({c: x % p if type(x) is int else _residue(x, p) for c, x in row.items()}
+            for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +296,12 @@ def _echelon_insert(echelon: dict, row: dict, p: int | None) -> None:
         del row[c]
 
 
-def _sparse_echelon(rows, p: int | None, most: int) -> dict:
+def _sparse_echelon(rows, p: int | None, most: int | None) -> dict:
     """Echelon rows of the sparse rows {column: entry}, inserted in order, mod p or over Q.
 
-    Insertion stops once there are `most` echelon rows: with most = ncols
-    every column is a pivot then, and no later row can add one.
+    Insertion stops once there are `most` echelon rows (never when most is
+    None): with most = ncols every column is a pivot then, and no later row
+    can add one.
     """
     echelon: dict = {}
     for row in rows:
@@ -369,61 +334,25 @@ def _back_substitute(echelon: dict, p: int | None) -> None:
                         row.pop(j, None)
 
 
-def _sparse(rows):
-    """Dense rows as sparse rows {column: entry}, one at a time."""
-    return ({c: x for c, x in enumerate(r) if x} for r in rows)
+def _reduced_echelon(field: FieldSpec, rows, most: int | None) -> dict:
+    """{pivot column: row} of the reduced echelon form of the sparse rows.
 
-
-def _non_pivots(pivots: list[int], ncols: int) -> list[int]:
-    pivset = set(pivots)
-    return [c for c in range(ncols) if c not in pivset]
+    Each row has 1 at its pivot and no entry at the other pivot columns;
+    over Q the integer echelon rows are divided by their pivots first.
+    """
+    p = field.p
+    echelon = _sparse_echelon(_field_rows(rows, p), p, most)
+    if p is None:
+        for c, row in echelon.items():
+            if (a := row[c]) != 1:
+                echelon[c] = {k: Fraction(x, a) for k, x in row.items()}
+    _back_substitute(echelon, p)
+    return echelon
 
 
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
-
-
-def _echelon(M: Matrix) -> dict:
-    """Echelon rows of all of M, each row of a matrix over Q scaled to integers first."""
-    p = M.field.p
-    return _sparse_echelon(_sparse(M._rows if p else _q_int_rows(M._rows)), p, M.ncols)
-
-
-def _rref(M: Matrix, pivot_cols: int):
-    """Reduced echelon form of M, zero rows left out, and its pivots left of pivot_cols.
-
-    Rows are lists sorted by pivot; row r has a 1 in column pivots[r] and
-    zeros in the other pivot columns, and rows past len(pivots) vanish in
-    the first pivot_cols columns.
-    """
-    if M.nrows == 0 or pivot_cols == 0:
-        return M.tolist(), []
-    echelon = _echelon(M)
-    if M.field.is_rational:  # divide each integer row by its pivot
-        for c, row in echelon.items():
-            if (a := row[c]) != 1:
-                echelon[c] = {k: Fraction(x, a) for k, x in row.items()}
-    _back_substitute(echelon, M.field.p)
-    rows, pivots = [], []
-    for c in sorted(echelon):
-        row = [0] * M.ncols
-        for k, x in echelon[c].items():
-            row[k] = x
-        rows.append(row)
-        if c < pivot_cols:
-            pivots.append(c)
-    return rows, pivots
-
-
-def pivot_columns(M: Matrix) -> list[int]:
-    """Indices of the first maximal independent set of columns of M, in order."""
-    return sorted(_echelon(M))
-
-
-def rank(M: Matrix) -> int:
-    """Rank of M: the number of its echelon rows."""
-    return len(_echelon(M))
 
 
 def sparse_rank(field: FieldSpec, rows, most: int) -> int:
@@ -441,36 +370,29 @@ def sparse_rank(field: FieldSpec, rows, most: int) -> int:
 def block_pivots(field: FieldSpec, blocks, ncols: int) -> tuple[list[int], list[list[int]]]:
     """Ranks and pivot columns of the stacked blocks of rows, after every block.
 
-    A row is a dict {column: entry} with exact entries, as in Matrix, and a
-    zero row may be {}.  ranks[k] and pivots[k] belong to the first k blocks,
-    so ranks[0] = 0 and pivots[0] = [] for the empty stack.  The coordinate
-    vectors at the columns outside pivots[k] span the quotient by the rows of
-    the first k blocks.  All of it is exact, over Q as over F_p.
+    A row is a dict {column: entry} with exact entries, and a zero row may
+    be {}.  ranks[k] and pivots[k] belong to the first k blocks, so
+    ranks[0] = 0 and pivots[0] = [] for the empty stack.  The coordinate
+    vectors at the columns outside pivots[k] span the quotient by the rows
+    of the first k blocks.  All of it is exact, over Q as over F_p.
 
-    The rows are sparse, so they are eliminated one at a time in pure Python
-    (`_echelon_insert`): each is reduced against the echelon rows kept from
-    all rows before it, never eliminated again, and either adds one pivot or
-    none, so every prefix's rank is the number of echelon rows after it.
-    Over Q each row enters scaled to integers with no common factor.
-    pivots[k] is the set of leading columns of an echelon basis of the span
-    of the first k blocks, and that set depends only on the span (column c
-    leads exactly when the span's dimension grows on adding the coordinates
-    at c), so it equals the pivot columns of any forward elimination of the
-    dense prefix, `pivot_columns` included.  Once every column is a pivot no
-    row can add rank, and later rows skip elimination; every entry of every
-    row is still checked, so a float raises TypeError, and over F_p a
-    Fraction whose denominator p divides raises ValueError.
+    The rows enter the field (`_field_rows`) and are inserted one at a time
+    (`_echelon_insert`), each adding one pivot or none, so every prefix's
+    rank is the number of echelon rows after it.  pivots[k] is the set of
+    leading columns of an echelon basis of the span of the first k blocks,
+    and that set depends only on the span (column c leads exactly when the
+    span's dimension grows on adding the coordinates at c), so it equals
+    the pivot columns of any forward elimination of the dense prefix.  Once
+    every column is a pivot no row can add rank, and later rows skip
+    elimination; every entry of every row still enters the field, so a
+    float raises TypeError, and over F_p a Fraction whose denominator p
+    divides raises ValueError.
     """
     p = field.p
     echelon: dict[int, dict[int, int]] = {}
     ranks, after = [0], [[]]
     for block in blocks:
-        if p is None:
-            block = [dict(zip(row, ints)) for row, ints in
-                     zip(block, _q_int_rows([list(row.values()) for row in block]))]
-        for row in block:
-            if p is not None:
-                row = {c: x % p if type(x) is int else _residue(x, p) for c, x in row.items()}
+        for row in _field_rows(block, p):
             if len(echelon) < ncols:
                 _echelon_insert(echelon, row, p)
         ranks.append(len(echelon))
@@ -478,33 +400,33 @@ def block_pivots(field: FieldSpec, blocks, ncols: int) -> tuple[list[int], list[
     return ranks, after
 
 
-def kernel_basis(M: Matrix) -> Matrix:
-    """Columns span ker M, one per free column: 1 there, 0 at the other free columns."""
-    n = M.ncols
-    rows, pivots = _rref(M, n)
-    cols = []
-    for free in _non_pivots(pivots, n):
-        v = [0] * n
-        v[free] = 1
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][free]
-        cols.append(v)
-    if M.field.is_rational:
-        cols = _q_int_rows(cols)
-    return Matrix.from_columns(M.field, cols, n)
+def kernel_vectors(field: FieldSpec, rows, ncols: int) -> list[dict]:
+    """A basis of the vectors v in field^ncols with row . v = 0 for every sparse row.
 
-
-def solve(M: Matrix, B: Matrix) -> Matrix | None:
-    """X with M X = B, zero at the non-pivot columns of M, or None if there is none.
-
-    One reduced echelon form of [M | B] in the columns of M: row r gives row
-    pivots[r] of X, and a nonzero row past the pivots of M has no solution.
+    One sparse vector {column: entry} per free column, in ascending order:
+    1 at its free column (over Q, a positive integer), 0 at the other free
+    columns.  Over Q each is scaled to integers with no common factor.
     """
-    n = M.ncols
-    rows, pivots = _rref(hstack(M, B), n)
-    if any(any(row[n:]) for row in rows[len(pivots):]):
+    p = field.p
+    echelon = _reduced_echelon(field, rows, ncols)
+    vectors = {free: {free: 1} for free in range(ncols) if free not in echelon}
+    for c, row in echelon.items():
+        for k, x in row.items():
+            if k != c:
+                vectors[k][c] = -x % p if p else -x
+    return [_q_int_row(v) if p is None else v for v in vectors.values()]
+
+
+def solve(field: FieldSpec, rows, n: int) -> dict | None:
+    """X with M X = B, given the sparse rows of [M | B]: the columns of M are
+    0..n-1, and column j of B is column n + j.
+
+    Returns {pivot column c of M: row c of X as {column of B: entry}}; X is
+    zero at the non-pivot columns of M.  One reduced echelon form of
+    [M | B]: a row whose pivot lies in B has no solution, and None is
+    returned.
+    """
+    echelon = _reduced_echelon(field, rows, None)
+    if any(c >= n for c in echelon):
         return None
-    X = [[0] * B.ncols for _ in range(n)]
-    for row, c in zip(rows, pivots):
-        X[c] = row[n:]
-    return Matrix(M.field, X, B.ncols)
+    return {c: {k - n: x for k, x in row.items() if k >= n} for c, row in echelon.items()}

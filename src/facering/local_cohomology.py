@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations
 from math import comb
 
-from .cohomology import cohomology_by_face, cohomology_by_size, induced_map, relative_cohomology_dim
+from .cohomology import _induced_map, cohomology_by_face, cohomology_by_size, relative_cohomology_dim
 from .complexes import SimplicialComplex, degree_monomials, per_complex
 from .linalg import QQ, FieldSpec, Matrix, block_pivots
 
@@ -293,7 +293,9 @@ def _theta_rows(cx: SimplicialComplex, ell: int, i: int, thetas, field: FieldSpe
     column vector U = T + e_t to row vector T is theta[t] times the induced
     map between the corresponding relative cohomology spaces.  When T[t] > 0
     the supports agree and the block is the identity, written directly;
-    every other block is read from `_map_rows`, once per pair of supports.
+    every other block is read from `cohomology._induced_map`, the rows of
+    the induced map as (source class, entry) pairs, memoized per pair of
+    supports.
 
     Rows follow the target piece in the lex order of `degree_monomials`.
     Columns follow the source piece backwards: its last basis vector is
@@ -341,17 +343,10 @@ def _theta_rows(cx: SimplicialComplex, ell: int, i: int, thetas, field: FieldSpe
                     for rr in range(dim):
                         rows[roff + rr][coff - rr] = a
                 continue
-            for rr, entries in enumerate(_map_rows(cx, sT | {t + 1}, sT, ell - 1, field)):
+            for rr, entries in enumerate(_induced_map(cx, sT | {t + 1}, sT, ell - 1, field)):
                 for rows, a in scales[t]:
                     rows[roff + rr].update((coff - cc, a * val) for cc, val in entries)
     return blocks
-
-
-@per_complex
-def _map_rows(cx: SimplicialComplex, f_big, f_small, k: int, field: FieldSpec) -> tuple:
-    """The rows of induced_map(cx, f_big, f_small, k, field) as (column, nonzero entry) pairs."""
-    return tuple(tuple((c, x) for c, x in enumerate(row) if x)
-                 for row in induced_map(cx, f_big, f_small, k, field).tolist())
 
 
 @per_complex

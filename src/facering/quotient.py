@@ -16,9 +16,9 @@ and everything else vanishes.
 
 from __future__ import annotations
 
-from .cohomology import cohomology_by_size, induced_map, relative_cohomology_dim
+from .cohomology import _induced_map, cohomology_by_size, relative_cohomology_dim
 from .complexes import SimplicialComplex
-from .linalg import FieldSpec, Matrix, hstack, rank
+from .linalg import FieldSpec, Matrix, block_pivots
 from .local_cohomology import binom0
 from .singularity import singularity_dimension
 
@@ -49,13 +49,8 @@ def predicts_finite_lc(cx: SimplicialComplex, m: int, field: FieldSpec) -> bool:
                    for ell in range(1, d - m))
 
 
-def vertex_cohomology_map(cx: SimplicialComplex, i: int, theta, field: FieldSpec) -> Matrix:
-    """Weighted sum of the restriction maps from vertex-level into global cohomology.
-
-    Columns are blocks, one per vertex t with {t} a face, equal to theta[t]
-    times the map H^i(X|{t}) -> H^i(X|empty); requires a singular set of
-    dimension at most zero and nonzero weights on every vertex.
-    """
+def _vertex_rows(cx: SimplicialComplex, i: int, theta, field: FieldSpec) -> tuple[list, int]:
+    """Sparse rows {column: entry} of vertex_cohomology_map and its number of columns."""
     if len(theta) != cx.n:
         raise ValueError("coefficient column must have one entry per vertex")
     if any(not a for a in theta):
@@ -64,17 +59,30 @@ def vertex_cohomology_map(cx: SimplicialComplex, i: int, theta, field: FieldSpec
         raise ValueError("complex must have a singular set of dimension at most 0")
     if not 0 <= i <= cx.dim:
         raise ValueError("degree out of range")
-    blocks = []
+    rows = [{} for _ in range(relative_cohomology_dim(cx, frozenset(), i, field))]
+    ncols = 0
     for t in range(1, cx.n + 1):
-        if frozenset({t}) not in cx:
-            continue
-        block = induced_map(cx, frozenset({t}), frozenset(), i, field)
-        if block.ncols:
-            blocks.append(block.scaled(theta[t - 1]))
-    if not blocks:
-        nrows = relative_cohomology_dim(cx, frozenset(), i, field)
-        return Matrix(field, [[] for _ in range(nrows)], 0)
-    return hstack(*blocks)
+        if frozenset({t}) in cx:
+            for row, pairs in zip(rows, _induced_map(cx, frozenset({t}), frozenset(), i, field)):
+                row.update((ncols + s, theta[t - 1] * x) for s, x in pairs)
+            ncols += relative_cohomology_dim(cx, frozenset({t}), i, field)
+    return rows, ncols
+
+
+def _rank(field: FieldSpec, rows, ncols: int) -> int:
+    return block_pivots(field, [rows], ncols)[0][1]
+
+
+def vertex_cohomology_map(cx: SimplicialComplex, i: int, theta, field: FieldSpec) -> Matrix:
+    """Weighted sum of the restriction maps from vertex-level into global cohomology.
+
+    Columns are blocks, one per vertex t with {t} a face, equal to theta[t]
+    times the map H^i(X|{t}) -> H^i(X|empty); requires a singular set of
+    dimension at most zero and nonzero weights on every vertex.
+    """
+    rows, ncols = _vertex_rows(cx, i, theta, field)
+    return Matrix.from_entries(field, len(rows), ncols,
+                               ((r, c, x) for r, row in enumerate(rows) for c, x in row.items()))
 
 
 def isolated_quotient_dims(cx: SimplicialComplex, theta, i: int, field: FieldSpec):
@@ -89,12 +97,12 @@ def isolated_quotient_dims(cx: SimplicialComplex, theta, i: int, field: FieldSpe
     if not 0 <= i < cx.d - 1:
         raise ValueError("degree out of range (need i < dim)")
     if i - 1 >= 0:
-        fprev = vertex_cohomology_map(cx, i - 1, theta, field)
-        coker = fprev.nrows - rank(fprev)
+        rows, ncols = _vertex_rows(cx, i - 1, theta, field)
+        coker = len(rows) - _rank(field, rows, ncols)
     else:
         coker = 0
-    fi = vertex_cohomology_map(cx, i, theta, field)
-    ker = fi.ncols - rank(fi)
+    rows, ncols = _vertex_rows(cx, i, theta, field)
+    ker = ncols - _rank(field, rows, ncols)
     h_global = relative_cohomology_dim(cx, frozenset(), i, field)
     return (0, coker + ker, h_global)
 
@@ -108,11 +116,11 @@ def is_homologically_isolated(cx: SimplicialComplex, field: FieldSpec) -> bool:
     if singularity_dimension(cx, field) > 0:
         raise ValueError("complex must have a singular set of dimension at most 0")
     for i in range(0, cx.d - 1):
-        blocks = [
-            induced_map(cx, frozenset({t}), frozenset(), i, field)
-            for t in range(1, cx.n + 1)
-            if frozenset({t}) in cx
-        ]
-        if blocks and rank(hstack(*blocks)) != sum(rank(b) for b in blocks):
+        rows, ncols = _vertex_rows(cx, i, [1] * cx.n, field)
+        parts = sum(_rank(field, [dict(pairs) for pairs in
+                                  _induced_map(cx, frozenset({t}), frozenset(), i, field)],
+                          relative_cohomology_dim(cx, frozenset({t}), i, field))
+                    for t in range(1, cx.n + 1) if frozenset({t}) in cx)
+        if _rank(field, rows, ncols) != parts:
             return False
     return True

@@ -145,14 +145,22 @@ def check_lemma_equality(cx: SimplicialComplex, field: FieldSpec, run: Run) -> l
 
     For each m <= d of the run the kernel degrees are i = m..m+I_EXTENT, or
     the members of run.i_values that are at least m.  The brute-force side is
-    the rank of the stacked multiplication maps.
+    the rank of the stacked multiplication maps.  The surjectivity records
+    of the largest m need m + 1 generic forms; over a prime field too small
+    to carry them (see make_generic) one record says they were skipped.
     """
     d = cx.d
     m_values = [m for m in run.m_values if m <= d]
     if not m_values:
         return []
     out = []
-    coeffs = make_generic(cx.n, min(max(m_values) + 1, cx.n), field, seed=run.seed)
+    top = max(m_values)
+    forms = min(top + 1, cx.n)
+    if forms >= 2 and field.p is not None and cx.n > field.p - 1:
+        forms = top
+        out.append(("lemma-surjectivity", {"m": top},
+                    {"skipped": f"no {cx.n} x {top + 1} generic matrix over F_{field.p}"}, True))
+    coeffs = make_generic(cx.n, forms, field, seed=run.seed)
     for ell in run.ell_values if run.ell_values is not None else range(1, d + 1):
         for m in m_values:
             if run.i_values is None:

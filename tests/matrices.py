@@ -1,5 +1,6 @@
-"""Matrix product and plain Gauss-Jordan elimination for the tests, which
-check identities such as M X = B and the engine's echelon forms with them."""
+"""Matrix product, plain Gauss-Jordan elimination and reference ranks for
+the tests, which check identities such as M X = B, the engine's echelon
+forms and the ranks of result matrices with them, apart from the library."""
 
 from fractions import Fraction
 
@@ -37,3 +38,43 @@ def gauss_jordan(rows, ncols, p=None):
         pivots.append(c)
         r += 1
     return rows[:r], pivots
+
+
+def bareiss_rank(rows, ncols):
+    """Rank of integer rows by dense fraction-free Bareiss elimination."""
+    rows, prev, r = [list(row) for row in rows], 1, 0
+    for c in range(ncols):
+        k = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        piv = rows[r][c]
+        for k in range(r + 1, len(rows)):
+            f = rows[k][c]
+            rows[k] = [(piv * x - f * y) // prev for x, y in zip(rows[k], rows[r])]
+        prev, r = piv, r + 1
+    return r
+
+
+def rank(M: Matrix) -> int:
+    """Rank of M by forward elimination on dict rows, in Fractions over Q or
+    mod p, one row at a time against the pivot rows before it."""
+    p = M.field.p
+    exact = Fraction if p is None else (lambda x: x % p)
+    pivots = {}
+    for row in M.tolist():
+        row = {c: exact(x) for c, x in enumerate(row) if x}
+        while row:
+            c = min(row)
+            if c not in pivots:
+                inv = 1 / row[c] if p is None else pow(row[c], -1, p)
+                pivots[c] = {k: exact(x * inv) for k, x in row.items()}
+                break
+            f = row[c]
+            for k, y in pivots[c].items():
+                v = exact(row.get(k, 0) - f * y)
+                if v:
+                    row[k] = v
+                else:
+                    row.pop(k, None)
+    return len(pivots)

@@ -9,8 +9,8 @@ import json
 
 from facering.artinian import determinacy_probe, reduction_hilbert
 from facering.cli import main as cli_main
-from facering.cohomology import reduced_cohomology_dim, relative_cohomology
-from facering.linalg import GF, QQ, rank
+from facering.cohomology import induced_map, reduced_cohomology_dim, relative_cohomology
+from facering.linalg import GF, QQ
 from facering.local_cohomology import (
     graded_piece,
     kernel_dim_bruteforce,
@@ -34,6 +34,8 @@ from facering.squarefree import (
     sqfree_quotient_hilbert,
     sqfree_quotient_lc,
 )
+
+from matrices import rank
 
 F2, F3, FBIG = GF(2), GF(3), GF(32003)
 
@@ -172,6 +174,8 @@ def test_criterion_8_isolated_singularity_block(complexes):
     ones = [1] * 5
     f1 = vertex_cohomology_map(bowtie, 1, ones, QQ)
     assert f1.ncols - rank(f1) == 1  # ker f^1
+    # only the singular vertex 3 has classes: f^1 is the map they induce
+    assert f1 == induced_map(bowtie, {3}, (), 1, QQ)
     f0 = vertex_cohomology_map(bowtie, 0, ones, QQ)
     assert f0.nrows - rank(f0) == 0  # coker f^0
     assert isolated_quotient_dims(bowtie, ones, 1, QQ) == (0, 1, 0)

@@ -12,9 +12,11 @@ from facering.complexes import (
     count_degree_monomials,
     degree_monomials,
 )
-from facering.linalg import GF, QQ, Matrix, rank
+from facering.linalg import GF, QQ, Matrix
 from facering.local_cohomology import GenericCoefficients, make_generic
 from facering.squarefree import sqfree_data_of_face_ring, sqfree_quotient_hilbert
+
+from matrices import rank
 
 
 def full_stack_dims(cx, coeffs, m, cutoff, field):

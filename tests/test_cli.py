@@ -685,6 +685,25 @@ def test_generic_matrix_impossible_over_small_prime(capsys):
     assert "tries" not in err
 
 
+# rp2_6 is CM over Q but singular at the empty face over F_2.  Its default
+# ledger there would draw m + 1 = 2 forms, and no 6 x 2 matrix over F_2 has
+# all minors nonzero, so the surjectivity records of m = 1 give way to one
+# passing record that says they were skipped.
+RP2_F2_DIGEST = "5835b15ea960644cd3e0e8e9fa35c5a550f9d5c69d98c39a6afe49d529bc72b0"
+
+
+def test_rp2_ledger_over_f2(capsys):
+    code, out, _ = run_cli(capsys, "verify", "rp2_6", "--field", "fp:2", "--format", "json")
+    assert code == EXIT_OK
+    ledger = json.loads(out)
+    assert ledger["summary"] == {"total": 263, "failed": 0}
+    skipped = [r for r in ledger["checks"] if r["check"] == "lemma-surjectivity"
+               and "skipped" in r["values"]]
+    assert [(r["params"], r["passed"]) for r in skipped] == [({"m": 1}, True)]
+    assert any(r["check"] == "lemma-equality" for r in ledger["checks"])
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RP2_F2_DIGEST
+
+
 def test_corpus_only_for_verify(capsys):
     code, _, err = run_cli(capsys, "analyze", "corpus")
     assert code == EXIT_INPUT_ERROR

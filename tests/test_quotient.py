@@ -3,7 +3,7 @@
 import pytest
 
 from facering.complexes import SimplicialComplex
-from facering.linalg import GF, QQ, rank
+from facering.linalg import GF, QQ
 from facering.local_cohomology import kernel_dim_formula
 from facering.quotient import (
     is_homologically_isolated,
@@ -12,6 +12,8 @@ from facering.quotient import (
     quotient_lc_dim,
     vertex_cohomology_map,
 )
+
+from matrices import rank
 
 FIELDS = [QQ, GF(2), GF(3)]
 

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 from facering import verification
-from facering.linalg import GF, QQ
+from facering.complexes import SimplicialComplex
+from facering.linalg import GF, QQ, Matrix
 from facering.verification import SUITE_CHECKS, run_checks
 
 from complex_strategies import small_complexes
@@ -53,6 +54,34 @@ def test_prime_field_mismatch_is_redrawn_once(cycle3, monkeypatch):
                    if r.check == "lemma-equality"]
         assert records
         assert all(r.params["retried"] is redrawn and r.passed is redrawn for r in records)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_lemma_equality_builds_no_matrix_but_the_coefficients(rp2_6, field, monkeypatch):
+    # the θ stacks read the induced maps as sparse rows, so on rp2_6
+    # suspended (a fresh complex, so no memo is warm) every Matrix built
+    # during the check is a coefficient matrix that make_generic draws
+    n, facets = rp2_6.n, [sorted(F) for F in rp2_6.facets]
+    susp1 = SimplicialComplex(n + 2, [F + [v] for F in facets for v in (n + 1, n + 2)])
+    built, inside = {True: 0, False: 0}, [False]
+    real_init, real_generic = Matrix.__init__, verification.make_generic
+
+    def init(self, *args, **kwargs):
+        built[inside[0]] += 1
+        real_init(self, *args, **kwargs)
+
+    def generic(*args, **kwargs):
+        inside[0] = True
+        try:
+            return real_generic(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(Matrix, "__init__", init)
+    monkeypatch.setattr(verification, "make_generic", generic)
+    records = run_checks("susp1", susp1, field, checks=("lemma-equality",), m_max=2, seed=1)
+    assert records and all(r.passed for r in records)
+    assert built[True] >= 1 and built[False] == 0
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
