@@ -243,6 +243,14 @@ def all_minors_nonsingular(M: Matrix) -> bool:
     return True
 
 
+def generic_fits(n: int, m: int, field: FieldSpec) -> bool:
+    """Whether the counting bound allows an n x m matrix over the field with
+    all minors nonzero.  With m >= 2 columns over F_p every entry must be
+    nonzero and no two rows proportional on a pair of columns, which leaves
+    at most p - 1 rows."""
+    return field.is_rational or m < 2 or n <= field.p - 1
+
+
 def make_generic(n: int, m: int, field: FieldSpec, seed: int | None = None) -> GenericCoefficients:
     """A verified-generic n x m coefficient matrix.
 
@@ -250,14 +258,12 @@ def make_generic(n: int, m: int, field: FieldSpec, seed: int | None = None) -> G
     analytic).  Over F_p entries are sampled uniformly from the nonzero
     residues (a zero draw is drawn again) and all square submatrices are
     checked; sampling stops after GENERIC_TRIES draws of the whole matrix.
-    With m >= 2 no such matrix exists when n > p - 1: every entry must be
-    nonzero and no two rows proportional on a pair of columns, which leaves
-    at most p - 1 rows.
+    A shape that generic_fits rules out is refused before any draw.
     """
     if field.is_rational:
         return vandermonde_coefficients(range(1, n + 1), m)
     p = field.p
-    if m >= 2 and n > p - 1:
+    if not generic_fits(n, m, field):
         raise ValueError(
             f"no {n} x {m} matrix over F_{p} has all minors nonzero: with two or more "
             f"columns it can have at most p - 1 = {p - 1} rows"

@@ -1,16 +1,18 @@
-"""Named consistency checks pairing independent computation routes.
+"""Named consistency checks pairing computation routes.
 
-A check is a function (cx, field, run) that returns, for one complex, a list
-of (label, params, values, passed) tuples carrying the parameters and the
-values computed on each route, so a failing ledger line is directly
-actionable.  run_checks alone turns them into CheckResult records with the
-complex name and field.  Adding a check means one function and one entry in
-CHECKS, which maps the check's name to the function's name.  The routes are
-kept genuinely independent: closed binomial formulas against brute-force
-elimination (the rank of the stacked multiplication maps), link cohomology
-against pair cohomology, Hilbert series expansions against direct basis
-enumeration, and the Artinian rank oracle against the squarefree quotient
-formula.
+CHECKS maps each check's name to its function (cx, field, run), which
+returns, for one complex, a finished list of (label, params, values, passed)
+tuples carrying the parameters and the values computed on each route, so a
+failing ledger line is directly actionable.  run_checks alone turns them into
+CheckResult records with the complex name and field.  Adding a check is one
+function and one CHECKS entry that names it.  The routes: closed binomial
+formulas against brute-force elimination (the rank of the stacked
+multiplication maps), link cohomology against pair cohomology, Hilbert series
+expansions against direct basis enumeration, the four characterizations of
+finite local cohomology against each other, and the Artinian rank oracle
+against the squarefree quotient formula.  kernel-identification and
+tsqfree-vs-isomorphism compare two closed forms of the same sum, not a
+formula with an independent oracle.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .cohomology import reduced_cohomology_dim, relative_cohomology_dim
 from .complexes import SimplicialComplex, mixed_face_key
 from .linalg import FieldSpec
 from .local_cohomology import (
+    generic_fits,
     graded_piece,
     kernel_dim_bruteforce,
     kernel_dim_formula,
@@ -129,17 +132,6 @@ def check_theorem_main(cx: SimplicialComplex, field: FieldSpec, run: Run) -> lis
     return out
 
 
-def check_singdim_chain(cx: SimplicialComplex, field: FieldSpec, run: Run) -> list:
-    """Finite-local-cohomology prediction against the codimension criterion."""
-    out = []
-    for m in range(0, cx.d + 1):
-        p2 = quotient.predicts_finite_lc(cx, m, field)
-        p4 = singularity.cm_in_codim(cx, cx.dim - m, field)
-        out.append(("singdim-chain", {"m": m},
-                    {"finite_lc_prediction": p2, "cm_in_codim_r_minus_m": p4}, p2 == p4))
-    return out
-
-
 def check_lemma_equality(cx: SimplicialComplex, field: FieldSpec, run: Run) -> list:
     """Brute-force kernel dimensions against the closed formula, with surjectivity.
 
@@ -156,7 +148,7 @@ def check_lemma_equality(cx: SimplicialComplex, field: FieldSpec, run: Run) -> l
     out = []
     top = max(m_values)
     forms = min(top + 1, cx.n)
-    if forms >= 2 and field.p is not None and cx.n > field.p - 1:
+    if not generic_fits(cx.n, forms, field):
         forms = top
         out.append(("lemma-surjectivity", {"m": top},
                     {"skipped": f"no {cx.n} x {top + 1} generic matrix over F_{field.p}"}, True))
@@ -248,18 +240,15 @@ def check_cm_anchor(cx: SimplicialComplex, field: FieldSpec, run: Run) -> list:
              {"reduction": list(red.dims), "h_vector_padded": h}, list(red.dims) == h)]
 
 
-# check name -> the module attribute run_checks calls, looked up at call time
-# so that a wrapper set on the attribute (the perfbench tracer) runs
 CHECKS = {
-    "link-iso": "check_link_iso",
-    "hochster-counts": "check_hochster_counts",
-    "theorem-main": "check_theorem_main",
-    "singdim-chain": "check_singdim_chain",
-    "lemma-equality": "check_lemma_equality",
-    "kernel-identification": "check_kernel_identification",
-    "artinian-vs-sqfree": "check_artinian_vs_sqfree",
-    "tsqfree-vs-isomorphism": "check_tsqfree",
-    "cm-anchor": "check_cm_anchor",
+    "link-iso": check_link_iso,
+    "hochster-counts": check_hochster_counts,
+    "theorem-main": check_theorem_main,
+    "lemma-equality": check_lemma_equality,
+    "kernel-identification": check_kernel_identification,
+    "artinian-vs-sqfree": check_artinian_vs_sqfree,
+    "tsqfree-vs-isomorphism": check_tsqfree,
+    "cm-anchor": check_cm_anchor,
 }
 SUITE_CHECKS = tuple(CHECKS)
 
@@ -280,7 +269,7 @@ def run_checks(name: str, cx: SimplicialComplex, field: FieldSpec,
     for check in checks:
         if check not in CHECKS:
             raise ValueError(f"unknown check {check!r}")
-        rows = globals()[CHECKS[check]](cx, field, run)
+        rows = CHECKS[check](cx, field, run)
         out.extend(CheckResult(label, name, str(field), params, values, bool(passed))
                    for label, params, values, passed in rows)
     return out

@@ -15,7 +15,7 @@ import pytest
 import facering
 from facering.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFY_FAILED, build_parser, main
 from facering.corpus import corpus
-from facering.verification import CheckResult, ledger_json
+from facering.verification import SUITE_CHECKS, CheckResult, ledger_json
 
 
 def run_cli(capsys, *argv):
@@ -210,29 +210,66 @@ def test_verify_empty_ledger_fails(capsys):
         assert report["summary"]["total"] == 0 and report["passed"] is False
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _with_singdim_chain(out: str) -> str:
+    """A verify ledger as it read while a singdim-chain check repeated, after
+    each complex's theorem-main records, two of their four values: one record
+    per m, passing when the two agree."""
+    ledger = json.loads(out)
+    checks, echo = [], []
+    for rec in ledger["checks"]:
+        if echo and (rec["check"], rec["complex"]) != ("theorem-main", echo[0]["complex"]):
+            checks += echo
+            echo = []
+        checks.append(rec)
+        if rec["check"] == "theorem-main":
+            values = {k: rec["values"][k]
+                      for k in ("finite_lc_prediction", "cm_in_codim_r_minus_m")}
+            echo.append({"check": "singdim-chain", "complex": rec["complex"],
+                         "field": rec["field"], "params": rec["params"], "values": values,
+                         "passed": len(set(values.values())) == 1})
+    ledger["checks"] = checks + echo
+    ledger["summary"]["total"] = len(ledger["checks"])
+    return json.dumps(ledger, indent=2, sort_keys=True) + "\n"
+
+
+def _assert_ledger(out: str, total: int, digest: str, with_singdim_chain: str):
+    # the last digest is the ledger's from before theorem-main absorbed
+    # singdim-chain: putting those records back restores it byte for byte,
+    # so dropping the check changed no other record
+    assert json.loads(out)["summary"] == {"total": total, "failed": 0}
+    assert _sha256(out) == digest
+    assert _sha256(_with_singdim_chain(out)) == with_singdim_chain
+
+
 # SHA-256 of `verify corpus --format json` stdout, with its record count; a
 # refactor must keep these ledgers byte-identical.  The --m-max 2 and 3 runs
 # are the ones the benchmark times, and they pin the stacks of two and three
 # forms.
 LEDGER_DIGESTS = {
     ("--field", "q"):
-        (943, "490e75c926ce7e09546f41bbbb8d9e0469b2b1069236e12ee11ee3161e1e22bd"),
+        (925, "3f922eff5cd33c5411d94d0a5f9e76e3197dae5ded9620f4fc0b6b8101f9ace3",
+         "490e75c926ce7e09546f41bbbb8d9e0469b2b1069236e12ee11ee3161e1e22bd"),
     ("--field", "fp:32003", "--seed", "1"):
-        (943, "1e8f221f6bb56ab099f0b248f3624310d10f0175dcc0f148bb66259f0796f1ce"),
+        (925, "04583764b79ac9288f0669f48cd5b1453f66b988fe61f0ad5c9825dc8b368045",
+         "1e8f221f6bb56ab099f0b248f3624310d10f0175dcc0f148bb66259f0796f1ce"),
     ("--field", "q", "--m-max", "2"):
-        (1054, "ad0da984aa20076061be751aea5666da018d6c580905f0ecb109e4d7e14ef24b"),
+        (1036, "d4a554f58909041e36510e52d60d9e8a6a089219e3cac5a927f76ba5543583ea",
+         "ad0da984aa20076061be751aea5666da018d6c580905f0ecb109e4d7e14ef24b"),
     ("--field", "fp:32003", "--m-max", "3", "--seed", "1"):
-        (1129, "559d591e5ab594819269e408697cb77e885db31418a13a262e72e3a2c6daaa0d"),
+        (1111, "9ed7052c45fb831314e5534c5c2faa807b670a5a3e0748e55cb58b8329128bf3",
+         "559d591e5ab594819269e408697cb77e885db31418a13a262e72e3a2c6daaa0d"),
 }
 
 
 @pytest.mark.parametrize("args", sorted(LEDGER_DIGESTS))
 def test_verify_corpus_ledger_digest(capsys, args):
-    total, digest = LEDGER_DIGESTS[args]
     code, out, _ = run_cli(capsys, "verify", "corpus", "--format", "json", *args)
     assert code == EXIT_OK
-    assert json.loads(out)["summary"] == {"total": total, "failed": 0}
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    _assert_ledger(out, *LEDGER_DIGESTS[args])
 
 
 # SHA-256 of the concatenated `<command> <name> --field F --format json ...`
@@ -333,8 +370,10 @@ def test_non_pure_analyze_digest(capsys, tmp_path, monkeypatch, field):
 # `rp2_6` suspended: its F_p ledger holds the largest θ stacks of any pinned
 # run (2,964 x 1,168 at l = 4, i = 6), so it pins their column order.  Over
 # Q the stacks drop rank, and the integer loop ranks every prefix of them.
-SUSP1_FP_DIGEST = "85e8cd189f822905f0bd0330638930ba271530f2e4af957353cd09e66f7d17da"
-SUSP1_Q_DIGEST = "e86c03172e60196e1245fe479f6f2ceebabd5ed83cd044b492354f52719e1973"
+SUSP1_FP_DIGESTS = (745, "25affd779b6ef7db77577ce5f8bc12b887a3626a9ea606270e1b11984748eab8",
+                    "85e8cd189f822905f0bd0330638930ba271530f2e4af957353cd09e66f7d17da")
+SUSP1_Q_DIGESTS = (745, "2fc2817e5c976d8be17de679ea3471c82e9500dfab4c163badde8302c55b6ca3",
+                   "e86c03172e60196e1245fe479f6f2ceebabd5ed83cd044b492354f52719e1973")
 
 
 def _write_susp1():
@@ -349,7 +388,7 @@ def test_suspended_rp2_ledger_digest(capsys, tmp_path, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "susp1.json", "--field", "fp:32003",
                            "--m-max", "3", "--seed", "1", "--format", "json")
     assert code == EXIT_OK
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SUSP1_FP_DIGEST
+    _assert_ledger(out, *SUSP1_FP_DIGESTS)
 
 
 def test_suspended_rp2_q_ledger_digest(capsys, tmp_path, monkeypatch):
@@ -358,8 +397,7 @@ def test_suspended_rp2_q_ledger_digest(capsys, tmp_path, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "susp1.json", "--field", "q",
                            "--m-max", "3", "--format", "json")
     assert code == EXIT_OK
-    assert json.loads(out)["summary"] == {"total": 750, "failed": 0}
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SUSP1_Q_DIGEST
+    _assert_ledger(out, *SUSP1_Q_DIGESTS)
 
 
 # `analyze --format json` on two complexes of 2,000+ faces, as the dense
@@ -616,6 +654,18 @@ def test_commands_refuse_options_they_do_not_read(tmp_path, capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_check_choices_are_the_suite(capsys):
+    # theorem-main records all four characterizations, so singdim-chain,
+    # which repeated two of them, is gone from the choices
+    (commands,) = [a.choices for a in build_parser()._actions if a.dest == "command"]
+    (check,) = [a for a in commands["verify"]._actions if a.dest == "check"]
+    assert tuple(check.choices) == SUITE_CHECKS
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "cycle3", "--check", "singdim-chain"])
+    assert exc.value.code == EXIT_INPUT_ERROR
+    assert "invalid choice: 'singdim-chain'" in capsys.readouterr().err
+
+
 def test_positional_help_names_what_each_command_reads():
     (commands,) = [a.choices for a in build_parser()._actions if a.dest == "command"]
     helps = {name: next(a.help for a in p._actions if a.dest == "input")
@@ -689,19 +739,19 @@ def test_generic_matrix_impossible_over_small_prime(capsys):
 # ledger there would draw m + 1 = 2 forms, and no 6 x 2 matrix over F_2 has
 # all minors nonzero, so the surjectivity records of m = 1 give way to one
 # passing record that says they were skipped.
-RP2_F2_DIGEST = "5835b15ea960644cd3e0e8e9fa35c5a550f9d5c69d98c39a6afe49d529bc72b0"
+RP2_F2_DIGESTS = (259, "e5ea695888eab2abd18dae953311891158ae9c3d93cf7a58a7e9d2f3c0739ff1",
+                  "5835b15ea960644cd3e0e8e9fa35c5a550f9d5c69d98c39a6afe49d529bc72b0")
 
 
 def test_rp2_ledger_over_f2(capsys):
     code, out, _ = run_cli(capsys, "verify", "rp2_6", "--field", "fp:2", "--format", "json")
     assert code == EXIT_OK
     ledger = json.loads(out)
-    assert ledger["summary"] == {"total": 263, "failed": 0}
     skipped = [r for r in ledger["checks"] if r["check"] == "lemma-surjectivity"
                and "skipped" in r["values"]]
     assert [(r["params"], r["passed"]) for r in skipped] == [({"m": 1}, True)]
     assert any(r["check"] == "lemma-equality" for r in ledger["checks"])
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RP2_F2_DIGEST
+    _assert_ledger(out, *RP2_F2_DIGESTS)
 
 
 def test_corpus_only_for_verify(capsys):

@@ -1,4 +1,8 @@
-"""The verify ledger's table of checks: lookup, dispatch and traceability."""
+"""The verify ledger's table of checks, and the whole suite on generated complexes."""
+
+import hashlib
+import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,14 +10,14 @@ from hypothesis import given, settings
 from facering import verification
 from facering.complexes import SimplicialComplex
 from facering.linalg import GF, QQ, Matrix
-from facering.verification import SUITE_CHECKS, run_checks
+from facering.verification import SUITE_CHECKS, ledger_json, run_checks
 
 from complex_strategies import small_complexes
 
 
-def test_every_check_is_called_through_its_module_attribute(bowtie, monkeypatch):
-    # a tracer times a check by replacing its module attribute, so run_checks
-    # must call that attribute, once per complex, and get a finished list back
+def test_every_check_is_called_once_from_the_table(bowtie, monkeypatch):
+    # run_checks calls each CHECKS entry once per complex and gets a
+    # finished list back
     calls = {}
 
     def counting(check, fn):
@@ -24,9 +28,8 @@ def test_every_check_is_called_through_its_module_attribute(bowtie, monkeypatch)
             return result
         return wrapper
 
-    for check in SUITE_CHECKS:
-        attr = verification.CHECKS[check]
-        monkeypatch.setattr(verification, attr, counting(check, getattr(verification, attr)))
+    for check, fn in list(verification.CHECKS.items()):
+        monkeypatch.setitem(verification.CHECKS, check, counting(check, fn))
     records = run_checks("bowtie", bowtie, QQ)
     assert calls == dict.fromkeys(SUITE_CHECKS, 1)
     assert records and all(r.passed and r.complex_name == "bowtie" for r in records)
@@ -93,3 +96,36 @@ def test_generated_series_and_main_theorem(cx):
         records = run_checks("generated", cx, field, checks=("hochster-counts", "theorem-main"))
         assert {r.check for r in records} == {"hochster-counts", "theorem-main"}
         assert all(r.passed for r in records), [r for r in records if not r.passed]
+
+
+def _random_family():
+    """60 complexes (51 distinct) on 4 to 7 vertices, each generated by 2 to 6
+    facets of 1 to 4 vertices, drawn from random.Random(11)."""
+    rng = random.Random(11)
+    out = []
+    for _ in range(60):
+        n = rng.randint(4, 7)
+        facets = [rng.sample(range(1, n + 1), rng.randint(1, 4))
+                  for _ in range(rng.randint(2, 6))]
+        out.append(SimplicialComplex(n, facets))
+    return out
+
+
+# SHA-256 of the ledger_json of the whole suite on _random_family, m_max = 3
+RANDOM_FAMILY_DIGESTS = {
+    "q": (17733, "26920f96bb936dba748415ffae3fdc45f1817843de24f67404704f9a9a439b68"),
+    "fp:32003": (17733, "02c33e70e31ecf7780e59800292c1b011c38ddb0210224f4963ad66cbe7601b4"),
+}
+
+
+@pytest.mark.parametrize("field,seed", [(QQ, None), (GF(32003), 1)], ids=str)
+def test_whole_suite_on_a_random_family(field, seed):
+    records = []
+    for k, cx in enumerate(_random_family()):
+        records += run_checks(f"random{k}", cx, field, m_max=3, seed=seed)
+    assert all(r.passed for r in records), [r for r in records if not r.passed]
+    assert {r.check for r in records} == {*SUITE_CHECKS, "lemma-surjectivity"}
+    text = json.dumps(ledger_json(records), indent=2, sort_keys=True)
+    total, digest = RANDOM_FAMILY_DIGESTS[str(field)]
+    assert len(records) == total
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
