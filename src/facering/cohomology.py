@@ -29,15 +29,17 @@ k, the rows past the rank are never reduced.
 Cocycle bases are built only for the contravariant maps induced by
 contrastar inclusions, a second route to the same dimensions: its sparse
 coboundary rows (`coboundary_rows`) come from the faces and their sorted
-positions, not from the face ids of the rank route.  The cocycles Z are a
-kernel basis of delta^i (`linalg.kernel_vectors`), and a cocycle is a class
-representative when it raises the rank of the coboundary images (the
-columns of delta^(i-1)) and the representatives before it.  A map is read
-off one `solve` of [delta^(i-1) | target reps | source reps extended by
-zero]: the rows of the solution at the target representatives are the
-coordinates of the source classes, unique because the representatives are
-independent modulo coboundaries.  Each target class keeps its row as
-(source class, entry) pairs (`_induced_map`), which the θ stacks and the
+positions, not from the face ids of the rank route.  One echelon form per
+space (`_relative_cohomology`) takes the columns of delta^(i-1), then each
+kernel vector z of delta^i (`linalg.kernel_vectors`) with 1 at a tag
+column dim C^i + (representatives so far).  Stored at a cochain pivot, z
+is a representative; at a tag, z is a coboundary plus earlier
+representatives, and its row is dropped.  So each row (u, a) has u -
+sum a_t rep_t a coboundary.  Reduced, the rows give every map into the
+space with no elimination (`_induced_map`): a source representative
+extended by zero clears against them (`linalg._clear_pivots`) to tags
+alone, minus its coordinates in the target classes.  Each target class
+keeps its row as (source class, entry) pairs, which the θ stacks and the
 vertex maps read; only the public `relative_cohomology` and `induced_map`
 write a dense Matrix.
 
@@ -49,8 +51,8 @@ size s (`cohomology_by_size`).
 
 Coboundary rows are not memoized; face ids, boundary tables, stars,
 cochain bases, ranks, cohomology tables, class representatives (sparse
-vectors) and induced maps (their rows) are memoized on the complex object
-(`per_complex`) and freed with it.
+vectors) with their reduced echelon forms, and induced maps (their rows)
+are memoized on the complex object (`per_complex`) and freed with it.
 Outputs are immutable, so an entry recomputed under a race is
 indistinguishable from the first result.
 """
@@ -61,7 +63,8 @@ from bisect import bisect_left
 from types import MappingProxyType
 
 from .complexes import SimplicialComplex, facets_over, per_complex
-from .linalg import FieldSpec, Matrix, _echelon_insert, kernel_vectors, solve, sparse_rank
+from .linalg import (FieldSpec, Matrix, _clear_pivots, _echelon_insert, _reduce, kernel_vectors,
+                     sparse_rank)
 
 
 @per_complex
@@ -181,14 +184,15 @@ def relative_cohomology(cx: SimplicialComplex, tau, i: int, field: FieldSpec) ->
     independent modulo coboundaries.  tau = emptyset is reduced cohomology.
     """
     tau = frozenset(tau)
-    reps = _relative_cohomology(cx, tau, i, field)
+    reps = _relative_cohomology(cx, tau, i, field)[0]
     return Matrix.from_entries(field, len(relative_cochain_basis(cx, tau, i)), len(reps),
                                ((r, j, x) for j, rep in enumerate(reps) for r, x in rep))
 
 
 @per_complex
 def _relative_cohomology(cx: SimplicialComplex, tau: frozenset, i: int, field: FieldSpec) -> tuple:
-    """The representatives of relative_cohomology as sparse vectors: (row, entry) pairs."""
+    """(representatives of relative_cohomology as (row, entry) pairs, the
+    reduced tagged echelon rows that chose them, read only)."""
     if tau not in cx:
         raise ValueError(f"{sorted(tau)} is not a face")
     images = {}  # the columns of delta^(i-1)
@@ -200,11 +204,13 @@ def _relative_cohomology(cx: SimplicialComplex, tau: frozenset, i: int, field: F
         _echelon_insert(echelon, image, p)
     dim = len(relative_cochain_basis(cx, tau, i))
     for z in kernel_vectors(field, coboundary_rows(cx, tau, i), dim):
-        rank = len(echelon)
-        _echelon_insert(echelon, dict(z), p)
-        if len(echelon) > rank:
+        pivot = _echelon_insert(echelon, {**z, dim + len(reps): 1}, p)
+        if pivot < dim:
             reps.append(tuple(sorted(z.items())))
-    return tuple(reps)
+        else:
+            del echelon[pivot]
+    _reduce(echelon, p)
+    return tuple(reps), echelon
 
 
 def reduced_cohomology_dim(cx: SimplicialComplex, i: int, field: FieldSpec) -> int:
@@ -223,7 +229,7 @@ def induced_map(cx: SimplicialComplex, f_big, f_small, i: int, field: FieldSpec)
     """
     f_big, f_small = frozenset(f_big), frozenset(f_small)
     rows = _induced_map(cx, f_big, f_small, i, field)
-    return Matrix.from_entries(field, len(rows), len(_relative_cohomology(cx, f_big, i, field)),
+    return Matrix.from_entries(field, len(rows), len(_relative_cohomology(cx, f_big, i, field)[0]),
                                ((r, s, x) for r, row in enumerate(rows) for s, x in row))
 
 
@@ -233,23 +239,18 @@ def _induced_map(cx: SimplicialComplex, f_big: frozenset, f_small: frozenset, i:
     """The rows of induced_map, one per target class, as (source class, nonzero entry) pairs."""
     if not f_small <= f_big:
         raise ValueError("the target face must be contained in the source face")
-    source = _relative_cohomology(cx, f_big, i, field)
-    target = _relative_cohomology(cx, f_small, i, field)
+    source = _relative_cohomology(cx, f_big, i, field)[0]
     if f_big == f_small:
         return tuple(((s, 1),) for s in range(len(source)))
-    # the rows of [delta^(i-1) | target reps | source reps extended by zero]
-    rows = coboundary_rows(cx, f_small, i - 1)
-    n0 = len(relative_cochain_basis(cx, f_small, i - 1))
-    n = n0 + len(target)
-    for t, rep in enumerate(target):
-        for r, x in rep:
-            rows[r][n0 + t] = x
+    target, echelon = _relative_cohomology(cx, f_small, i, field)
     index = {F: r for r, F in enumerate(relative_cochain_basis(cx, f_small, i))}
-    big = relative_cochain_basis(cx, f_big, i)
+    big, dim, p = relative_cochain_basis(cx, f_big, i), len(index), field.p
+    rows = [[] for _ in target]
     for s, rep in enumerate(source):
-        for r, x in rep:
-            rows[index[big[r]]][n + s] = x
-    X = solve(field, rows, n)
-    if X is None:
-        raise AssertionError("cocycle does not reduce against the stored bases")
-    return tuple(tuple(sorted(X.get(n0 + t, {}).items())) for t in range(len(target)))
+        w = {index[big[r]]: x for r, x in rep}
+        _clear_pivots(w, echelon, p)
+        if any(c < dim for c in w):
+            raise AssertionError("cocycle does not reduce against the stored bases")
+        for c, x in sorted(w.items()):
+            rows[c - dim].append((s, -x % p if p else -x))
+    return tuple(map(tuple, rows))

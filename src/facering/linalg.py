@@ -25,11 +25,11 @@ every prefix of the rows has them exactly, with no second method.
 
 Every elimination takes sparse rows, which `_field_rows` maps into the
 field as new rows; a float raises TypeError, and no floating point is used
-anywhere.  Kernels (`kernel_vectors`) and solutions of M X = B for a whole
-matrix B at once (`solve`, on the rows of [M | B]) are read off the reduced
-echelon form: over Q the integer echelon rows are divided by their pivots,
-and back-substitution (`_back_substitute`) clears the other pivot columns.
-That form is unique, so it does not depend on the order of the rows.
+anywhere.  `_reduce` brings an echelon form to the reduced echelon form:
+over Q the integer rows are divided by their pivots, and back-substitution
+clears the other pivot columns.  That form is unique, so it does not
+depend on the order of the rows.  Kernels (`kernel_vectors`) are read off
+it, and `_clear_pivots` writes a vector in its rows with no elimination.
 `Matrix` is only the dense form in which results are handed out.
 
 All pivot choices are "first nonzero", so every result (kernel bases,
@@ -241,7 +241,7 @@ def _field_rows(rows, p: int | None):
 # ---------------------------------------------------------------------------
 
 
-def _echelon_insert(echelon: dict, row: dict, p: int | None) -> None:
+def _echelon_insert(echelon: dict, row: dict, p: int | None) -> int | None:
     """Reduce the sparse row {column: entry} against the echelon rows; store it if it is new.
 
     echelon maps each pivot column to its row, a dict {column: entry} with
@@ -278,7 +278,7 @@ def _echelon_insert(echelon: dict, row: dict, p: int | None) -> None:
             else:
                 g = gcd(*row.values()) if x > 0 else -gcd(*row.values())
                 echelon[c] = {k: v // g for k, v in row.items() if v}
-            return
+            return c
         if p is None and (a := prow[c]) != 1:
             g = gcd(a, x)
             x //= g
@@ -294,6 +294,7 @@ def _echelon_insert(echelon: dict, row: dict, p: int | None) -> None:
             else:
                 row[k] = y - x * v
         del row[c]
+    return None
 
 
 def _sparse_echelon(rows, p: int | None, most: int | None) -> dict:
@@ -311,43 +312,40 @@ def _sparse_echelon(rows, p: int | None, most: int | None) -> dict:
     return echelon
 
 
-def _back_substitute(echelon: dict, p: int | None) -> None:
-    """Clear every other pivot column from each echelon row, in place: the reduced echelon form.
+def _clear_pivots(row: dict, echelon: dict, p: int | None, own: int | None = None) -> None:
+    """Subtract row[k] times the echelon row at k from the row, in place, for
+    each pivot column k of the row other than `own`.
 
-    Rows are cleared from the last pivot up, so a row is cleared only by
-    rows that are reduced already: each carries no pivot column but its own,
-    and subtracting it brings no new pivot column into the row.  Entries are
-    reduced mod p, or kept exact when p is None.
+    The echelon rows at those pivots must be reduced (1 at the pivot and
+    nothing at the other pivot columns), so no pivot column enters the row.
+    Entries are reduced mod p, or kept exact when p is None.
     """
-    for c in sorted(echelon, reverse=True):
-        row = echelon[c]
-        for k in [k for k in row if k != c and k in echelon]:
-            x = row.pop(k)
-            for j, v in echelon[k].items():
-                if j != k:
-                    y = row.get(j, 0) - x * v
-                    if p:
-                        y %= p
-                    if y:
-                        row[j] = y
-                    else:
-                        row.pop(j, None)
+    for k in [k for k in row if k != own and k in echelon]:
+        x = row.pop(k)
+        for j, v in echelon[k].items():
+            if j != k:
+                y = row.get(j, 0) - x * v
+                if p:
+                    y %= p
+                if y:
+                    row[j] = y
+                else:
+                    row.pop(j, None)
 
 
-def _reduced_echelon(field: FieldSpec, rows, most: int | None) -> dict:
-    """{pivot column: row} of the reduced echelon form of the sparse rows.
+def _reduce(echelon: dict, p: int | None) -> None:
+    """Bring the echelon rows to the reduced echelon form, in place.
 
-    Each row has 1 at its pivot and no entry at the other pivot columns;
-    over Q the integer echelon rows are divided by their pivots first.
+    Over Q each integer row is divided by its pivot first, so every row has
+    1 at its pivot.  Rows are then cleared from the last pivot up, so a row
+    is cleared only by rows that are reduced already.
     """
-    p = field.p
-    echelon = _sparse_echelon(_field_rows(rows, p), p, most)
     if p is None:
         for c, row in echelon.items():
             if (a := row[c]) != 1:
                 echelon[c] = {k: Fraction(x, a) for k, x in row.items()}
-    _back_substitute(echelon, p)
-    return echelon
+    for c in sorted(echelon, reverse=True):
+        _clear_pivots(echelon[c], echelon, p, c)
 
 
 # ---------------------------------------------------------------------------
@@ -408,25 +406,11 @@ def kernel_vectors(field: FieldSpec, rows, ncols: int) -> list[dict]:
     columns.  Over Q each is scaled to integers with no common factor.
     """
     p = field.p
-    echelon = _reduced_echelon(field, rows, ncols)
+    echelon = _sparse_echelon(_field_rows(rows, p), p, ncols)
+    _reduce(echelon, p)
     vectors = {free: {free: 1} for free in range(ncols) if free not in echelon}
     for c, row in echelon.items():
         for k, x in row.items():
             if k != c:
                 vectors[k][c] = -x % p if p else -x
     return [_q_int_row(v) if p is None else v for v in vectors.values()]
-
-
-def solve(field: FieldSpec, rows, n: int) -> dict | None:
-    """X with M X = B, given the sparse rows of [M | B]: the columns of M are
-    0..n-1, and column j of B is column n + j.
-
-    Returns {pivot column c of M: row c of X as {column of B: entry}}; X is
-    zero at the non-pivot columns of M.  One reduced echelon form of
-    [M | B]: a row whose pivot lies in B has no solution, and None is
-    returned.
-    """
-    echelon = _reduced_echelon(field, rows, None)
-    if any(c >= n for c in echelon):
-        return None
-    return {c: {k - n: x for k, x in row.items() if k >= n} for c, row in echelon.items()}

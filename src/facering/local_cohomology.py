@@ -244,11 +244,10 @@ def all_minors_nonsingular(M: Matrix) -> bool:
 
 
 def generic_fits(n: int, m: int, field: FieldSpec) -> bool:
-    """Whether the counting bound allows an n x m matrix over the field with
-    all minors nonzero.  With m >= 2 columns over F_p every entry must be
-    nonzero and no two rows proportional on a pair of columns, which leaves
-    at most p - 1 rows."""
-    return field.is_rational or m < 2 or n <= field.p - 1
+    """Whether an n x m matrix A over the field with all minors nonzero exists:
+    over F_p with n, m >= 2, exactly when n + m <= p + 1, the length bound of
+    the MDS code that [I | A] generates (Ball 2012, for p prime)."""
+    return field.is_rational or min(n, m) < 2 or n + m <= field.p + 1
 
 
 def make_generic(n: int, m: int, field: FieldSpec, seed: int | None = None) -> GenericCoefficients:
@@ -266,7 +265,7 @@ def make_generic(n: int, m: int, field: FieldSpec, seed: int | None = None) -> G
     if not generic_fits(n, m, field):
         raise ValueError(
             f"no {n} x {m} matrix over F_{p} has all minors nonzero: with two or more "
-            f"columns it can have at most p - 1 = {p - 1} rows"
+            f"rows and columns, rows + columns is at most p + 1 = {p + 1} (the MDS bound)"
         )
     rng = random.Random(seed)
 

@@ -228,10 +228,14 @@ def check_tsqfree(cx: SimplicialComplex, field: FieldSpec, run: Run) -> list:
 
 
 def check_cm_anchor(cx: SimplicialComplex, field: FieldSpec, run: Run) -> list:
-    """For a Cohen-Macaulay complex the full reduction equals the h-vector."""
+    """For a Cohen-Macaulay complex the full reduction equals the h-vector;
+    skipped, in one record, where d generic forms cannot exist (generic_fits)."""
     if not singularity.is_cm(cx, field):
         return [("cm-anchor", {}, {"skipped": "complex is not CM over this field"}, True)]
     d = cx.d
+    if not generic_fits(cx.n, d, field):
+        return [("cm-anchor", {"m": d},
+                 {"skipped": f"no {cx.n} x {d} generic matrix over F_{field.p}"}, True)]
     cutoff = d + 1
     red = artinian.reduction_hilbert(cx, make_generic(cx.n, d, field, seed=run.seed),
                                      d, cutoff, field)

@@ -731,8 +731,27 @@ def test_generic_matrix_impossible_over_small_prime(capsys):
     code, _, err = run_cli(capsys, "verify", "corpus", "--check", "lemma-equality",
                            "--i", "2..3", "--m", "2", "--field", "fp:3", "--seed", "5")
     assert code == EXIT_INPUT_ERROR
-    assert "at most p - 1 = 2 rows" in err
+    assert "rows + columns is at most p + 1 = 4 (the MDS bound)" in err
     assert "tries" not in err
+
+
+@pytest.mark.parametrize("p, total, skipped", [
+    (2, 891, {"cycle3", "octahedron"}),
+    (3, 891, {"cycle3", "octahedron", "rp2_6"}),
+    (5, 901, {"octahedron", "rp2_6"}),
+    (7, 925, {"octahedron", "rp2_6"}),
+])
+def test_corpus_ledger_over_small_primes(capsys, p, total, skipped):
+    # a CM complex whose n x d coefficient matrix cannot exist over F_p gets
+    # one passing cm-anchor record that says it was skipped, and no draw
+    code, out, _ = run_cli(capsys, "verify", "corpus", "--field", f"fp:{p}", "--seed", "1",
+                           "--format", "json")
+    assert code == EXIT_OK
+    ledger = json.loads(out)
+    assert ledger["passed"] and ledger["summary"]["total"] == total
+    anchors = [r for r in ledger["checks"] if r["check"] == "cm-anchor"]
+    assert {r["complex"] for r in anchors
+            if r["values"].get("skipped", "").startswith("no ")} == skipped
 
 
 # rp2_6 is CM over Q but singular at the empty face over F_2.  Its default

@@ -1,7 +1,8 @@
 """Relative cohomology: frozen dimensions, an independent rank oracle,
 the rank route against the basis route, the link isomorphism (also on
-generated complexes), functoriality of induced maps, Euler characteristics,
-and a digest of every class representative and codimension-one induced map."""
+generated complexes), functoriality of induced maps, induced maps on
+generated complexes against plain elimination, Euler characteristics, and a
+digest of every class representative and codimension-one induced map."""
 
 import hashlib
 import math
@@ -10,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from facering import linalg
+from facering import cohomology, linalg
 from facering.cohomology import (
     coboundary_rank,
     coboundary_rows,
@@ -24,7 +25,7 @@ from facering.complexes import SimplicialComplex, mixed_face_key
 from facering.linalg import GF, QQ, Matrix
 
 from complex_strategies import small_complexes
-from matrices import matmul, rank
+from matrices import gauss_jordan, matmul, rank
 
 FIELDS = [QQ, GF(2), GF(3)]
 
@@ -302,6 +303,61 @@ def test_basis_route_over_q_keeps_primitive_integer_rows(monkeypatch, rp2_6):
                 M = induced_map(cx, big, small, i, QQ)
                 assert (M.nrows, M.ncols) == (relative_cohomology_dim(cx, small, i, QQ), dim)
     assert 1 in pivots and set(pivots) != {1}
+
+
+def _span_rank(vectors, ncols, p):
+    return len(gauss_jordan(vectors, ncols, p)[1])
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(small_complexes())
+def test_generated_induced_maps_are_classes_of_the_extensions(cx):
+    # for F + {v} -> F in every degree: the target representatives are
+    # independent modulo the column span of delta^(i-1) (by its definition),
+    # and target reps . M minus the source reps extended by zero lies in that
+    # span, decided by plain Gauss-Jordan apart from the library
+    for p, field in ((None, QQ), (2, GF(2)), (32003, GF(32003))):
+        for F in cx.faces():
+            for v in range(1, cx.n + 1):
+                big = F | {v}
+                if v in F or big not in cx:
+                    continue
+                for i in range(-1, cx.dim + 1):
+                    rows, _ = _reference_coboundary_rows(cx, F, i - 1, p)
+                    dim = len(relative_cochain_basis(cx, F, i))
+                    images = [list(col) for col in zip(*rows)] if rows else []
+                    T = relative_cohomology(cx, F, i, field)
+                    S = relative_cohomology(cx, big, i, field)
+                    M = induced_map(cx, big, F, i, field)
+                    assert (M.nrows, M.ncols) == (T.ncols, S.ncols)
+                    base = _span_rank(images, dim, p)
+                    reps = [T.column(t) for t in range(T.ncols)]
+                    assert _span_rank(images + reps, dim, p) == base + T.ncols
+                    index = relative_cochain_basis(cx, F, i).index
+                    at = [index(G) for G in relative_cochain_basis(cx, big, i)]
+                    TM = matmul(T, M)
+                    for s in range(S.ncols):
+                        diff = TM.column(s)
+                        for r, x in zip(at, S.column(s)):
+                            diff[r] -= x
+                        assert _span_rank(images + [diff], dim, p) == base
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_induced_map_runs_no_elimination_once_both_spaces_are_memoized(monkeypatch, field):
+    # a fresh octahedron, so no map is memoized: H^2(X) <- H^2(X, cost {1}),
+    # both one-dimensional, from the echelon that chose the target's reps
+    cx = SimplicialComplex(6, [[a, b, c] for a in (1, 2) for b in (3, 4) for c in (5, 6)])
+    for tau in (frozenset(), frozenset({1})):
+        assert len(cohomology._relative_cohomology(cx, tau, 2, field)[0]) == 1
+
+    def boom(*args):
+        raise AssertionError("an elimination ran")
+
+    monkeypatch.setattr(linalg, "_echelon_insert", boom)
+    monkeypatch.setattr(cohomology, "_echelon_insert", boom)
+    M = induced_map(cx, {1}, frozenset(), 2, field)
+    assert M.nrows == M.ncols == 1 and rank(M) == 1
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -16,7 +16,6 @@ from facering.linalg import (
     block_pivots,
     is_prime,
     kernel_vectors,
-    solve,
 )
 
 from matrices import bareiss_rank, gauss_jordan, matmul, rank
@@ -77,16 +76,11 @@ def _annihilates(rows, v, p):
     return all(not (dot % p if p else dot) for dot in dots)
 
 
-def _solve_dense(field, rows, brows, n, width):
-    """solve on the rows of [M | B], as a dense n x width list, or None."""
-    X = solve(field, [{**a, **b} for a, b in zip(_sparse(rows), _sparse(brows, n))], n)
-    if X is None:
-        return None
-    dense = [[0] * width for _ in range(n)]
-    for c, row in X.items():
-        for j, x in row.items():
-            dense[c][j] = x
-    return dense
+def _reduced(field, rows, ncols):
+    """The library's reduced echelon form {pivot column: row} of the dense rows."""
+    echelon = linalg._sparse_echelon(linalg._field_rows(_sparse(rows), field.p), field.p, ncols)
+    linalg._reduce(echelon, field.p)
+    return echelon
 
 
 # ---------------------------------------------------------------------------
@@ -103,23 +97,6 @@ def test_kernel_all_ones_over_f5():
     K = kernel_vectors(GF(5), [{0: 1, 1: 1, 2: 1}], 3)
     assert K == [{0: 4, 1: 1}, {0: 4, 2: 1}]
     assert all(_annihilates([[1, 1, 1]], v, 5) for v in K)
-
-
-@pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)])
-def test_solve_rank_deficient_and_inconsistent(field):
-    # row 3 = row 1 + row 2, so M has rank 2 and M X has third row = first + second
-    rows = [[1, 2, 0, 1], [0, 1, 1, 1], [1, 3, 1, 2]]
-    M = Matrix(field, rows)
-    B = matmul(M, Matrix(field, [[1, 0, 5], [2, 1, 0], [0, 3, 1], [-1, 1, 1]]))
-    X = _solve_dense(field, rows, B.tolist(), 4, 3)
-    assert matmul(M, Matrix(field, X, 3)) == B
-    pivots = gauss_jordan(rows, 4, field.p)[1]
-    assert len(pivots) == 2
-    assert all(X[c] == [0, 0, 0] for c in range(4) if c not in pivots)
-    assert _solve_dense(field, rows, [[1, 0], [0, 0], [0, 1]], 4, 2) is None  # column 2 is outside
-    assert solve(field, _sparse(rows), 4) == {c: {} for c in pivots}  # B has no columns
-    assert solve(field, [{}, {}], 0) == {}  # M has no columns, B = 0
-    assert solve(field, [{}, {0: 1}], 0) is None
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +168,7 @@ def test_prime_field_eliminations_agree(p):
         if m > 2 and n:  # a repeated row forces a rank drop
             rows[-1] = list(rows[0])
         ranks, pivots = block_pivots(field, [_sparse(rows)], n)
-        reduced = linalg._reduced_echelon(field, _sparse(rows), n)
+        reduced = _reduced(field, rows, n)
         assert pivots[1] == sorted(reduced) == _reference_pivots(rows, n, p)
         assert ranks[1] == len(pivots[1])
         for c, row in reduced.items():
@@ -201,25 +178,23 @@ def test_prime_field_eliminations_agree(p):
         assert all(_annihilates(rows, v, p) for v in K)
 
 
-def _reference_solve(rows, brows, ncols, width, p):
-    """X with M X = B mod p (over Q when p is None), zero at the non-pivot
-    columns of M, or None."""
-    reduced, pivots = gauss_jordan([a + b for a, b in zip(rows, brows)], ncols + width, p)
-    if any(c >= ncols for c in pivots):
-        return None
-    X = [[0] * width for _ in range(ncols)]
+def _reference_residue(reduced, pivots, y, p):
+    """y minus y[c] times the reduced row at pivot c, for each pivot c, as a
+    sparse vector (mod p, or over Q when p is None)."""
+    rest = list(y)
     for row, c in zip(reduced, pivots):
-        X[c] = row[ncols:]
-    return X
+        rest = [a - y[c] * b for a, b in zip(rest, row)]
+    return {k: x % p if p else x for k, x in enumerate(rest) if (x % p if p else x)}
 
 
 @pytest.mark.parametrize("p", [None, 2, 3, 32003])
 def test_prime_field_rref_and_solve_match_gauss_jordan(p):
     # wide, tall and zero-row matrices, over F_p and over Q (p = None, with
     # ints and Fractions mixed, so pivots other than +-1 come up).  The
-    # reduced echelon form is unique, so `_reduced_echelon` gives the
-    # reference's rows, and solve meets consistent right-hand sides wider
-    # than M and inconsistent ones
+    # reduced echelon form is unique, so `_reduce` gives the reference's
+    # rows.  Solving y = sum a_c R_c against it is `_clear_pivots`: a
+    # combination of the rows clears to nothing, with a_c = y[c], and any
+    # other vector leaves the reference's residue
     field = FieldSpec(p)
     rng = random.Random((p or 0) + 1)
 
@@ -231,7 +206,7 @@ def test_prime_field_rref_and_solve_match_gauss_jordan(p):
 
     shapes = [(0, 4), (3, 8), (8, 3), (6, 6)]
     shapes += [(rng.randint(0, 9), rng.randint(1, 9)) for _ in range(30)]
-    inconsistent = 0
+    outside = 0
     for m, n in shapes:
         density = rng.choice([0.2, 0.5, 1.0])
         rows = [[entry() if rng.random() < density else 0 for _ in range(n)]
@@ -239,18 +214,20 @@ def test_prime_field_rref_and_solve_match_gauss_jordan(p):
         if m > 2:  # a dependent row
             rows[-1] = [a + 2 * b for a, b in zip(rows[0], rows[1])]
         want, want_pivots = gauss_jordan(rows, n, p)
-        reduced = linalg._reduced_echelon(field, _sparse(rows), n)
+        reduced = _reduced(field, rows, n)
         assert sorted(reduced) == want_pivots
         assert [reduced[c] for c in want_pivots] == _sparse(want)
-        width = n + rng.randint(1, 3)
-        X = Matrix(field, [[entry() for _ in range(width)] for _ in range(n)], width)
-        B = matmul(Matrix(field, rows, n), X).tolist()
-        assert _solve_dense(field, rows, B, n, width) == _reference_solve(rows, B, n, width, p)
-        brows = [[entry() for _ in range(width)] for _ in range(m)]
-        got = _solve_dense(field, rows, brows, n, width)
-        assert got == _reference_solve(rows, brows, n, width, p)
-        inconsistent += got is None
-    assert inconsistent > 5
+        coeffs = [entry() for _ in range(m)]
+        inside = [_in_field(sum(a * r[k] for a, r in zip(coeffs, rows)), p) for k in range(n)]
+        y = _sparse([inside])[0]
+        linalg._clear_pivots(y, reduced, p)
+        assert y == {}
+        other = [_in_field(entry(), p) for _ in range(n)]
+        y = _sparse([other])[0]
+        linalg._clear_pivots(y, reduced, p)
+        assert y == _reference_residue(want, want_pivots, other, p)
+        outside += bool(y)
+    assert outside > 5
 
 
 class _Seven:
@@ -274,8 +251,7 @@ def test_float_entries_are_rejected():
         Matrix(GF(5), [[2.7]])
     for field in (QQ, GF(5)):
         for rows in ([{0: 0.5}], [{0: 1, 1: Fraction(1, 3), 2: 2.0}]):
-            for op in (lambda r: kernel_vectors(field, r, 3), lambda r: solve(field, r, 2),
-                       lambda r: block_pivots(field, [r], 3)):
+            for op in (lambda r: kernel_vectors(field, r, 3), lambda r: block_pivots(field, [r], 3)):
                 with pytest.raises(TypeError):
                     op([dict(row) for row in rows])
 

@@ -21,6 +21,7 @@ from facering.local_cohomology import (
     _theta_rows,
     all_minors_nonsingular,
     binom0,
+    generic_fits,
     graded_piece,
     kernel_dim_bruteforce,
     kernel_dim_formula,
@@ -228,9 +229,25 @@ def test_make_generic_prime_field_verified_and_seeded():
 def test_make_generic_too_small_field_errors():
     with pytest.raises(ValueError):
         make_generic(6, 2, GF(2), seed=0)
-    # with two or more columns at most p - 1 rows can have all minors nonzero
-    with pytest.raises(ValueError, match="at most p - 1 = 2 rows"):
+    # with two or more rows and columns, rows + columns is at most p + 1
+    with pytest.raises(ValueError, match=r"rows \+ columns is at most p \+ 1 = 4 \(the MDS bound\)"):
         make_generic(3, 2, GF(3), seed=0)
+    # shapes past the bound, which no matrix has, are refused before any
+    # draw, so the message names no tries
+    for n, m, p in ((4, 3, 5), (6, 3, 7), (5, 4, 7), (2, 5, 5)):
+        assert not generic_fits(n, m, GF(p))
+        with pytest.raises(ValueError, match="MDS bound"):
+            make_generic(n, m, GF(p), seed=0)
+    # shapes on the bound exist: one witness each, found by a search over
+    # matrices whose first row and column are ones; random draws seldom hit one
+    witnesses = {
+        5: ([[1, 1, 1], [1, 2, 3], [1, 3, 4]], [[1, 1, 1, 1], [1, 2, 3, 4]]),
+        7: ([[1, 1, 1], [1, 2, 3], [1, 3, 2], [1, 5, 6], [1, 6, 5]],),
+    }
+    for p, shapes in witnesses.items():
+        for rows in shapes:
+            assert generic_fits(len(rows), len(rows[0]), GF(p))
+            assert all_minors_nonsingular(Matrix(GF(p), rows))
     assert all_minors_nonsingular(make_generic(2, 2, GF(3), seed=0).matrix)
     assert all_minors_nonsingular(make_generic(5, 1, GF(3), seed=0).matrix)
 
