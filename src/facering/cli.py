@@ -11,6 +11,9 @@ Each command takes only the options it reads: --field everywhere but sqfree,
 sqfree, --seed for the two commands that sample (reduce, verify), and
 --trials for reduce.  Argparse refuses any other option with exit code 2.
 
+The parser is built once per process, on first use rather than at import,
+and reused by later calls of `main`; parsing keeps no state in it.
+
 Output is deterministic: over Q nothing is sampled at all, and over a prime
 field all sampling is driven by --seed, so identical invocations produce
 byte-identical reports.
@@ -19,6 +22,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -327,6 +331,7 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="facering",
@@ -385,8 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

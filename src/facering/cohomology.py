@@ -10,14 +10,16 @@ tau = emptyset gives the reduced (augmented) complex, including the
 {emptyset} is the field.
 
 Dimensions come from ranks alone: dim H^i = dim C^i - rank delta^i -
-rank delta^(i-1), with each rank memoized as an int, so neighbouring degrees
-share it.  A rank never builds a Matrix.  The faces are numbered once per
-complex, by size and then lexicographically, and a boundary table gives
-each face H the entries (vertex v, id of H - {v}, sign).  The star of tau,
-the faces containing it, is built from the facets over tau (`facets_over`),
-which give the cofaces tau + {v}, and from their stars.  The row of delta^k
-at a (k+1)-face H of the star is then {-id of H - {v}: sign} over v outside
-tau, a sparse row of +-1 whose columns run backwards through the
+rank delta^(i-1).  A rank never builds a Matrix.  The faces are numbered
+once per complex, by size and then lexicographically, and a coface table
+gives each face G the entries (id of G + {v}, sign).  One walk up that
+table from tau gives its star, the faces containing it, level by level:
+each level is the sorted union of the cofaces of the level below.  One
+pass over the levels (`_pair_ranks`) then gives (dim C^k, rank delta^k)
+for every degree k >= |tau| - 1, one tuple per (face, field), which every
+degree of H^*(X, cost tau) reads.  The row of delta^k at a (k+1)-face H
+of the star gathers {-id of G: sign} from the coface lists of the k-faces
+G, a sparse row of +-1 whose columns run backwards through the
 lexicographic order, and `linalg.sparse_rank` eliminates the rows in the
 lexicographic order of H.  Over Q the pivots are mostly +-1 and the
 entries stay integers; torsion, such as that of rp2_6, brings a leading
@@ -49,8 +51,8 @@ per (complex, k, field) holds each face's dimension (`cohomology_by_face`,
 filled by `relative_cohomology_dim`) and their sums h_s over the faces of
 size s (`cohomology_by_size`).
 
-Coboundary rows are not memoized; face ids, boundary tables, stars,
-cochain bases, ranks, cohomology tables, class representatives (sparse
+Coboundary rows are not memoized; face ids, coface tables, stars,
+cochain bases, rank tuples, cohomology tables, class representatives (sparse
 vectors) with their reduced echelon forms, and induced maps (their rows)
 are memoized on the complex object (`per_complex`) and freed with it.
 Outputs are immutable, so an entry recomputed under a race is
@@ -59,10 +61,9 @@ indistinguishable from the first result.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from types import MappingProxyType
 
-from .complexes import SimplicialComplex, facets_over, per_complex
+from .complexes import SimplicialComplex, per_complex
 from .linalg import (FieldSpec, Matrix, _clear_pivots, _echelon_insert, _reduce, kernel_vectors,
                      sparse_rank)
 
@@ -80,47 +81,44 @@ def _face_ids(cx: SimplicialComplex) -> tuple[dict, list]:
 
 
 @per_complex
-def _boundary(cx: SimplicialComplex) -> list:
-    """For each face H, by id: (v, id of H - {v}, sign) for each v in H, sorted."""
+def _cofaces(cx: SimplicialComplex) -> list:
+    """For each face G, by id: (id of G + {v}, sign) for each coface, ascending,
+    with sign (-1)^(position of v in the sorted coface)."""
     ids = _face_ids(cx)[0]
-    return [tuple((v, ids[H - {v}], -1 if pos & 1 else 1) for pos, v in enumerate(sorted(H)))
-            for H in ids]
+    cofaces = [[] for _ in ids]
+    for H, h in ids.items():
+        for pos, v in enumerate(sorted(H)):
+            cofaces[ids[H - {v}]].append((h, -1 if pos & 1 else 1))
+    return cofaces
 
 
 @per_complex
 def _star(cx: SimplicialComplex, tau: frozenset) -> list:
     """The faces containing tau, by size: ascending ids.
 
-    They are tau and the faces containing its cofaces tau + {v}, for the v
-    outside tau of the facets over tau.
+    A walk up the coface table from tau: each level is the sorted union of
+    the cofaces of the level below.
     """
     ids, start = _face_ids(cx)
     tid = ids.get(tau)
     if tid is None:
         return []
-    star = {tid}
-    for v in set().union(*facets_over(cx, tau)) - tau:
-        for part in _star(cx, tau | {v}):
-            star.update(part)
-    star = sorted(star)
-    return [star[bisect_left(star, a):bisect_left(star, b)] for a, b in zip(start, start[1:])]
-
-
-def _cochain_ids(cx: SimplicialComplex, tau: frozenset, k: int) -> list:
-    """Ascending ids of the k-faces containing tau."""
-    star = _star(cx, tau)
-    return star[k + 1] if 0 <= k + 1 < len(star) else []
+    cofaces, star, level = _cofaces(cx), [[] for _ in tau], [tid]
+    while level:
+        star.append(level)
+        level = sorted({h for g in level for h, _ in cofaces[g]})
+    return star + [[] for _ in range(len(start) - 1 - len(star))]
 
 
 @per_complex
 def relative_cochain_basis(cx: SimplicialComplex, tau: frozenset, k: int) -> tuple:
     """k-dimensional faces containing tau, lexicographically ordered."""
-    ids = _cochain_ids(cx, tau, k)
-    if not ids:
+    star = _star(cx, tau)
+    if not 0 <= k + 1 < len(star) or not star[k + 1]:
         return ()
     first = _face_ids(cx)[1][k + 1]
     faces = cx.faces_of_dim(k)
-    return tuple(faces[i - first] for i in ids)
+    return tuple(faces[i - first] for i in star[k + 1])
 
 
 def coboundary_rows(cx: SimplicialComplex, tau: frozenset, k: int) -> list[dict]:
@@ -136,21 +134,26 @@ def coboundary_rows(cx: SimplicialComplex, tau: frozenset, k: int) -> list[dict]
 
 
 @per_complex
-def coboundary_rank(cx: SimplicialComplex, tau: frozenset, k: int, field: FieldSpec) -> int:
-    """rank of delta: C^k(X, cost tau) -> C^{k+1}(X, cost tau); 0 when either side is zero.
+def _pair_ranks(cx: SimplicialComplex, tau: frozenset, field: FieldSpec) -> tuple:
+    """(dim C^k, rank delta^k) of (X, cost tau) for k = |tau| - 1, |tau|, ..., dim X.
 
-    Sparse rows of +-1 from the boundary table, at most dim C^k - rank
-    delta^(k-1) of them eliminated (see the module docstring).
+    The row of delta^k at a (k+1)-face H of the star gathers {-id of G: sign}
+    from the coface lists of the k-faces G, and the rows go to `sparse_rank`
+    in ascending H, at most dim C^k - rank delta^(k-1) of them eliminated
+    (see the module docstring).
     """
-    source, target = _cochain_ids(cx, tau, k), _cochain_ids(cx, tau, k + 1)
-    if not source or not target:
-        return 0
-    most = len(source) - coboundary_rank(cx, tau, k - 1, field)
-    if not most:
-        return 0
-    boundary = _boundary(cx)
-    rows = ({-g: sign for v, g, sign in boundary[h] if v not in tau} for h in target)
-    return sparse_rank(field, rows, most)
+    cofaces, levels = _cofaces(cx), _star(cx, tau)[len(tau):]
+    ranks, rank = [], 0
+    for level, above in zip(levels, levels[1:] + [[]]):
+        most, rank = len(level) - rank, 0
+        if most and above:
+            rows = {h: {} for h in above}
+            for g in level:
+                for h, sign in cofaces[g]:
+                    rows[h][-g] = sign
+            rank = sparse_rank(field, rows.values(), most)
+        ranks.append((len(level), rank))
+    return tuple(ranks)
 
 
 def relative_cohomology_dim(cx: SimplicialComplex, tau, i: int, field: FieldSpec) -> int:
@@ -158,8 +161,10 @@ def relative_cohomology_dim(cx: SimplicialComplex, tau, i: int, field: FieldSpec
     tau = frozenset(tau)
     if tau not in cx:
         raise ValueError(f"{sorted(tau)} is not a face")
-    return (len(_cochain_ids(cx, tau, i))
-            - coboundary_rank(cx, tau, i, field) - coboundary_rank(cx, tau, i - 1, field))
+    ranks, j = _pair_ranks(cx, tau, field), i + 1 - len(tau)
+    if not 0 <= j < len(ranks):
+        return 0
+    return ranks[j][0] - ranks[j][1] - (ranks[j - 1][1] if j else 0)
 
 
 @per_complex

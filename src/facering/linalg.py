@@ -9,7 +9,7 @@ few entries per row, so the work follows the entries rather than the area
 of the matrix.  The leading column is the leftmost, so the fill-in of the
 echelon rows depends on how the columns are numbered.  The engines never
 renumber them: the code that builds the rows chooses the order
-(`local_cohomology._theta_rows` for θ stacks, `cohomology.coboundary_rank`
+(`local_cohomology._theta_rows` for θ stacks, `cohomology._pair_ranks`
 for coboundaries).
 
 The loop works mod p over F_p and exactly over Q (p = None).  Over Q it

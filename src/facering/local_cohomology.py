@@ -14,7 +14,7 @@ On top of that structure this module provides:
   * the Z-graded Hilbert series as a rational function in one variable with
     denominator a power of (1 - t), with exact pole-order queries;
   * certified-generic coefficient matrices (positive Vandermonde over Q,
-    sampled and minor-verified over prime fields);
+    sampled, or else extended Cauchy, and minor-verified over prime fields);
   * the dimension of the common kernel of several multiplication maps,
     computed both by brute force, from the ranks of the stacked maps
     eliminated block by block (`linalg.block_pivots`, as in the Artinian
@@ -257,7 +257,11 @@ def make_generic(n: int, m: int, field: FieldSpec, seed: int | None = None) -> G
     analytic).  Over F_p entries are sampled uniformly from the nonzero
     residues (a zero draw is drawn again) and all square submatrices are
     checked; sampling stops after GENERIC_TRIES draws of the whole matrix.
-    A shape that generic_fits rules out is refused before any draw.
+    Then the extended Cauchy matrix is taken, a row of ones over the rows
+    1/(x_i - y_j) with x = 0..n-2 and y = n-1..n+m-2, distinct residues
+    exactly when n + m <= p + 1; every square submatrix of a Cauchy matrix,
+    with or without the row of ones, is nonsingular, and it is checked like
+    a draw.  A shape that generic_fits rules out is refused before any draw.
     """
     if field.is_rational:
         return vandermonde_coefficients(range(1, n + 1), m)
@@ -280,6 +284,10 @@ def make_generic(n: int, m: int, field: FieldSpec, seed: int | None = None) -> G
         M = Matrix(field, rows, m)
         if all_minors_nonsingular(M):
             return GenericCoefficients(M)
+    cauchy = [[pow(x - y, -1, p) for y in range(n - 1, n + m - 1)] for x in range(n - 1)]
+    M = Matrix(field, [[1] * m, *cauchy], m)
+    if all_minors_nonsingular(M):
+        return GenericCoefficients(M)
     raise ValueError(f"no verified generic matrix over F_{p} after {GENERIC_TRIES} tries")
 
 

@@ -13,11 +13,13 @@ field) holds, for each face H, its depth, the least k >= |H| - 1 with
 H^k(X, cost H) != 0 (capped at dim X), and the least depth of a face
 containing H; it is filled from the largest faces down, so the second entry
 reads the cofaces H + {v}.  One list of the facets containing H
-(`facets_over`) serves four readers: when those facets share a vertex
+(`facets_over`) serves three readers: when those facets share a vertex
 outside H, lk H is a cone, which is acyclic, so depth H = dim X with no
-elimination; otherwise the ranks read the star of H from them; the cofaces
-H + {v} are those of the vertices v of their union outside H; and
-`is_cm_along` reads the dimension of lk H from the largest.  F is singular
+elimination; the cofaces H + {v} are those of the vertices v of their union
+outside H; and `is_cm_along` reads the dimension of lk H from the largest.
+Every other depth reads one tuple of coboundary ranks per (face, field),
+from one pass up the star of H in the coface table (`cohomology._pair_ranks`),
+which holds every degree at once.  F is singular
 iff depth F < dim X.  lk F is Cohen-Macaulay iff no face H containing F has
 depth below top = dim lk F + |F| (the largest facet over F has top + 1
 vertices), since the link of H - F in lk F is lk H.  The link route lives

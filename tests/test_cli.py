@@ -466,6 +466,22 @@ def test_verify_json_same_across_processes():
     assert outs[0] and outs[0] == outs[1]
 
 
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    # the second call reuses the parser of the first, and no option of the
+    # first carries over: both print what each prints in a process of its own
+    assert build_parser() is build_parser()
+    runs = (["verify", "cycle3", "--check", "link-iso", "--format", "json"],
+            ["verify", "cycle3", "--format", "json"])
+    src = str(Path(facering.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    alone = [subprocess.run([sys.executable, "-m", "facering.cli", *argv], env=env,
+                            capture_output=True, timeout=120, check=True).stdout.decode()
+             for argv in runs]
+    together = [run_cli(capsys, *argv)[1] for argv in runs]
+    assert together == alone and alone[0] != alone[1]
+
+
 def test_runs_without_numpy():
     # importing the CLI loads no numpy, and verify passes with every import
     # of numpy made to fail
@@ -740,6 +756,10 @@ def test_generic_matrix_impossible_over_small_prime(capsys):
     (3, 891, {"cycle3", "octahedron", "rp2_6"}),
     (5, 901, {"octahedron", "rp2_6"}),
     (7, 925, {"octahedron", "rp2_6"}),
+    # 6 + 3 <= p + 1: when the draws miss, the extended Cauchy matrix serves
+    (11, 925, set()),
+    (13, 925, set()),
+    (17, 925, set()),
 ])
 def test_corpus_ledger_over_small_primes(capsys, p, total, skipped):
     # a CM complex whose n x d coefficient matrix cannot exist over F_p gets

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 
 from facering import cohomology, linalg
 from facering.cohomology import (
-    coboundary_rank,
     coboundary_rows,
     induced_map,
     reduced_cohomology_dim,
@@ -195,12 +194,52 @@ def test_generated_coboundary_matches_definition(cx):
 @given(small_complexes())
 def test_generated_coboundary_rank_matches_independent_elimination(cx):
     # the sparse rows over face ids, the exact loop over Q and the cap at
-    # dim C^k - rank delta^(k-1), against the definition and plain elimination
+    # dim C^k - rank delta^(k-1), against the definition and plain elimination;
+    # the one pass per face holds the ranks of the degrees k >= |tau| - 1
     for p, field in ((0, QQ), (2, GF(2)), (3, GF(3))):
         for tau in cx.faces():
+            ranks = cohomology._pair_ranks(cx, tau, field)
             for k in range(-2, cx.dim + 2):
                 rows, _ = _reference_coboundary_rows(cx, tau, k, p)
-                assert coboundary_rank(cx, tau, k, field) == _oracle_rank(rows, p)
+                j = k + 1 - len(tau)
+                assert (ranks[j][1] if 0 <= j < len(ranks) else 0) == _oracle_rank(rows, p)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(small_complexes())
+def test_generated_star_is_the_faces_containing_tau(cx):
+    # the walk up the coface table against the brute-force set, by size
+    ids = cohomology._face_ids(cx)[0]
+    for tau in cx.faces():
+        assert cohomology._star(cx, tau) == [
+            sorted(ids[G] for G in cx.faces() if tau <= G and len(G) == s)
+            for s in range(cx.dim + 2)]
+    assert cohomology._star(cx, frozenset({cx.n + 1})) == []
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_every_degree_of_a_face_is_one_pass(monkeypatch, rp2_6, field):
+    # on a fresh rp2_6, every degree of H^*(X, cost tau) runs at most one
+    # sparse_rank per level of the star above tau, and a second read
+    # eliminates nothing
+    cx = SimplicialComplex(rp2_6.n, rp2_6.facets)
+    ranks, inserts = [], []
+    real_rank, real_insert = cohomology.sparse_rank, linalg._echelon_insert
+    monkeypatch.setattr(cohomology, "sparse_rank", lambda *a: ranks.append(a) or real_rank(*a))
+    monkeypatch.setattr(linalg, "_echelon_insert",
+                        lambda *a: inserts.append(a) or real_insert(*a))
+    faces = (frozenset(), frozenset({1}), frozenset({1, 2}))
+    for tau in faces:
+        dims = [relative_cohomology_dim(cx, tau, i, field) for i in range(-2, cx.dim + 2)]
+        assert 0 < len(ranks) < sum(1 for level in cohomology._star(cx, tau) if level)
+        assert inserts
+        ranks.clear()
+        inserts.clear()
+        assert [relative_cohomology_dim(cx, tau, i, field) for i in range(-2, cx.dim + 2)] == dims
+        assert not ranks and not inserts
+    # the memo holds one rank tuple per (face, field), none per degree
+    assert [args for fn, args in cx._memo if fn is cohomology._pair_ranks.__wrapped__] == [
+        (tau, field) for tau in faces]
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)

@@ -252,6 +252,24 @@ def test_make_generic_too_small_field_errors():
     assert all_minors_nonsingular(make_generic(5, 1, GF(3), seed=0).matrix)
 
 
+def test_make_generic_falls_back_to_the_extended_cauchy_matrix(monkeypatch):
+    # with no draws, every shape under the MDS bound gets the row of ones over
+    # 1/(x_i - y_j), certified; a certificate that fails still raises
+    monkeypatch.setattr(local_cohomology, "GENERIC_TRIES", 0)
+    for p in (2, 3, 5, 7, 11, 13, 17):
+        for n in range(1, 8):
+            for m in range(1, min(7, p + 1 - n) + 1):
+                A = make_generic(n, m, GF(p), seed=0).matrix
+                rows = A.tolist()
+                assert rows[0] == [1] * m
+                assert all((x - (n - 1 + j)) * a % p == 1
+                           for x, row in enumerate(rows[1:]) for j, a in enumerate(row))
+                assert all_minors_nonsingular(A)
+    monkeypatch.setattr(local_cohomology, "all_minors_nonsingular", lambda M: False)
+    with pytest.raises(ValueError, match="no verified generic matrix over F_11 after 0 tries"):
+        make_generic(6, 3, GF(11), seed=1)
+
+
 @pytest.mark.parametrize("field", [GF(2), GF(3), GF(5)], ids=str)
 def test_all_minors_nonsingular_matches_minor_ranks(field):
     # the determinant expansion against a rank per square submatrix, on
