@@ -13,10 +13,15 @@ reduced modulo the nonface monomials and written in the degree-j monomial
 basis.  One elimination per degree, block by block (`linalg.block_pivots`,
 as for the multiplication maps of `local_cohomology`), gives the rank of the
 whole stack, hence the quotient dimension, and S^k_j as the monomials outside
-the pivots of the first k blocks, for the next degree.  On a Cohen-Macaulay
-complex the forms are a regular sequence, so when each S^k is a basis every
-stack has full row rank.  The matrices of all degrees are sized, together,
-before the first one is built.
+the pivots of the first k blocks, for the next degree.  The first k blocks
+are the whole stack of the first k forms, so the rank after them gives the
+quotient by those k: one elimination per degree gives every prefix m =
+0..coeffs.m at once (`reduction_dims`), memoized per (complex, coefficients,
+field), and a run serves every lower cutoff.  The rows come from the lattice
+table of each degree (`complexes.monomial_table`), built once per complex
+for every run.  On a Cohen-Macaulay complex the forms are a regular
+sequence, so when each S^k is a basis every stack has full row rank.  The
+matrices of all degrees are sized, together, before the first one is built.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, SizeLimitError, count_degree_monomials, degree_monomials
+from .complexes import (SimplicialComplex, SizeLimitError, count_degree_monomials, monomial_table,
+                        per_complex)
 from .linalg import FieldSpec, block_pivots
 from .local_cohomology import GenericCoefficients, make_generic, vandermonde_coefficients
 
@@ -53,48 +59,68 @@ class ReductionHilbert:
 
 def reduction_hilbert(cx: SimplicialComplex, coeffs: GenericCoefficients, m: int,
                       cutoff: int, field: FieldSpec) -> ReductionHilbert:
-    """Degreewise dimensions of (face ring)/(first m forms), exactly."""
+    """Degreewise dimensions of (face ring)/(first m forms), exactly: the
+    prefix m of `reduction_dims`."""
     if cx.is_void:
         raise ValueError("void complex")
     if m < 0 or m > coeffs.m:
         raise ValueError("m out of range for the coefficient matrix")
+    return ReductionHilbert(m, reduction_dims(cx, coeffs, cutoff, field)[m], coeffs)
+
+
+def reduction_dims(cx: SimplicialComplex, coeffs: GenericCoefficients, cutoff: int,
+                   field: FieldSpec) -> tuple[tuple[int, ...], ...]:
+    """The Hilbert functions, degrees 0..cutoff, of the quotients by the
+    first k forms of coeffs, for k = 0..coeffs.m, from one elimination.
+
+    Memoized per (complex, coefficients, field): degree j reads only the
+    degrees below it, so one run serves every cutoff up to its own.  The
+    cell guard is charged on every call, for all coeffs.m forms.
+    """
+    if cx.is_void:
+        raise ValueError("void complex")
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     # charged as if the degree-j matrix were m |R_{j-1}| x |R_j|, an upper bound
     # since every S^k_{j-1} is part of R_{j-1}; each degree-j monomial costs at
     # least one cell, so m = 0 runs are bounded too
-    cells, width = 0, 1
+    m, sizes, cells = coeffs.m, [1], 0
     for j in range(1, cutoff + 1):
-        rows = count_degree_monomials(cx, j)
-        cells += DEGREE_CELLS + rows * (1 + m * width)
+        sizes.append(count_degree_monomials(cx, j))
+        cells += DEGREE_CELLS + sizes[j] * (1 + m * sizes[j - 1])
         if cells > REDUCTION_CELL_LIMIT:
             raise SizeLimitError(f"the reduction of degrees 1..{j} costs {cells} cells "
                                  f"({DEGREE_CELLS} per degree plus one per entry and row), "
                                  f"above the guard of {REDUCTION_CELL_LIMIT}")
-        width = rows
+    runs = _runs(cx, coeffs, field)
+    for done, dims in runs.items():
+        if done >= cutoff:
+            return tuple(d[:cutoff + 1] for d in dims)
     forms = [coeffs.matrix.column(k) for k in range(m)]
-    dims = [1]
-    prev_basis = degree_monomials(cx, 0)
-    spans = [range(1)] * m  # spans[k]: S^k_{j-1} as indices into prev_basis
-    for j in range(1, cutoff + 1):
-        basis = degree_monomials(cx, j)
-        # up[i]: the pairs (t, c) with basis[c] = prev_basis[i] + e_t, read off
-        # each nu = basis[c]: nu - e_t has a face as support, so it is in prev_basis
-        prev_index = {mu: i for i, mu in enumerate(prev_basis)}
-        up = [[] for _ in prev_basis]
-        for c, nu in enumerate(basis):
-            for t, u in enumerate(nu):
-                if u:
-                    up[prev_index[nu[:t] + (u - 1,) + nu[t + 1:]]].append((t, c))
-        blocks = [[{c: theta[t] for t, c in up[i]} for i in span]
-                  for theta, span in zip(forms, spans)]
-        ranks, pivots = block_pivots(field, blocks, len(basis))
-        dims.append(len(basis) - ranks[-1])
-        spans = [range(len(basis))]
+    dims = [[1] for _ in range(m + 1)]
+    spans = [range(1)] * m  # spans[k]: S^k_{j-1} as indices into degree j - 1
+    for j, size in enumerate(sizes[1:], 1):
+        blocks = []
+        for theta, span in zip(forms, spans):
+            steps = monomial_table(cx, j - 1)[1]
+            # the row of T is {c: theta[t]} over its flat c, t, ...: zip takes
+            # each c from the iterator and map the t after it
+            value, flats = theta.__getitem__, map(iter, (steps[i] for i in span))
+            blocks.append([dict(zip(it, map(value, it))) for it in flats])
+        ranks, pivots = block_pivots(field, blocks, size)
+        for k in range(m + 1):
+            dims[k].append(size - ranks[k])
+        spans = [range(size)]
         for piv in map(set, pivots[1:m]):
-            spans.append([c for c in range(len(basis)) if c not in piv])
-        prev_basis = basis
-    return ReductionHilbert(m, tuple(dims), coeffs)
+            spans.append([c for c in range(size) if c not in piv])
+    runs[cutoff] = dims = tuple(map(tuple, dims))
+    return dims
+
+
+@per_complex
+def _runs(cx: SimplicialComplex, coeffs: GenericCoefficients, field: FieldSpec) -> dict:
+    """cutoff -> reduction_dims, for the runs made so far on coeffs."""
+    return {}
 
 
 def _trial_coefficients(n: int, m: int, field: FieldSpec, rng: random.Random) -> GenericCoefficients:

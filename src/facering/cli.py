@@ -25,6 +25,8 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 
 from . import quotient, singularity, verification
 from .artinian import REDUCTION_CELL_LIMIT, determinacy_probe, reduction_hilbert
@@ -69,9 +71,71 @@ def _load_single(spec: str) -> tuple[str, SimplicialComplex]:
     return next(iter(items.items()))
 
 
+def _json_text(report) -> str:
+    """The text of json.dumps(report, indent=2, sort_keys=True), appended to
+    one list: the standard encoder takes its generator-based pure-Python
+    path whenever indent is set.
+
+    It writes dicts with str keys, in the order of sorted(d.items()), lists,
+    strings (ASCII-escaped as json does), ints, bools and None; any other
+    type raises TypeError.  Each distinct str and int is encoded once, so
+    the keys and values that repeat from record to record share one text.
+    """
+    out, texts = [], {}  # texts: str or int -> its encoding (a bool is neither)
+    put = out.append
+
+    def text(value, encode):
+        found = texts.get(value)
+        if found is None:
+            found = texts[value] = encode(value)
+        return found
+
+    def write(value, pad):
+        kind = type(value)
+        if kind is str:
+            put(text(value, encode_basestring_ascii))
+        elif kind is int:
+            put(text(value, int.__repr__))
+        elif kind is bool:
+            put("true" if value else "false")
+        elif value is None:
+            put("null")
+        elif kind is dict:
+            if not value:
+                put("{}")
+                return
+            inner = pad + "  "
+            sep = "{\n" + inner
+            for key, item in sorted(value.items()):
+                if type(key) is not str:
+                    raise TypeError(f"a report key must be a str, not {type(key).__name__}")
+                put(sep)
+                put(text(key, encode_basestring_ascii))
+                put(": ")
+                write(item, inner)
+                sep = ",\n" + inner
+            put("\n" + pad + "}")
+        elif kind is list:
+            if not value:
+                put("[]")
+                return
+            inner = pad + "  "
+            sep = "[\n" + inner
+            for item in value:
+                put(sep)
+                write(item, inner)
+                sep = ",\n" + inner
+            put("\n" + pad + "]")
+        else:
+            raise TypeError(f"a report value must not be a {kind.__name__}")
+
+    write(report, "")
+    return "".join(out)
+
+
 def _emit(report: dict, fmt: str, tsv_rows=None, pretty_lines=None):
     if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_json_text(report))
     elif fmt == "tsv":
         for row in tsv_rows or []:
             print("\t".join(str(x) for x in row))
@@ -214,7 +278,10 @@ def cmd_reduce(args) -> int:
         ] + [f"  trial {t}: {dims}" for t, dims in enumerate(dims_list)]
     else:
         coeffs = make_generic(cx.n, max(m, 1), field, seed=args.seed)
-        red = reduction_hilbert(cx, coeffs, m, args.cutoff, field)
+        # the quotient by the first m forms alone; the report shows the drawn
+        # column for m = 0 too
+        red = replace(reduction_hilbert(cx, coeffs.prefix(m), m, args.cutoff, field),
+                      coefficients=coeffs)
         report = {
             "command": "reduce",
             "complex": name,

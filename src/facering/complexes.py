@@ -9,8 +9,9 @@ Two degenerate complexes are distinguished by an explicit flag: the complex
 all).
 
 Derived data is memoized on the complex itself (`per_complex`) and freed
-with it, such as the facets over a face and each degree-r monomial basis,
-one tuple per (complex, r), built once its size guard passes.
+with it, such as each degree-r monomial basis, one tuple per (complex, r),
+built once its size guard passes, the supports of its monomials, and the
+lattice table that steps each of them up to degree r + 1.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from functools import wraps
 from itertools import combinations
 from math import comb
+from operator import itemgetter
 
 DEFAULT_BASIS_LIMIT = 200_000
 
@@ -212,13 +214,9 @@ class SimplicialComplex:
 
 
 @per_complex
-def facets_over(cx: SimplicialComplex, F: frozenset) -> tuple:
-    """The facets containing the face F (none when F is not a face)."""
-    return tuple(f for f in cx.facets if F <= f)
-
-
 def count_degree_monomials(cx: SimplicialComplex, r: int) -> int:
-    """Number of degree-r monomials whose support is a face (compositions count)."""
+    """Number of degree-r monomials whose support is a face (compositions
+    count); each size guard reads it, so it is memoized."""
     if r < 0:
         return 0
     if r == 0:
@@ -236,6 +234,17 @@ def degree_monomials(cx: SimplicialComplex, r: int) -> tuple:
     count_degree_monomials counts.  More than DEFAULT_BASIS_LIMIT of them
     raise SizeLimitError before any is built or looked up.
     """
+    return _basis(cx, r)[0]
+
+
+def monomial_supports(cx: SimplicialComplex, r: int) -> tuple:
+    """The support of each degree-r monomial, in the order of degree_monomials:
+    the face itself, as cx.faces() holds it, so monomials on one face share it."""
+    return _basis(cx, r)[1]
+
+
+def _basis(cx: SimplicialComplex, r: int) -> tuple[tuple, tuple]:
+    """(degree_monomials, monomial_supports), the size guard run on every call."""
     total = count_degree_monomials(cx, r)
     if total > DEFAULT_BASIS_LIMIT:
         raise SizeLimitError(
@@ -245,11 +254,12 @@ def degree_monomials(cx: SimplicialComplex, r: int) -> tuple:
 
 
 @per_complex
-def _degree_monomials(cx: SimplicialComplex, r: int) -> tuple:
+def _degree_monomials(cx: SimplicialComplex, r: int) -> tuple[tuple, tuple]:
+    """(the degree-r monomials, their supports), both in lex order of the monomials."""
     if r < 0 or cx.is_void:
-        return ()
+        return (), ()
     if r == 0:
-        return ((0,) * cx.n,)
+        return ((0,) * cx.n,), (frozenset(),)
     out = []
     for F in cx.faces():
         if not F:
@@ -259,6 +269,33 @@ def _degree_monomials(cx: SimplicialComplex, r: int) -> tuple:
             vec = [0] * cx.n
             for t, lo, hi in zip(positions, (0, *cuts), (*cuts, r)):
                 vec[t] = hi - lo
-            out.append(tuple(vec))
-    out.sort()
-    return tuple(out)
+            out.append((tuple(vec), F))
+    out.sort(key=itemgetter(0))
+    return tuple(zip(*out)) or ((), ())
+
+
+def monomial_table(cx: SimplicialComplex, r: int) -> tuple[tuple, tuple]:
+    """(supports, steps) of the degree-r monomials, in the order of degree_monomials.
+
+    supports is monomial_supports(cx, r).  steps[k] is a flat tuple of ints
+    c, t, c, t, ...: one pair for each t with T + e_t a monomial, T the k-th
+    monomial of degree r and c the position of T + e_t in
+    degree_monomials(cx, r + 1), c ascending.  It is read off each monomial
+    nu of degree r + 1: nu - e_t, for every t in its support, has a face as
+    support, so it has degree r.  The size guards of degrees r and r + 1
+    apply on every call.
+    """
+    supports = monomial_supports(cx, r)
+    degree_monomials(cx, r + 1)
+    return supports, _monomial_steps(cx, r)
+
+
+@per_complex
+def _monomial_steps(cx: SimplicialComplex, r: int) -> tuple:
+    index = {T: k for k, T in enumerate(degree_monomials(cx, r))}
+    steps = [[] for _ in index]
+    for c, (nu, F) in enumerate(zip(*_degree_monomials(cx, r + 1))):
+        for v in F:
+            t = v - 1
+            steps[index[nu[:t] + (nu[t] - 1,) + nu[v:]]] += c, t
+    return tuple(map(tuple, steps))

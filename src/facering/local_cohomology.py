@@ -29,15 +29,11 @@ from itertools import accumulate, combinations
 from math import comb
 
 from .cohomology import _induced_map, cohomology_by_face, cohomology_by_size, relative_cohomology_dim
-from .complexes import SimplicialComplex, degree_monomials, per_complex
+from .complexes import (SimplicialComplex, degree_monomials, monomial_supports, monomial_table,
+                        per_complex)
 from .linalg import QQ, FieldSpec, Matrix, block_pivots
 
 GENERIC_TRIES = 64  # draws of a whole matrix before make_generic gives up
-
-
-def support(U) -> frozenset:
-    """Positions (1-based) of the nonzero entries of an exponent vector."""
-    return frozenset(t + 1 for t, u in enumerate(U) if u)
 
 
 def binom0(a: int, b: int) -> int:
@@ -52,31 +48,18 @@ def binom0(a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@per_complex
-def _monomial_supports(cx: SimplicialComplex, r: int) -> tuple[tuple, dict]:
-    """(the support of each degree-r monomial, monomial -> position), shared
-    by the graded pieces of every l and field; monomials with one support
-    share one frozenset."""
-    vectors, faces = degree_monomials(cx, r), {}
-    supports = tuple(faces.setdefault(F, F) for F in map(support, vectors))
-    return supports, {U: k for k, U in enumerate(vectors)}
-
-
 class GradedPiece:
-    """The degree -r piece in cohomological degree l, as an ordered block sum."""
+    """The degree -r piece in cohomological degree l, as an ordered block sum,
+    one block per degree-r monomial (`degree_monomials`), sized by its support."""
 
-    __slots__ = ("vectors", "dims", "offsets", "total_dim", "_index")
+    __slots__ = ("vectors", "dims", "offsets", "total_dim")
 
     def __init__(self, cx, ell, r, field):
         self.vectors = degree_monomials(cx, r)
-        supports, self._index = _monomial_supports(cx, r)
         by_face = cohomology_by_face(cx, ell - 1, field)
-        self.dims = tuple(by_face[F] for F in supports)
+        self.dims = tuple(by_face[F] for F in monomial_supports(cx, r))
         *offsets, self.total_dim = accumulate(self.dims, initial=0)
         self.offsets = tuple(offsets)
-
-    def block_index(self, U) -> int | None:
-        return self._index.get(tuple(U))
 
 
 @per_complex
@@ -194,6 +177,17 @@ class GenericCoefficients:
     def m(self) -> int:
         return self.matrix.ncols
 
+    def prefix(self, k: int) -> "GenericCoefficients":
+        """The first k columns: a new matrix, or this one when k is all of
+        them.  Every square submatrix of a column prefix is one of the whole
+        matrix, so the prefix is certified generic as well."""
+        if not 0 <= k <= self.m:
+            raise ValueError("prefix out of range for the coefficient matrix")
+        if k == self.m:
+            return self
+        return GenericCoefficients(Matrix(self.matrix.field,
+                                          [row[:k] for row in self.matrix.tolist()], k))
+
     def to_json(self) -> dict:
         entries = [
             [x if isinstance(x, int) else str(x) for x in row]
@@ -308,7 +302,10 @@ def _theta_rows(cx: SimplicialComplex, ell: int, i: int, thetas, field: FieldSpe
     the supports agree and the block is the identity, written directly;
     every other block is read from `cohomology._induced_map`, the rows of
     the induced map as (source class, entry) pairs, memoized per pair of
-    supports.
+    supports.  The pairs (T, U) come from the lattice table of degree i
+    (`complexes.monomial_table`), built once per complex for every l, field
+    and set of forms: the support of T and, flat, the position of T + e_t in
+    degree i + 1 and t, for each t with T + e_t a monomial.
 
     Rows follow the target piece in the lex order of `degree_monomials`.
     Columns follow the source piece backwards: its last basis vector is
@@ -339,19 +336,18 @@ def _theta_rows(cx: SimplicialComplex, ell: int, i: int, thetas, field: FieldSpe
     scales = [[(rows, theta[t]) for rows, theta in zip(blocks, thetas) if theta[t]]
               for t in range(cx.n)]
     last = src.total_dim - 1
-    supports = _monomial_supports(cx, i)[0]
-    for kt, T in enumerate(dst.vectors):
+    supports, steps = monomial_table(cx, i)
+    for kt, sT in enumerate(supports):
         dim = dst.dims[kt]
         if dim == 0:
             continue
-        sT = supports[kt]
         roff = dst.offsets[kt]
-        for t in range(cx.n):
-            ku = src.block_index(T[:t] + (T[t] + 1,) + T[t + 1:])
-            if ku is None or src.dims[ku] == 0:
+        pairs = iter(steps[kt])
+        for ku, t in zip(pairs, pairs):
+            if src.dims[ku] == 0:
                 continue
             coff = last - src.offsets[ku]
-            if T[t]:
+            if t + 1 in sT:
                 for rows, a in scales[t]:
                     for rr in range(dim):
                         rows[roff + rr][coff - rr] = a

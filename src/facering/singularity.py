@@ -11,27 +11,31 @@ No link complex is built: H~^i(lk F) = H^(i+|F|)(X, cost F), so every link
 condition is read from the parent's pair cohomology.  One table per (complex,
 field) holds, for each face H, its depth, the least k >= |H| - 1 with
 H^k(X, cost H) != 0 (capped at dim X), and the least depth of a face
-containing H; it is filled from the largest faces down, so the second entry
-reads the cofaces H + {v}.  One list of the facets containing H
-(`facets_over`) serves three readers: when those facets share a vertex
-outside H, lk H is a cone, which is acyclic, so depth H = dim X with no
-elimination; the cofaces H + {v} are those of the vertices v of their union
-outside H; and `is_cm_along` reads the dimension of lk H from the largest.
-Every other depth reads one tuple of coboundary ranks per (face, field),
-from one pass up the star of H in the coface table (`cohomology._pair_ranks`),
-which holds every degree at once.  F is singular
-iff depth F < dim X.  lk F is Cohen-Macaulay iff no face H containing F has
-depth below top = dim lk F + |F| (the largest facet over F has top + 1
-vertices), since the link of H - F in lk F is lk H.  The link route lives
-only in the link-iso oracle of the verification ledger and in the tests.
+containing H, and top H, one less than the size of the largest facet over
+H.  It is filled from the largest faces down, each face reading the entries
+of its cofaces H + {v} from the coface table (`cohomology._cofaces`), with
+no scan of the facets: a face with no cofaces is a facet, and the facets
+over any other face are those over its cofaces.  So the vertices common to
+the facets over H are the intersection of its cofaces' (kept as bit masks,
+for the level above only), and when they include a vertex outside H, lk H
+is a cone, which is acyclic, so depth H = dim X with no elimination.  Every
+other depth reads one tuple of coboundary ranks per (face, field), from
+one pass up the star of H in the coface table (`cohomology._pair_ranks`),
+which holds every degree at once.  F is singular iff depth F < dim X.
+lk F is Cohen-Macaulay iff no face H containing F has depth below top F =
+dim lk F + |F|, since the link of H - F in lk F is lk H.  The link route
+lives only in the link-iso oracle of the verification ledger and in the
+tests.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import and_
 
-from .cohomology import relative_cohomology_dim
-from .complexes import SimplicialComplex, facets_over, mixed_face_key, per_complex
+from .cohomology import _cofaces, _face_ids, relative_cohomology_dim
+from .complexes import SimplicialComplex, mixed_face_key, per_complex
 from .linalg import FieldSpec
 
 NEG_INFINITY = -math.inf
@@ -39,27 +43,40 @@ NEG_INFINITY = -math.inf
 
 @per_complex
 def _depths(cx: SimplicialComplex, field: FieldSpec) -> dict:
-    """Face H -> (depth H, least depth of a face containing H)."""
+    """Face H -> (depth H, least depth of a face containing H, top H)."""
     if cx.is_void:
         return {}
     r = cx.dim
-    table = {}
+    start, cofaces = _face_ids(cx)[1], _cofaces(cx)
+    table, above = {}, []
     for size in range(r + 1, -1, -1):
-        for H in cx.faces_of_dim(size - 1):
-            over = facets_over(cx, H)
-            if over and frozenset.intersection(*over) - H:
+        # level[g - start[size]] for the face with id g: (least depth over
+        # it, top, the vertices common to the facets over it as a bit mask);
+        # above is the level of size + 1
+        level, first = [], start[size + 1]
+        for g, H in enumerate(cx.faces_of_dim(size - 1), start[size]):
+            up = [above[h - first] for h, _ in cofaces[g]]
+            if up:
+                top = max(u[1] for u in up)
+                common = reduce(and_, (u[2] for u in up))
+            else:  # H is a facet
+                top, common = size - 1, sum(1 << v for v in H)
+            if common.bit_count() > size:
                 depth = r  # lk H is a cone, acyclic over every field
             else:
                 depth = next((k for k in range(size - 1, r)
                               if relative_cohomology_dim(cx, H, k, field)), r)
-            cofaces = (H | {v} for v in set().union(*over) - H)
-            table[H] = (depth, min([depth, *(table[G][1] for G in cofaces)]))
+            least = min([depth, *(u[0] for u in up)])
+            level.append((least, top, common))
+            table[H] = depth, least, top
+        above = level
     return table
 
 
 def singular_faces(cx: SimplicialComplex, field: FieldSpec) -> list:
     r = cx.dim
-    return sorted((F for F, (depth, _) in _depths(cx, field).items() if depth < r), key=mixed_face_key)
+    return sorted((F for F, (depth, _, _) in _depths(cx, field).items() if depth < r),
+                  key=mixed_face_key)
 
 
 def singularity_dimension(cx: SimplicialComplex, field: FieldSpec):
@@ -84,8 +101,8 @@ def is_cm_along(cx: SimplicialComplex, F, i: int, field: FieldSpec) -> bool:
     F = frozenset(F)
     if F not in cx:
         raise ValueError(f"{sorted(F)} is not a face")
-    top = max(map(len, facets_over(cx, F)), default=0) - 1
-    return top - len(F) == i and _depths(cx, field)[F][1] >= top
+    _, least, top = _depths(cx, field)[F]
+    return top - len(F) == i and least >= top
 
 
 def cm_in_codim(cx: SimplicialComplex, c: int, field: FieldSpec) -> bool:

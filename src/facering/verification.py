@@ -13,6 +13,15 @@ finite local cohomology against each other, and the Artinian rank oracle
 against the squarefree quotient formula.  kernel-identification and
 tsqfree-vs-isomorphism compare two closed forms of the same sum, not a
 formula with an independent oracle.
+
+The checks that need generic linear forms (lemma-equality,
+artinian-vs-sqfree, cm-anchor) share one certified coefficient matrix per
+(complex, field, seed), drawn on first use (`Draw`), and each reads a
+column prefix of it.  Every square submatrix of a prefix is a square
+submatrix of the whole matrix, so each prefix carries the certificate.  The
+matrix is as wide as the most forms those checks ask for, as far as
+generic_fits allows (`draw_size`), which the run's parameters alone decide:
+a check's records are the same whichever other checks run.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from .cohomology import reduced_cohomology_dim, relative_cohomology_dim
 from .complexes import SimplicialComplex, mixed_face_key
 from .linalg import FieldSpec
 from .local_cohomology import (
+    GenericCoefficients,
     generic_fits,
     graded_piece,
     kernel_dim_bruteforce,
@@ -60,16 +70,57 @@ class CheckResult:
         }
 
 
+class Draw:
+    """The one certified n x forms coefficient matrix of a complex, drawn with
+    the run's seed on first use, and its column prefixes.
+
+    Every square submatrix of a column prefix is one of the whole matrix, so
+    each prefix is certified too.  The prefix of k columns is one object for
+    every check that asks, so `theta_ranks` and `artinian.reduction_dims`
+    memo entries, which match coefficients by identity, are shared.  More
+    columns than forms means no n x k matrix exists (see `draw_size`), and
+    make_generic refuses the shape as it would a draw of its own.
+    """
+
+    def __init__(self, n: int, forms: int, field: FieldSpec, seed: int | None):
+        self.n, self.forms, self.field, self.seed = n, forms, field, seed
+        self._prefixes: dict[int, GenericCoefficients] = {}
+
+    def columns(self, k: int) -> GenericCoefficients:
+        if k > self.forms:
+            return make_generic(self.n, k, self.field, seed=self.seed)
+        prefixes = self._prefixes
+        if not prefixes:
+            prefixes[self.forms] = make_generic(self.n, self.forms, self.field, seed=self.seed)
+        if k not in prefixes:
+            prefixes[k] = prefixes[self.forms].prefix(k)
+        return prefixes[k]
+
+
+def draw_size(cx: SimplicialComplex, m_values, field: FieldSpec) -> int:
+    """Columns of the complex's one draw: the most forms that lemma-equality
+    (the largest m <= d, plus one), artinian-vs-sqfree (the largest m) and
+    cm-anchor (d) ask for, as far as generic_fits allows.  It depends on the
+    run's parameters alone, so a check's records do not depend on which
+    other checks run."""
+    top = max((m for m in m_values if m <= cx.d), default=0)
+    forms = max(min(top + 1, cx.n), cx.d)
+    while not generic_fits(cx.n, forms, field):
+        forms -= 1
+    return forms
+
+
 @dataclass(frozen=True)
 class Run:
-    """The parameters run_checks passes every check.  Each check keeps the
-    members of m_values in its own range; ell_values and i_values are None
-    unless pinned."""
+    """The parameters run_checks passes every check, and the complex's one
+    draw.  Each check keeps the members of m_values in its own range;
+    ell_values and i_values are None unless pinned."""
 
     m_values: tuple[int, ...]
     ell_values: tuple[int, ...] | None
     i_values: tuple[int, ...] | None
     seed: int | None
+    draw: Draw
 
 
 def _resampled(got, want, recompute, cx: SimplicialComplex, m: int, field: FieldSpec,
@@ -139,7 +190,8 @@ def check_lemma_equality(cx: SimplicialComplex, field: FieldSpec, run: Run) -> l
     the members of run.i_values that are at least m.  The brute-force side is
     the rank of the stacked multiplication maps.  The surjectivity records
     of the largest m need m + 1 generic forms; over a prime field too small
-    to carry them (see make_generic) one record says they were skipped.
+    to carry them (see make_generic) one record says they were skipped.  The
+    forms are a column prefix of the complex's draw.
     """
     d = cx.d
     m_values = [m for m in run.m_values if m <= d]
@@ -152,7 +204,7 @@ def check_lemma_equality(cx: SimplicialComplex, field: FieldSpec, run: Run) -> l
         forms = top
         out.append(("lemma-surjectivity", {"m": top},
                     {"skipped": f"no {cx.n} x {top + 1} generic matrix over F_{field.p}"}, True))
-    coeffs = make_generic(cx.n, forms, field, seed=run.seed)
+    coeffs = run.draw.columns(forms)
     for ell in run.ell_values if run.ell_values is not None else range(1, d + 1):
         for m in m_values:
             if run.i_values is None:
@@ -192,19 +244,28 @@ def check_kernel_identification(cx: SimplicialComplex, field: FieldSpec, run: Ru
 
 def check_artinian_vs_sqfree(cx: SimplicialComplex, field: FieldSpec, run: Run) -> list:
     """Rank-oracle Hilbert functions against the squarefree quotient formula,
-    degrees m+1..m+4 for each 1 <= m <= d of the run."""
+    degrees m+1..m+4 for each 1 <= m <= d of the run.
+
+    Every m reads one reduction, by the first top forms of the complex's
+    draw at cutoff top + 4, top the largest m: its stack in each degree
+    holds the stack of every m below as its first m blocks, and the draw's
+    column prefixes are certified generic like the draw itself.
+    """
+    m_values = [m for m in run.m_values if 1 <= m <= cx.d]
+    if not m_values:
+        return []
     out = []
     data = squarefree.sqfree_data_of_face_ring(cx)
-    for m in run.m_values:
-        if not 1 <= m <= cx.d:
-            continue
-        coeffs = make_generic(cx.n, m, field, seed=run.seed)
+    top = max(m_values)
+    # a shape that does not fit raises for the least such m, as a draw per m did
+    coeffs = run.draw.columns(min(top, run.draw.forms + 1))
+    reduced = artinian.reduction_dims(cx, coeffs, top + 4, field)
+    for m in m_values:
         cutoff = m + 4
-        red = artinian.reduction_hilbert(cx, coeffs, m, cutoff, field)
         for j in range(m + 1, cutoff + 1):
             want = squarefree.sqfree_quotient_hilbert(data, m, j)
             got, retried = _resampled(
-                red.dims[j], want,
+                reduced[m][j], want,
                 lambda fresh: artinian.reduction_hilbert(cx, fresh, m, cutoff, field).dims[j],
                 cx, m, field, run.seed)
             out.append(("artinian-vs-sqfree", {"m": m, "degree": j, "retried": retried},
@@ -229,7 +290,13 @@ def check_tsqfree(cx: SimplicialComplex, field: FieldSpec, run: Run) -> list:
 
 def check_cm_anchor(cx: SimplicialComplex, field: FieldSpec, run: Run) -> list:
     """For a Cohen-Macaulay complex the full reduction equals the h-vector;
-    skipped, in one record, where d generic forms cannot exist (generic_fits)."""
+    skipped, in one record, where d generic forms cannot exist (generic_fits).
+
+    The forms are the first d columns of the complex's draw, a certified
+    prefix.  Where artinian-vs-sqfree has run with d forms (its largest m is
+    d), its reduction at cutoff d + 4 gives degrees 0..d + 1 with no
+    elimination; elsewhere this check reduces to cutoff d + 1 on its own.
+    """
     if not singularity.is_cm(cx, field):
         return [("cm-anchor", {}, {"skipped": "complex is not CM over this field"}, True)]
     d = cx.d
@@ -237,8 +304,7 @@ def check_cm_anchor(cx: SimplicialComplex, field: FieldSpec, run: Run) -> list:
         return [("cm-anchor", {"m": d},
                  {"skipped": f"no {cx.n} x {d} generic matrix over F_{field.p}"}, True)]
     cutoff = d + 1
-    red = artinian.reduction_hilbert(cx, make_generic(cx.n, d, field, seed=run.seed),
-                                     d, cutoff, field)
+    red = artinian.reduction_hilbert(cx, run.draw.columns(d), d, cutoff, field)
     h = list(cx.h_vector()) + [0] * (cutoff - d)
     return [("cm-anchor", {"m": d, "cutoff": cutoff},
              {"reduction": list(red.dims), "h_vector_padded": h}, list(red.dims) == h)]
@@ -268,7 +334,8 @@ def run_checks(name: str, cx: SimplicialComplex, field: FieldSpec,
     (reductions).
     """
     m_values = (m_pin,) if m_pin is not None else tuple(range(0, min(m_max, cx.d) + 1))
-    run = Run(m_values, ell_values, i_values, seed)
+    run = Run(m_values, ell_values, i_values, seed,
+              Draw(cx.n, draw_size(cx, m_values, field), field, seed))
     out: list[CheckResult] = []
     for check in checks:
         if check not in CHECKS:

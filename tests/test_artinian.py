@@ -17,6 +17,7 @@ from facering.local_cohomology import GenericCoefficients, make_generic
 from facering.squarefree import sqfree_data_of_face_ring, sqfree_quotient_hilbert
 
 from matrices import rank
+from test_verification import _random_family
 
 
 def full_stack_dims(cx, coeffs, m, cutoff, field):
@@ -68,6 +69,20 @@ def test_fraction_coefficients_match_full_stack_oracle(field):
     got = reduction_hilbert(points, coeffs, 1, 5, field).dims
     assert got == full_stack_dims(points, coeffs, 1, 5, field)
     assert got == (1, 1, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_every_prefix_of_one_reduction_matches_its_own_run(field):
+    # the first k blocks of each degree's stack are the stack of k forms, so
+    # one elimination gives every prefix: each equals a separate run on the
+    # first k columns, a new matrix that shares no memo entry
+    for seed, cx in enumerate(_random_family()):
+        C = make_generic(cx.n, min(cx.d + 1, cx.n), field, seed=seed)
+        cutoff = C.m + 3
+        for k in range(C.m + 1):
+            own = GenericCoefficients(Matrix(field, [row[:k] for row in C.matrix.tolist()], k))
+            assert (reduction_hilbert(cx, C, k, cutoff, field).dims
+                    == reduction_hilbert(cx, own, k, cutoff, field).dims), (sorted(cx.facets), k)
 
 
 def test_cohen_macaulay_reduction_needs_no_certificate(rp2_6, no_fractions):

@@ -13,8 +13,11 @@ from pathlib import Path
 import pytest
 
 import facering
-from facering.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFY_FAILED, build_parser, main
+from facering import cli
+from facering.cli import (EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFY_FAILED, _json_text, build_parser,
+                          main)
 from facering.corpus import corpus
+from facering.squarefree import sqfree_data_of_face_ring
 from facering.verification import SUITE_CHECKS, CheckResult, ledger_json
 
 
@@ -643,6 +646,20 @@ def test_reduction_guard_sums_all_degrees(tmp_path, capsys, m, cutoff, spec):
     assert "guard" in err
 
 
+def test_reduce_by_no_form_eliminates_nothing(capsys):
+    # m = 0 draws one form for its report but reduces by none: the guard
+    # charges no form (one form at this cutoff is refused above), and no
+    # basis is built, since the dims are the monomial counts
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "reduce", "cycle3", "--m", "0", "--cutoff", "740",
+                           "--format", "json")
+    assert code == EXIT_OK
+    assert time.perf_counter() - start < 1.0
+    result = json.loads(out)["result"]
+    assert result["dims"] == [1] + [3 * j for j in range(1, 741)]
+    assert [len(row) for row in result["coefficients"]["entries"]] == [1, 1, 1]
+
+
 @pytest.mark.parametrize("void", ["false", 0, 1, None])
 def test_void_flag_must_be_boolean(tmp_path, capsys, void):
     path = tmp_path / "void.json"
@@ -808,3 +825,42 @@ def test_reports_reparse_identically(capsys):
         _, out, _ = run_cli(capsys, *argv)
         report = json.loads(out)
         assert json.loads(json.dumps(report, sort_keys=True)) == report
+
+
+def test_report_writer_matches_json_dumps_on_every_command(tmp_path, capsys, monkeypatch):
+    # every --format json report goes through cli._json_text, which must
+    # print what json.dumps(report, indent=2, sort_keys=True) prints
+    written, real = [], cli._json_text
+    monkeypatch.setattr(cli, "_json_text", lambda report: written.append(report) or real(report))
+    runs = [("verify", "corpus", "--field", "fp:32003", "--m-max", "3", "--seed", "1"),
+            ("verify", "corpus", "--field", "q", "--m-max", "2")]
+    for name, cx in corpus().items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(sqfree_data_of_face_ring(cx).to_json()))
+        runs += [("analyze", name, "--field", "fp:2"), ("lc", name), ("predict", name, "--m", "1"),
+                 ("reduce", name, "--m", "2", "--cutoff", "6"),
+                 ("reduce", name, "--m", "1", "--trials", "2", "--field", "fp:32003", "--seed", "4"),
+                 ("sqfree", str(path), "--m", "1", "--cutoff", "5")]
+    for argv in runs:
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == EXIT_OK, argv
+        assert out == json.dumps(written[-1], indent=2, sort_keys=True) + "\n", argv
+    assert len(written) == len(runs)
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], {"a": {}}, {"a": []}, [[]], [{}], [[], {}, [[{}]]],
+    "", "plain", "quote \" backslash \\ tab \t newline \n nul \x00", "é ü ☃ 😀  ",
+    {"ключ": "значение", "é": ["ü", {"\x7f": None}]},
+    0, -1, 7, -(2 ** 70), 10 ** 40, True, False, None,
+    {"b": 1, "a": [1, {"z": None, "y": [True, False]}], "B": -3, "": 0},
+], ids=repr)
+def test_report_writer_edge_values(value):
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1: 2}, {"a": frozenset()}, [{"a": 0.0}]],
+                         ids=repr)
+def test_report_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _json_text(value)

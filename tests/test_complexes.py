@@ -15,6 +15,8 @@ from facering.complexes import (
     SizeLimitError,
     count_degree_monomials,
     degree_monomials,
+    monomial_supports,
+    monomial_table,
 )
 from facering.linalg import QQ
 from facering.local_cohomology import kernel_dim_bruteforce, make_generic
@@ -223,6 +225,37 @@ def test_degree_monomials_built_once_behind_the_guard(monkeypatch):
     monkeypatch.setattr("facering.complexes.DEFAULT_BASIS_LIMIT", 200)
     assert degree_monomials(octahedron, 5) is first
     assert len(degree_monomials(octahedron, 6)) == 146
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(small_complexes(), st.integers(0, 4))
+def test_generated_monomial_table_matches_membership(cx, r):
+    # each T of degree r steps to T + e_t exactly when T + e_t is a monomial
+    # of degree r + 1, found here by a membership test on that basis
+    supports, steps = monomial_table(cx, r)
+    lower, upper = degree_monomials(cx, r), degree_monomials(cx, r + 1)
+    assert supports is monomial_supports(cx, r) and len(steps) == len(lower)
+    for T, F, flat in zip(lower, supports, steps):
+        assert F == frozenset(t + 1 for t, u in enumerate(T) if u)
+        assert all(type(x) is int for x in flat)
+        want = []
+        for t in range(cx.n):
+            U = T[:t] + (T[t] + 1,) + T[t + 1:]
+            if U in upper:
+                want.append((upper.index(U), t))
+        assert list(zip(flat[::2], flat[1::2])) == sorted(want)
+
+
+def test_monomial_table_is_built_once_behind_both_guards(monkeypatch):
+    octahedron = SimplicialComplex(6, [[a, b, c] for a in (1, 4) for b in (2, 5) for c in (3, 6)])
+    first = monomial_table(octahedron, 5)
+    assert monomial_table(octahedron, 5)[1] is first[1]
+    monkeypatch.setattr("facering.complexes.DEFAULT_BASIS_LIMIT", 120)
+    with pytest.raises(SizeLimitError, match="degree-6 basis has 146 elements"):
+        monomial_table(octahedron, 5)
+    monkeypatch.setattr("facering.complexes.DEFAULT_BASIS_LIMIT", 100)
+    with pytest.raises(SizeLimitError, match="degree-5 basis has 102 elements"):
+        monomial_table(octahedron, 5)
 
 
 def test_memo_is_freed_with_its_complex():

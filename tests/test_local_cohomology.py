@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from facering.artinian import reduction_hilbert
 from facering import cohomology
 from facering.cohomology import induced_map, relative_cohomology_dim
-from facering.complexes import SimplicialComplex
+from facering.complexes import (SimplicialComplex, degree_monomials, monomial_supports,
+                                monomial_table)
 from facering.linalg import GF, QQ, Matrix, block_pivots
 from facering.local_cohomology import (
     GenericCoefficients,
@@ -29,7 +30,6 @@ from facering.local_cohomology import (
     lc_hilbert_series,
     make_generic,
     restricted_theta_rank,
-    support,
     theta_ranks,
     vandermonde_coefficients,
 )
@@ -41,6 +41,11 @@ from facering.verification import run_checks
 from complex_strategies import small_complexes
 from matrices import gauss_jordan, matmul, rank
 from test_artinian import seeded_complexes
+
+
+def support(U) -> frozenset:
+    """Positions (1-based) of the nonzero entries of an exponent vector."""
+    return frozenset(t + 1 for t, u in enumerate(U) if u)
 
 
 def dense_theta(cx, ell, i, thetas, field):
@@ -123,14 +128,18 @@ def test_fine_dims(cycle3, bowtie):
     assert relative_cohomology_dim(cycle3, support((1, 0, 0)), 1, QQ) == 1
     assert relative_cohomology_dim(bowtie, support((1, 1, 0, 0, 0)), 1, QQ) == 0
     # a support that is not a face has no block
-    assert graded_piece(cycle3, 2, 3, QQ).block_index((1, 1, 1)) is None
+    assert (1, 1, 1) not in graded_piece(cycle3, 2, 3, QQ).vectors
 
 
-def test_graded_pieces_share_one_index_per_degree(bowtie):
-    # the supports and the block index depend on (complex, r) alone
+def test_graded_pieces_share_one_lattice_table_per_degree(bowtie):
+    # the monomials, their supports and the lattice table depend on
+    # (complex, r) alone, and the table holds the supports
     a, b = graded_piece(bowtie, 1, 2, QQ), graded_piece(bowtie, 2, 2, GF(2))
-    assert a._index is b._index
-    assert [a.block_index(U) for U in a.vectors] == list(range(len(a.vectors)))
+    assert a.vectors is b.vectors
+    supports, steps = monomial_table(bowtie, 2)
+    assert supports is monomial_supports(bowtie, 2) is monomial_supports(bowtie, 2)
+    assert steps is monomial_table(bowtie, 2)[1]
+    assert supports == tuple(map(support, a.vectors))
 
 
 def test_coarse_dims(cycle3):
@@ -142,9 +151,16 @@ def test_coarse_dims(cycle3):
         lc_coarse_dim(cycle3, 2, 1, QQ)
 
 
-def test_support_helper():
+def test_support_helper(complexes):
     assert support((0, -2, 1)) == frozenset({2, 3})
     assert support((0, 0)) == frozenset()
+    # the supports enumerated with the monomials are the faces themselves
+    for cx in complexes.values():
+        faces = {F: F for F in cx.faces()}
+        for r in range(0, 4):
+            got = monomial_supports(cx, r)
+            assert got == tuple(map(support, degree_monomials(cx, r)))
+            assert all(F is faces[F] for F in got if F)
 
 
 def test_binom0_convention():
@@ -337,7 +353,7 @@ def test_theta_zero_coefficients_kill_blocks(cycle3):
         if U[2] == 0:
             assert all(x == 0 for x in col)
     # identity block: U = (0,0,2) -> T = (0,0,1), same support
-    ku = src.block_index((0, 0, 2))
+    ku = src.vectors.index((0, 0, 2))
     kt = dst.vectors.index((0, 0, 1))
     assert M.tolist()[dst.offsets[kt]][src.offsets[ku]] == 1
 
@@ -390,11 +406,12 @@ def theta_rows_from_dense_blocks(cx, ell, i, thetas, field):
     """`_theta_rows` built from the dense `induced_map` of every pair of
     blocks, the identity blocks of equal supports included."""
     src, dst = graded_piece(cx, ell, i + 1, field), graded_piece(cx, ell, i, field)
+    index = {U: k for k, U in enumerate(src.vectors)}  # not the lattice table
     last = src.total_dim - 1
     blocks = [[{} for _ in range(dst.total_dim)] for _ in thetas]
     for kt, T in enumerate(dst.vectors):
         for t in range(cx.n):
-            ku = src.block_index(T[:t] + (T[t] + 1,) + T[t + 1:])
+            ku = index.get(T[:t] + (T[t] + 1,) + T[t + 1:])
             if ku is None or not src.dims[ku] or not dst.dims[kt]:
                 continue
             block = induced_map(cx, support(src.vectors[ku]), support(T), ell - 1, field)

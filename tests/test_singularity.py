@@ -139,7 +139,8 @@ def test_generated_pair_route_matches_links(cx):
 @given(small_complexes())
 def test_depth_table_matches_pair_cohomology(cx):
     # the cone shortcut skips elimination; every entry must still be the least
-    # k >= |H| - 1 with H^k(X, cost H) != 0, capped at dim X
+    # k >= |H| - 1 with H^k(X, cost H) != 0, capped at dim X.  top, built from
+    # the cofaces' entries, is the largest facet over H, found here by a scan
     r = cx.dim
     for field in (QQ, GF(2)):
         depth = {H: next((k for k in range(len(H) - 1, r)
@@ -147,9 +148,10 @@ def test_depth_table_matches_pair_cohomology(cx):
                  for H in cx.faces()}
         table = _depths(cx, field)
         assert set(table) == set(depth)
-        for H, (d, least) in table.items():
+        for H, (d, least, top) in table.items():
             assert d == depth[H]
             assert least == min(depth[G] for G in depth if H <= G)
+            assert top == max((len(f) for f in cx.facets if H <= f), default=0) - 1
 
 
 def _count_gcds(monkeypatch):

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 
 from facering import verification
+from facering.cli import main
 from facering.complexes import SimplicialComplex
 from facering.linalg import GF, QQ, Matrix
+from facering.local_cohomology import GenericCoefficients
 from facering.verification import SUITE_CHECKS, ledger_json, run_checks
 
 from complex_strategies import small_complexes
@@ -63,28 +65,65 @@ def test_prime_field_mismatch_is_redrawn_once(cycle3, monkeypatch):
 def test_lemma_equality_builds_no_matrix_but_the_coefficients(rp2_6, field, monkeypatch):
     # the θ stacks read the induced maps as sparse rows, so on rp2_6
     # suspended (a fresh complex, so no memo is warm) every Matrix built
-    # during the check is a coefficient matrix that make_generic draws
+    # during the check is a coefficient matrix: the one that make_generic
+    # draws, or a column prefix of it
     n, facets = rp2_6.n, [sorted(F) for F in rp2_6.facets]
     susp1 = SimplicialComplex(n + 2, [F + [v] for F in facets for v in (n + 1, n + 2)])
     built, inside = {True: 0, False: 0}, [False]
-    real_init, real_generic = Matrix.__init__, verification.make_generic
+    real_init = Matrix.__init__
 
     def init(self, *args, **kwargs):
         built[inside[0]] += 1
         real_init(self, *args, **kwargs)
 
-    def generic(*args, **kwargs):
-        inside[0] = True
-        try:
-            return real_generic(*args, **kwargs)
-        finally:
-            inside[0] = False
+    def coefficients(real):
+        def wrapper(*args, **kwargs):
+            inside[0] = True
+            try:
+                return real(*args, **kwargs)
+            finally:
+                inside[0] = False
+        return wrapper
 
     monkeypatch.setattr(Matrix, "__init__", init)
-    monkeypatch.setattr(verification, "make_generic", generic)
+    monkeypatch.setattr(verification, "make_generic", coefficients(verification.make_generic))
+    monkeypatch.setattr(GenericCoefficients, "prefix", coefficients(GenericCoefficients.prefix))
     records = run_checks("susp1", susp1, field, checks=("lemma-equality",), m_max=2, seed=1)
     assert records and all(r.passed for r in records)
     assert built[True] >= 1 and built[False] == 0
+
+
+def test_one_draw_per_complex(monkeypatch, capsys):
+    # the kernel, reduction and CM checks read column prefixes of one
+    # certified draw per complex: 5 draws for the corpus, where a draw per
+    # check and m took 21
+    real, drawn = verification.make_generic, []
+
+    def counting(n, m, field, seed=None):
+        drawn.append((n, m))
+        return real(n, m, field, seed=seed)
+
+    monkeypatch.setattr(verification, "make_generic", counting)
+    assert main(["verify", "corpus", "--field", "fp:32003", "--m-max", "3", "--seed", "1",
+                 "--format", "json"]) == 0
+    capsys.readouterr()
+    assert drawn == [(3, 3), (5, 4), (4, 3), (6, 4), (6, 4)]
+
+
+@pytest.mark.parametrize("field,seed,m_max", [(QQ, None, 3), (GF(32003), 1, 3), (GF(3), 1, 1)],
+                         ids=str)
+def test_each_check_alone_gives_its_records_of_the_full_ledger(complexes, field, seed, m_max):
+    # the draw is sized from the run's parameters alone, so a check's records
+    # do not depend on which other checks run; over F_3 some checks skip the
+    # forms that do not fit
+    own = {"lemma-equality": {"lemma-equality", "lemma-surjectivity"}}
+    for name, cx in complexes.items():
+        full = run_checks(name, cx, field, m_max=m_max, seed=seed)
+        for check in SUITE_CHECKS:
+            alone = run_checks(name, SimplicialComplex(cx.n, cx.facets), field,
+                               checks=(check,), m_max=m_max, seed=seed)
+            labels = own.get(check, {check})
+            assert alone == [r for r in full if r.check in labels], (name, check)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
