@@ -19,6 +19,21 @@ On top of that structure this module provides:
     computed both by brute force, from the ranks of the stacked maps
     eliminated block by block (`linalg.block_pivots`, as in the Artinian
     reduction), and by a closed binomial formula.
+
+Row r of the block of form k at degree -(i+1) is the transposed map
+theta_k applied to the r-th dual coordinate vector of the -i piece, so the
+first k blocks span J_k(i) = theta_1 D_i + ... + theta_k D_i, with D_i the
+dual of the -i piece.  The forms commute, so theta_k J_{k-1}(i-1) lies in
+J_{k-1}(i), and
+
+    J_k(i) = J_{k-1}(i) + theta_k Q^{k-1}_i,
+
+with Q^{k-1}_i the dual coordinate vectors of the -i piece at the columns
+outside the pivots of the first k-1 blocks one degree down, which span D_i
+modulo J_{k-1}(i-1).  This is the dual of the S^k spans of `artinian`.  So
+the block of form k keeps only its rows at Q^{k-1}_i (`theta_stack`); the
+first form's block keeps all, as Q^0_i is every coordinate vector; and the
+ranks and pivots after every block are those of the whole stack.
 """
 
 from __future__ import annotations
@@ -167,7 +182,7 @@ class GenericCoefficients:
 
     Every square submatrix is nonsingular: analytic for the positive
     Vandermonde over Q, checked minor by minor over prime fields.  It
-    compares and hashes by identity, so a `theta_ranks` memo lookup does
+    compares and hashes by identity, so a `theta_stack` memo lookup does
     not hash the matrix.
     """
 
@@ -290,7 +305,8 @@ def make_generic(n: int, m: int, field: FieldSpec, seed: int | None = None) -> G
 # ---------------------------------------------------------------------------
 
 
-def _theta_rows(cx: SimplicialComplex, ell: int, i: int, thetas, field: FieldSpec) -> list:
+def _theta_rows(cx: SimplicialComplex, ell: int, i: int, thetas, field: FieldSpec,
+                drop=None) -> list:
     """The multiplication maps by the forms with coefficient columns thetas,
     one block of sparse rows {column: entry} per form.
 
@@ -325,6 +341,10 @@ def _theta_rows(cx: SimplicialComplex, ell: int, i: int, thetas, field: FieldSpe
     this order and about 60 in lex order, the echelon rows hold 6,579
     entries against 29,406, and `block_pivots` takes 0.06 s against 0.42 s.
     Largest exponent first, which does not follow the row order, takes 0.10 s.
+
+    drop, when given, holds one set of row indices per form: those rows of
+    its block are neither built nor listed, and the block lists the rest
+    in order (`theta_stack` leaves out the rows that cannot raise the rank).
     """
     if any(len(theta) != cx.n for theta in thetas):
         raise ValueError("coefficient column must have one entry per vertex")
@@ -332,7 +352,8 @@ def _theta_rows(cx: SimplicialComplex, ell: int, i: int, thetas, field: FieldSpe
         raise ValueError("target degree must be -i with i >= 0")
     src = graded_piece(cx, ell, i + 1, field)
     dst = graded_piece(cx, ell, i, field)
-    blocks = [[{} for _ in range(dst.total_dim)] for _ in thetas]
+    blocks = [[None if r in skip else {} for r in range(dst.total_dim)]
+              for skip in drop or [()] * len(thetas)]
     scales = [[(rows, theta[t]) for rows, theta in zip(blocks, thetas) if theta[t]]
               for t in range(cx.n)]
     last = src.total_dim - 1
@@ -350,31 +371,74 @@ def _theta_rows(cx: SimplicialComplex, ell: int, i: int, thetas, field: FieldSpe
             if t + 1 in sT:
                 for rows, a in scales[t]:
                     for rr in range(dim):
-                        rows[roff + rr][coff - rr] = a
+                        row = rows[roff + rr]
+                        if row is not None:
+                            row[coff - rr] = a
                 continue
             for rr, entries in enumerate(_induced_map(cx, sT | {t + 1}, sT, ell - 1, field)):
                 for rows, a in scales[t]:
-                    rows[roff + rr].update((coff - cc, a * val) for cc, val in entries)
-    return blocks
+                    row = rows[roff + rr]
+                    if row is not None:
+                        row.update((coff - cc, a * val) for cc, val in entries)
+    return [[row for row in rows if row is not None] for rows in blocks]
 
 
 @per_complex
+def _stacks(cx: SimplicialComplex, ell: int, coeffs: GenericCoefficients, field: FieldSpec) -> dict:
+    """i -> `theta_stack` at degree -(i+1), for the stacks eliminated so far."""
+    return {}
+
+
+def theta_stack(cx: SimplicialComplex, ell: int, i: int, coeffs: GenericCoefficients,
+                field: FieldSpec) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """`block_pivots` of the multiplication maps by the forms of coeffs,
+    stacked, at degree -(i+1): the ranks and the pivot columns after each
+    block, memoized per (complex, l, coefficients, field).
+
+    When the stack at degree -i is in the memo, the block of form k keeps
+    only the rows at the columns outside that stack's pivots after its
+    first k - 1 blocks (see the module docstring); otherwise, and for
+    degree i = 0, every row is built.  Either way the span of the first k
+    blocks is that of the first k maps, so ranks and pivots are the same.
+    No lower degree is computed to serve a higher one.
+    """
+    stacks = _stacks(cx, ell, coeffs, field)
+    if i in stacks:
+        return stacks[i]
+    thetas = [coeffs.matrix.column(p) for p in range(coeffs.m)]
+    drop, below = None, stacks.get(i - 1)
+    if below is not None:
+        # the stack below numbers its columns, this stack's rows, backwards
+        last = graded_piece(cx, ell, i, field).total_dim - 1
+        drop = [{last - c for c in pivots} for pivots in below[1][:-1]]
+    blocks = _theta_rows(cx, ell, i, thetas, field, drop)
+    ranks, pivots = block_pivots(field, blocks, graded_piece(cx, ell, i + 1, field).total_dim)
+    stacks[i] = stack = (tuple(ranks), tuple(map(tuple, pivots)))
+    return stack
+
+
 def theta_ranks(cx: SimplicialComplex, ell: int, i: int,
                 coeffs: GenericCoefficients, field: FieldSpec) -> tuple[int, ...]:
     """Ranks of the first 0, 1, ..., coeffs.m multiplication maps, stacked, at degree -(i+1).
 
     The kernel of a stack is the common kernel of its maps, so kernel
     dimensions and restricted ranks follow from these ranks by rank-nullity.
-    One elimination, block by block, gives all of them.
+    One elimination, block by block, gives all of them (`theta_stack`).  A
+    stack asked for after the one a degree below leaves out the rows that
+    commutation of the forms alone puts in the span of the rows before
+    them; no closed formula, `kernel_dim_formula` included, decides a row,
+    so these ranks stay an independent check of the formula.
     """
-    blocks = _theta_rows(cx, ell, i, [coeffs.matrix.column(p) for p in range(coeffs.m)], field)
-    return tuple(block_pivots(field, blocks, graded_piece(cx, ell, i + 1, field).total_dim)[0])
+    return theta_stack(cx, ell, i, coeffs, field)[0]
 
 
 def kernel_dim_bruteforce(cx: SimplicialComplex, ell: int, m: int, i: int,
                           coeffs: GenericCoefficients, field: FieldSpec) -> int:
     """Dimension of the common kernel of the first m multiplication maps at degree -(i+1),
-    by exact elimination of the stacked maps."""
+    by exact elimination of the stacked maps (`theta_ranks`).  The rows left
+    out of a stack are decided by commutation of the forms and the pivots of
+    the stack one degree down, never by the closed formula, so this stays
+    an independent check of `kernel_dim_formula`."""
     if i < 0:
         raise ValueError("i must be nonnegative")
     if m < 0 or m > coeffs.m:

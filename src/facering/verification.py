@@ -7,7 +7,9 @@ failing ledger line is directly actionable.  run_checks alone turns them into
 CheckResult records with the complex name and field.  Adding a check is one
 function and one CHECKS entry that names it.  The routes: closed binomial
 formulas against brute-force elimination (the rank of the stacked
-multiplication maps), link cohomology against pair cohomology, Hilbert series
+multiplication maps, less the rows that commutation of the forms alone puts
+in the span of the others, so no formula decides a rank), link cohomology
+against pair cohomology, Hilbert series
 expansions against direct basis enumeration, the four characterizations of
 finite local cohomology against each other, and the Artinian rank oracle
 against the squarefree quotient formula.  kernel-identification and
@@ -76,7 +78,7 @@ class Draw:
 
     Every square submatrix of a column prefix is one of the whole matrix, so
     each prefix is certified too.  The prefix of k columns is one object for
-    every check that asks, so `theta_ranks` and `artinian.reduction_dims`
+    every check that asks, so `theta_stack` and `artinian.reduction_dims`
     memo entries, which match coefficients by identity, are shared.  More
     columns than forms means no n x k matrix exists (see `draw_size`), and
     make_generic refuses the shape as it would a draw of its own.

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import facering
-from facering import cli
+from facering import cli, local_cohomology
 from facering.cli import (EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFY_FAILED, _json_text, build_parser,
                           main)
 from facering.corpus import corpus
@@ -401,6 +401,25 @@ def test_suspended_rp2_q_ledger_digest(capsys, tmp_path, monkeypatch):
                            "--m-max", "3", "--format", "json")
     assert code == EXIT_OK
     _assert_ledger(out, *SUSP1_Q_DIGESTS)
+
+
+# SHA-256 of `verify cycle3 --check lemma-equality --m 1 --i 1100..1100
+# --format json` stdout, as it read when every stack was eliminated whole.
+CYCLE3_I1100_DIGEST = "10600269e8d93cc9f03f29fa41055ffa6c2f2519e1e53f2359ceee720b1b92b2"
+
+
+def test_lemma_equality_at_one_high_degree(capsys, monkeypatch):
+    # a stack asked for with none below it in the memo is eliminated whole:
+    # the θ rows are built at degree 1100 alone, and no lower degree
+    degrees = []
+    real = local_cohomology._theta_rows
+    monkeypatch.setattr(local_cohomology, "_theta_rows",
+                        lambda cx, ell, i, *rest: degrees.append(i) or real(cx, ell, i, *rest))
+    code, out, _ = run_cli(capsys, "verify", "cycle3", "--check", "lemma-equality", "--m", "1",
+                           "--i", "1100..1100", "--format", "json")
+    assert code == EXIT_OK
+    assert _sha256(out) == CYCLE3_I1100_DIGEST
+    assert set(degrees) == {1100}
 
 
 # `analyze --format json` on two complexes of 2,000+ faces, as the dense

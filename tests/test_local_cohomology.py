@@ -31,6 +31,7 @@ from facering.local_cohomology import (
     make_generic,
     restricted_theta_rank,
     theta_ranks,
+    theta_stack,
     vandermonde_coefficients,
 )
 from facering.quotient import predicts_finite_lc, quotient_lc_dim
@@ -470,6 +471,46 @@ def test_theta_ranks_match_dense_stacks(complexes, field):
                 assert list(theta_ranks(cx, ell, i, coeffs, field)) == want, (k, ell, i)
 
 
+def suspended_once(cx):
+    """The suspension of cx on two new vertices."""
+    facets = sorted(sorted(F) for F in cx.facets)
+    return SimplicialComplex(cx.n + 2, [F + [v] for F in facets for v in (cx.n + 1, cx.n + 2)])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003), GF(101), GF(7), GF(5)], ids=str)
+def test_pruned_theta_stacks_match_whole_stacks(complexes, rp2_6, field):
+    # asked for in ascending degree, every stack past degree 0 leaves out the
+    # rows at the pivots of the stack below; its ranks and its pivots after
+    # every block are those of `block_pivots` over all the rows.  Asked for
+    # in descending degree, no stack finds the one below it and each is
+    # eliminated whole.  The forms are as many as the ledger draws, or as
+    # many as the field can carry
+    cases = list(complexes.values()) + seeded_complexes(12, seed=4) + [suspended_once(rp2_6)]
+    pruned = 0
+    for k, cx in enumerate(cases):
+        forms = min(cx.d + 1, cx.n)
+        while not generic_fits(cx.n, forms, field):
+            forms -= 1
+        coeffs = make_generic(cx.n, forms, field, seed=k)
+        thetas = [coeffs.matrix.column(p) for p in range(coeffs.m)]
+        fresh, cold = (SimplicialComplex(cx.n, cx.facets) for _ in range(2))
+        for ell in range(1, cx.d + 1):
+            below = None
+            for i in range(7):
+                ncols = graded_piece(fresh, ell, i + 1, field).total_dim
+                ranks, pivots = block_pivots(field, _theta_rows(fresh, ell, i, thetas, field),
+                                             ncols)
+                assert theta_ranks(fresh, ell, i, coeffs, field) == tuple(ranks), (k, ell, i)
+                assert theta_stack(fresh, ell, i, coeffs, field) == (
+                    tuple(ranks), tuple(map(tuple, pivots))), (k, ell, i)
+                pruned += below is not None and any(below[1:-1])
+                below = pivots
+            for i in reversed(range(7)):
+                want = theta_ranks(fresh, ell, i, coeffs, field)
+                assert theta_ranks(cold, ell, i, coeffs, field) == want, (k, ell, i)
+    assert pruned
+
+
 def test_q_rank_ignores_the_theta_column_order(complexes):
     # `block_pivots` over Q eliminates the columns in the order `_theta_rows`
     # numbers them; every prefix of every stack has the rank and pivots of
@@ -491,13 +532,28 @@ def test_q_rank_ignores_the_theta_column_order(complexes):
                 assert block_pivots(QQ, backwards, ncols)[0] == [len(w) for w in want]
 
 
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(cx=small_complexes(), seed=st.integers(0, 2**16))
+def test_generated_theta_maps_commute(field, cx, seed):
+    # M_j at degree -i after M_k at degree -(i+1) is M_k after M_j, exactly:
+    # the pruning of `theta_stack` rests on it
+    coeffs = make_generic(cx.n, 2, field, seed=seed)
+    tj, tk = coeffs.matrix.column(0), coeffs.matrix.column(1)
+    for ell in range(1, cx.d + 1):
+        for i in range(1, 4):
+            assert (matmul(dense_theta(cx, ell, i - 1, [tj], field),
+                           dense_theta(cx, ell, i, [tk], field))
+                    == matmul(dense_theta(cx, ell, i - 1, [tk], field),
+                              dense_theta(cx, ell, i, [tj], field))), (ell, i)
+
+
 @pytest.fixture(scope="module")
 def susp1_theta_stacks(rp2_6):
     """rp2_6 suspended once, and its theta stacks over Q for four forms at
     every l and i = 0..6, as (l, i, number of columns, blocks); built on the
     basis route, before any test of the module patches linalg."""
-    facets = sorted(sorted(F) for F in rp2_6.facets)
-    cx = SimplicialComplex(8, [F + [7] for F in facets] + [F + [8] for F in facets])
+    cx = suspended_once(rp2_6)
     coeffs = make_generic(cx.n, 4, QQ)
     thetas = [coeffs.matrix.column(p) for p in range(coeffs.m)]
     return cx, [(ell, i, graded_piece(cx, ell, i + 1, QQ).total_dim,
@@ -564,7 +620,7 @@ def test_bruteforce_default_coefficients(cycle3):
 
 
 def test_theta_memo_never_hashes_the_coefficient_matrix(monkeypatch, octahedron):
-    # the coefficients key the theta_ranks memo by identity: a lookup hashes
+    # the coefficients key the theta_stack memo by identity: a lookup hashes
     # no Matrix, and the second call on the same coefficients is a hit
     def refuse(self):
         raise AssertionError("Matrix hashed")
