@@ -10,8 +10,8 @@ theta_k (I_{k-1})_{j-1} lies in (I_{k-1})_j,
 so (I_m)_j is spanned by the blocks of rows theta_1 S^0_{j-1}, theta_2
 S^1_{j-1}, ..., theta_m S^{m-1}_{j-1}: each row a form times a monomial,
 reduced modulo the nonface monomials and written in the degree-j monomial
-basis.  One elimination per degree, block by block (`linalg.block_pivots`,
-as for the multiplication maps of `local_cohomology`), gives the rank of the
+basis.  One elimination per degree, block by block (as `linalg.block_pivots`
+does for the multiplication maps of `local_cohomology`), gives the rank of the
 whole stack, hence the quotient dimension, and S^k_j as the monomials outside
 the pivots of the first k blocks, for the next degree.  The first k blocks
 are the whole stack of the first k forms, so the rank after them gives the
@@ -19,9 +19,15 @@ quotient by those k: one elimination per degree gives every prefix m =
 0..coeffs.m at once (`reduction_dims`), memoized per (complex, coefficients,
 field), and a run serves every lower cutoff.  The rows come from the lattice
 table of each degree (`complexes.monomial_table`), built once per complex
-for every run.  On a Cohen-Macaulay complex the forms are a regular
-sequence, so when each S^k is a basis every stack has full row rank.  The
-matrices of all degrees are sized, together, before the first one is built.
+for every run.  Each form enters the field once, as one sparse row over
+the vertices (`linalg._field_rows`): over F_p its residues, over Q the form
+scaled to a primitive integer column.  A form times a nonzero constant
+spans the same rows, so ranks and pivots do not change, and the rows built
+from the forms are already in the field: they go straight to the
+elimination (`linalg._block_pivots`).  On a Cohen-Macaulay complex the
+forms are a regular sequence, so when each S^k is a basis every stack has
+full row rank.  The matrices of all degrees are sized, together, before
+the first one is built.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 
 from .complexes import (SimplicialComplex, SizeLimitError, count_degree_monomials, monomial_table,
                         per_complex)
-from .linalg import FieldSpec, block_pivots
+from .linalg import FieldSpec, _block_pivots, _field_rows
 from .local_cohomology import GenericCoefficients, make_generic, vandermonde_coefficients
 
 # The guard on one reduction: cells summed over all degrees, where each degree
@@ -75,7 +81,9 @@ def reduction_dims(cx: SimplicialComplex, coeffs: GenericCoefficients, cutoff: i
 
     Memoized per (complex, coefficients, field): degree j reads only the
     degrees below it, so one run serves every cutoff up to its own.  The
-    cell guard is charged on every call, for all coeffs.m forms.
+    cell guard is charged on every call, for all coeffs.m forms.  A run maps
+    the coefficients into the field first: a float raises TypeError, and
+    over F_p a Fraction whose denominator p divides raises ValueError.
     """
     if cx.is_void:
         raise ValueError("void complex")
@@ -96,7 +104,9 @@ def reduction_dims(cx: SimplicialComplex, coeffs: GenericCoefficients, cutoff: i
     for done, dims in runs.items():
         if done >= cutoff:
             return tuple(d[:cutoff + 1] for d in dims)
-    forms = [coeffs.matrix.column(k) for k in range(m)]
+    # each form enters the field once, as a sparse row {vertex index: entry}
+    p, columns = field.p, (dict(enumerate(coeffs.matrix.column(k))) for k in range(m))
+    forms = list(_field_rows(columns, p))
     dims = [[1] for _ in range(m + 1)]
     spans = [range(1)] * m  # spans[k]: S^k_{j-1} as indices into degree j - 1
     for j, size in enumerate(sizes[1:], 1):
@@ -107,7 +117,7 @@ def reduction_dims(cx: SimplicialComplex, coeffs: GenericCoefficients, cutoff: i
             # each c from the iterator and map the t after it
             value, flats = theta.__getitem__, map(iter, (steps[i] for i in span))
             blocks.append([dict(zip(it, map(value, it))) for it in flats])
-        ranks, pivots = block_pivots(field, blocks, size)
+        ranks, pivots = _block_pivots(blocks, size, p)
         for k in range(m + 1):
             dims[k].append(size - ranks[k])
         spans = [range(size)]

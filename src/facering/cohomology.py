@@ -64,7 +64,7 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from .complexes import SimplicialComplex, per_complex
-from .linalg import (FieldSpec, Matrix, _clear_pivots, _echelon_insert, _reduce, kernel_vectors,
+from .linalg import (FieldSpec, Matrix, _clear_pivots, _echelon_insert, _kernel_vectors, _reduce,
                      sparse_rank)
 
 
@@ -208,7 +208,7 @@ def _relative_cohomology(cx: SimplicialComplex, tau: frozenset, i: int, field: F
     for image in images.values():
         _echelon_insert(echelon, image, p)
     dim = len(relative_cochain_basis(cx, tau, i))
-    for z in kernel_vectors(field, coboundary_rows(cx, tau, i), dim):
+    for z in _kernel_vectors(coboundary_rows(cx, tau, i), dim, p):
         pivot = _echelon_insert(echelon, {**z, dim + len(reps): 1}, p)
         if pivot < dim:
             reps.append(tuple(sorted(z.items())))

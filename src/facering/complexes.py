@@ -9,9 +9,23 @@ Two degenerate complexes are distinguished by an explicit flag: the complex
 all).
 
 Derived data is memoized on the complex itself (`per_complex`) and freed
-with it, such as each degree-r monomial basis, one tuple per (complex, r),
-built once its size guard passes, the supports of its monomials, and the
-lattice table that steps each of them up to degree r + 1.
+with it, such as the degree-r monomials, built once their size guard
+passes, their supports, and the lattice table that steps each of them up
+to degree r + 1.
+
+The library works on monomials as packed integers, never as exponent
+tuples.  Within the lattice table of degree r, an exponent vector U is
+coded as the sum of U[t] * 2^(w * (n - 1 - t)) with w = (r + 1).bit_length():
+vertex 1 is the most significant digit, so ascending codes follow the lex
+order, and T + e_t is one int addition.  The width follows the degree so
+that every exponent of degrees r and r + 1 fits its digit, whatever the
+degree.  A fixed width would be correct only by the size guard, which
+counts monomials, not degrees: it caps the degree of a complex with an
+edge (r - 1 monomials in degree r) near DEFAULT_BASIS_LIMIT, but a
+0-dimensional complex reaches any degree.  The codes of one degree are
+memoized per (r, w), so consecutive tables share them except where the
+width grows.  Only `degree_monomials` decodes them into tuples, for
+readers outside the library.
 """
 
 from __future__ import annotations
@@ -19,7 +33,6 @@ from __future__ import annotations
 from functools import wraps
 from itertools import combinations
 from math import comb
-from operator import itemgetter
 
 DEFAULT_BASIS_LIMIT = 200_000
 
@@ -233,45 +246,79 @@ def degree_monomials(cx: SimplicialComplex, r: int) -> tuple:
     one per choice of |F| - 1 cut points in 1..r-1, which is the sum that
     count_degree_monomials counts.  More than DEFAULT_BASIS_LIMIT of them
     raise SizeLimitError before any is built or looked up.
+
+    The tuples are decoded, once per (complex, r), from the codes of the
+    lattice table of degree r (see the module docstring), where each
+    exponent fits its digit; the library itself reads only the codes.
     """
-    return _basis(cx, r)[0]
+    _guard(cx, r)
+    return _monomial_tuples(cx, r)
+
+
+@per_complex
+def _monomial_tuples(cx: SimplicialComplex, r: int) -> tuple:
+    w = _width(r)
+    mask, shifts = (1 << w) - 1, [w * (cx.n - v) for v in range(1, cx.n + 1)]
+    return tuple(tuple(code >> s & mask for s in shifts) for code in _coded(cx, r, w)[0])
 
 
 def monomial_supports(cx: SimplicialComplex, r: int) -> tuple:
     """The support of each degree-r monomial, in the order of degree_monomials:
     the face itself, as cx.faces() holds it, so monomials on one face share it."""
-    return _basis(cx, r)[1]
+    _guard(cx, r)
+    return _coded(cx, r, _width(r))[1]
 
 
-def _basis(cx: SimplicialComplex, r: int) -> tuple[tuple, tuple]:
-    """(degree_monomials, monomial_supports), the size guard run on every call."""
+def _guard(cx: SimplicialComplex, r: int) -> None:
+    """The size guard on the degree-r monomials, run before any is built or looked up."""
     total = count_degree_monomials(cx, r)
     if total > DEFAULT_BASIS_LIMIT:
         raise SizeLimitError(
             f"degree-{r} basis has {total} elements, above the guard of {DEFAULT_BASIS_LIMIT}"
         )
-    return _degree_monomials(cx, r)
+
+
+def _width(r: int) -> int:
+    """Bits per exponent in the lattice table of degree r, whose monomials
+    of degree r + 1 have exponents up to r + 1 < 2^width."""
+    return (r + 1).bit_length()
 
 
 @per_complex
-def _degree_monomials(cx: SimplicialComplex, r: int) -> tuple[tuple, tuple]:
-    """(the degree-r monomials, their supports), both in lex order of the monomials."""
+def _coded(cx: SimplicialComplex, r: int, w: int) -> tuple[tuple, tuple]:
+    """(the codes at width w of the degree-r monomials, ascending; their supports).
+
+    The exponent of vertex v is the digit at bit w * (n - v), which holds
+    it when r < 2^w; then ascending codes follow the lex order.
+    """
     if r < 0 or cx.is_void:
         return (), ()
     if r == 0:
-        return ((0,) * cx.n,), (frozenset(),)
-    out = []
+        return (0,), (frozenset(),)
+    support = {}
     for F in cx.faces():
-        if not F:
-            continue
-        positions = [v - 1 for v in sorted(F)]
-        for cuts in combinations(range(1, r), len(F) - 1):
-            vec = [0] * cx.n
-            for t, lo, hi in zip(positions, (0, *cuts), (*cuts, r)):
-                vec[t] = hi - lo
-            out.append((tuple(vec), F))
-    out.sort(key=itemgetter(0))
-    return tuple(zip(*out)) or ((), ())
+        if F:
+            places = [1 << w * (cx.n - v) for v in sorted(F)]
+            support.update(dict.fromkeys(_compositions(r, places), F))
+    codes = sorted(support)
+    return tuple(codes), tuple(map(support.__getitem__, codes))
+
+
+def _compositions(r: int, places: list):
+    """The codes sum of a_j places[j] over the compositions of r into
+    len(places) positive parts a_j.  A vertex face has the one monomial
+    r e_v, built directly, whatever r, and an edge's codes are a range."""
+    if len(places) == 1:
+        return (r * places[0],)
+    first, rest = places[0], places[1:]
+    if not rest[1:]:
+        # a e_first + (r - a) e_second codes as r second + a (first - second)
+        step = first - rest[0]
+        return range(r * rest[0] + step, r * rest[0] + r * step, step)
+    out = []
+    for a in range(1, r - len(rest) + 1):
+        out += map((a * first).__add__, _compositions(r - a, rest))
+    return out
 
 
 def monomial_table(cx: SimplicialComplex, r: int) -> tuple[tuple, tuple]:
@@ -282,20 +329,24 @@ def monomial_table(cx: SimplicialComplex, r: int) -> tuple[tuple, tuple]:
     monomial of degree r and c the position of T + e_t in
     degree_monomials(cx, r + 1), c ascending.  It is read off each monomial
     nu of degree r + 1: nu - e_t, for every t in its support, has a face as
-    support, so it has degree r.  The size guards of degrees r and r + 1
-    apply on every call.
+    support, so it has degree r.  Both degrees are coded at the width of
+    degree r (`_width`), so nu - e_t is one subtraction and its position
+    one int lookup.  The size guards of degrees r and r + 1 apply on every
+    call.
     """
     supports = monomial_supports(cx, r)
-    degree_monomials(cx, r + 1)
+    _guard(cx, r + 1)
     return supports, _monomial_steps(cx, r)
 
 
 @per_complex
 def _monomial_steps(cx: SimplicialComplex, r: int) -> tuple:
-    index = {T: k for k, T in enumerate(degree_monomials(cx, r))}
-    steps = [[] for _ in index]
-    for c, (nu, F) in enumerate(zip(*_degree_monomials(cx, r + 1))):
+    w = _width(r)
+    lower = _coded(cx, r, w)[0]
+    index = dict(zip(lower, range(len(lower))))
+    unit = [1 << w * (cx.n - v) for v in range(cx.n + 1)]  # unit[v]: the code of e_v
+    steps = [[] for _ in lower]
+    for c, (nu, F) in enumerate(zip(*_coded(cx, r + 1, w))):
         for v in F:
-            t = v - 1
-            steps[index[nu[:t] + (nu[t] - 1,) + nu[v:]]] += c, t
+            steps[index[nu - unit[v]]] += c, v - 1
     return tuple(map(tuple, steps))

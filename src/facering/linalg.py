@@ -23,14 +23,20 @@ would over Z (Kaczynski-Mrozek-Ślusarek 1998), and torsion brings the
 other pivots.  Ranks and pivot columns are read off the echelon rows, so
 every prefix of the rows has them exactly, with no second method.
 
-Every elimination takes sparse rows, which `_field_rows` maps into the
-field as new rows; a float raises TypeError, and no floating point is used
-anywhere.  `_reduce` brings an echelon form to the reduced echelon form:
-over Q the integer rows are divided by their pivots, and back-substitution
-clears the other pivot columns.  That form is unique, so it does not
-depend on the order of the rows.  Kernels (`kernel_vectors`) are read off
-it, and `_clear_pivots` writes a vector in its rows with no elimination.
-`Matrix` is only the dense form in which results are handed out.
+Every elimination takes sparse rows in the field: over F_p, ints, and
+over Q, integers.  The public `block_pivots` and `kernel_vectors` take
+exact entries, ints or Fractions, and map every row into the field as a
+new row (`_field_rows`), so a float raises TypeError and no floating point
+is used anywhere; their loops (`_block_pivots`, `_kernel_vectors`) take
+rows that are in the field already, as `sparse_rank` does.  The Artinian
+reduction maps its forms into the field once and builds its rows from
+them, and coboundary rows of ±1 need no mapping.  `_reduce` brings an
+echelon form to the reduced echelon form: over Q the integer rows are
+divided by their pivots, and back-substitution clears the other pivot
+columns.  That form is unique, so it does not depend on the order of the
+rows.  Kernels (`kernel_vectors`) are read off it, and `_clear_pivots`
+writes a vector in its rows with no elimination.  `Matrix` is only the
+dense form in which results are handed out.
 
 All pivot choices are "first nonzero", so every result (kernel bases,
 class representatives, ...) is deterministic.
@@ -374,23 +380,32 @@ def block_pivots(field: FieldSpec, blocks, ncols: int) -> tuple[list[int], list[
     vectors at the columns outside pivots[k] span the quotient by the rows
     of the first k blocks.  All of it is exact, over Q as over F_p.
 
-    The rows enter the field (`_field_rows`) and are inserted one at a time
-    (`_echelon_insert`), each adding one pivot or none, so every prefix's
-    rank is the number of echelon rows after it.  pivots[k] is the set of
-    leading columns of an echelon basis of the span of the first k blocks,
-    and that set depends only on the span (column c leads exactly when the
-    span's dimension grows on adding the coordinates at c), so it equals
-    the pivot columns of any forward elimination of the dense prefix.  Once
-    every column is a pivot no row can add rank, and later rows skip
-    elimination; every entry of every row still enters the field, so a
-    float raises TypeError, and over F_p a Fraction whose denominator p
-    divides raises ValueError.
+    Every entry of every row enters the field (`_field_rows`), so a float
+    raises TypeError, and over F_p a Fraction whose denominator p divides
+    raises ValueError; `_block_pivots` eliminates the new rows.
     """
     p = field.p
+    return _block_pivots((_field_rows(block, p) for block in blocks), ncols, p)
+
+
+def _block_pivots(blocks, ncols: int, p: int | None) -> tuple[list[int], list[list[int]]]:
+    """`block_pivots` of rows already in the field, which it consumes: over
+    F_p rows of ints, over Q rows of integers, primitive or not.
+
+    The rows are inserted one at a time (`_echelon_insert`), each adding one
+    pivot or none, so every prefix's rank is the number of echelon rows
+    after it.  pivots[k] is the set of leading columns of an echelon basis
+    of the span of the first k blocks, and that set depends only on the span
+    (column c leads exactly when the span's dimension grows on adding the
+    coordinates at c), so it equals the pivot columns of any forward
+    elimination of the dense prefix.  Once every column is a pivot no row
+    can add rank, and later rows skip elimination, though each is still
+    taken from its block.
+    """
     echelon: dict[int, dict[int, int]] = {}
     ranks, after = [0], [[]]
     for block in blocks:
-        for row in _field_rows(block, p):
+        for row in block:
             if len(echelon) < ncols:
                 _echelon_insert(echelon, row, p)
         ranks.append(len(echelon))
@@ -403,10 +418,17 @@ def kernel_vectors(field: FieldSpec, rows, ncols: int) -> list[dict]:
 
     One sparse vector {column: entry} per free column, in ascending order:
     1 at its free column (over Q, a positive integer), 0 at the other free
-    columns.  Over Q each is scaled to integers with no common factor.
+    columns.  Over Q each is scaled to integers with no common factor.  The
+    rows enter the field (`_field_rows`) as new rows, so a float raises
+    TypeError; `_kernel_vectors` eliminates them.
     """
     p = field.p
-    echelon = _sparse_echelon(_field_rows(rows, p), p, ncols)
+    return _kernel_vectors(_field_rows(rows, p), ncols, p)
+
+
+def _kernel_vectors(rows, ncols: int, p: int | None) -> list[dict]:
+    """`kernel_vectors` of rows already in the field, which it consumes."""
+    echelon = _sparse_echelon(rows, p, ncols)
     _reduce(echelon, p)
     vectors = {free: {free: 1} for free in range(ncols) if free not in echelon}
     for c, row in echelon.items():

@@ -44,8 +44,7 @@ from itertools import accumulate, combinations
 from math import comb
 
 from .cohomology import _induced_map, cohomology_by_face, cohomology_by_size, relative_cohomology_dim
-from .complexes import (SimplicialComplex, degree_monomials, monomial_supports, monomial_table,
-                        per_complex)
+from .complexes import SimplicialComplex, monomial_supports, monomial_table, per_complex
 from .linalg import QQ, FieldSpec, Matrix, block_pivots
 
 GENERIC_TRIES = 64  # draws of a whole matrix before make_generic gives up
@@ -65,12 +64,12 @@ def binom0(a: int, b: int) -> int:
 
 class GradedPiece:
     """The degree -r piece in cohomological degree l, as an ordered block sum,
-    one block per degree-r monomial (`degree_monomials`), sized by its support."""
+    one block per degree-r monomial in the order of `degree_monomials`,
+    sized by its support (`monomial_supports`)."""
 
-    __slots__ = ("vectors", "dims", "offsets", "total_dim")
+    __slots__ = ("dims", "offsets", "total_dim")
 
     def __init__(self, cx, ell, r, field):
-        self.vectors = degree_monomials(cx, r)
         by_face = cohomology_by_face(cx, ell - 1, field)
         self.dims = tuple(by_face[F] for F in monomial_supports(cx, r))
         *offsets, self.total_dim = accumulate(self.dims, initial=0)

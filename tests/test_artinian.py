@@ -72,6 +72,22 @@ def test_fraction_coefficients_match_full_stack_oracle(field):
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_float_coefficient_is_refused(field):
+    # each form enters the field once, and a float has no exact image there
+    points = SimplicialComplex(2, [[1], [2]])
+    coeffs = GenericCoefficients(Matrix(QQ, [[0.5], [3]]))
+    with pytest.raises(TypeError):
+        reduction_hilbert(points, coeffs, 1, 3, field)
+
+
+def test_fraction_coefficient_needs_a_denominator_prime_to_p():
+    points = SimplicialComplex(2, [[1], [2]])
+    coeffs = GenericCoefficients(Matrix(QQ, [[Fraction(1, 5)], [3]]))
+    with pytest.raises(ValueError):
+        reduction_hilbert(points, coeffs, 1, 3, GF(5))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
 def test_every_prefix_of_one_reduction_matches_its_own_run(field):
     # the first k blocks of each degree's stack are the stack of k forms, so
     # one elimination gives every prefix: each equals a separate run on the

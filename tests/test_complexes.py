@@ -227,23 +227,52 @@ def test_degree_monomials_built_once_behind_the_guard(monkeypatch):
     assert len(degree_monomials(octahedron, 6)) == 146
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(small_complexes(), st.integers(0, 4))
-def test_generated_monomial_table_matches_membership(cx, r):
-    # each T of degree r steps to T + e_t exactly when T + e_t is a monomial
-    # of degree r + 1, found here by a membership test on that basis
+def _check_table_by_membership(cx, r, lower, upper):
+    """monomial_table(cx, r) against the monomials of degrees r and r + 1:
+    each T of degree r steps to T + e_t exactly when T + e_t is a monomial
+    of degree r + 1, found here by a membership test on that basis."""
     supports, steps = monomial_table(cx, r)
-    lower, upper = degree_monomials(cx, r), degree_monomials(cx, r + 1)
     assert supports is monomial_supports(cx, r) and len(steps) == len(lower)
+    position = {U: c for c, U in enumerate(upper)}
     for T, F, flat in zip(lower, supports, steps):
         assert F == frozenset(t + 1 for t, u in enumerate(T) if u)
         assert all(type(x) is int for x in flat)
         want = []
         for t in range(cx.n):
             U = T[:t] + (T[t] + 1,) + T[t + 1:]
-            if U in upper:
-                want.append((upper.index(U), t))
+            if U in position:
+                want.append((position[U], t))
         assert list(zip(flat[::2], flat[1::2])) == sorted(want)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(small_complexes(), st.integers(0, 4))
+def test_generated_monomial_table_matches_membership(cx, r):
+    _check_table_by_membership(cx, r, degree_monomials(cx, r), degree_monomials(cx, r + 1))
+
+
+def test_monomial_codes_where_the_width_grows(cycle3, bowtie):
+    # the lattice table of degree r codes the exponents of degrees r and
+    # r + 1 in (r + 1).bit_length() bits, which grows at r + 2 = 2^k; on two
+    # points every degree holds (0, r) and (r, 0), past 2^32 as well
+    points = SimplicialComplex(2, [[1], [2]])
+    for r in [2**k - d for k in (2, 3, 5, 8, 13, 20) for d in (3, 2, 1, 0)] + [2**32 + 1]:
+        lower, upper = ((0, r), (r, 0)), ((0, r + 1), (r + 1, 0))
+        assert degree_monomials(points, r) == lower
+        assert monomial_supports(points, r) == (frozenset({2}), frozenset({1}))
+        _check_table_by_membership(points, r, lower, upper)
+        assert monomial_table(points, r)[1] == ((0, 1), (1, 0))
+    # the bases read back sorted, distinct, of sum r on faces and as many
+    # as counted, so they are all the monomials, in lex order
+    for cx in (cycle3, bowtie):
+        for r in [*range(62, 67), *range(126, 131)]:
+            basis = degree_monomials(cx, r)
+            assert list(basis) == sorted(set(basis))
+            assert len(basis) == count_degree_monomials(cx, r)
+            assert all(sum(U) == r and frozenset(t + 1 for t, u in enumerate(U) if u) in cx
+                       for U in basis)
+        for r in [*range(62, 66), *range(126, 130)]:
+            _check_table_by_membership(cx, r, degree_monomials(cx, r), degree_monomials(cx, r + 1))
 
 
 def test_monomial_table_is_built_once_behind_both_guards(monkeypatch):
