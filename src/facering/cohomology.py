@@ -12,21 +12,26 @@ tau = emptyset gives the reduced (augmented) complex, including the
 Dimensions come from ranks alone: dim H^i = dim C^i - rank delta^i -
 rank delta^(i-1).  A rank never builds a Matrix.  The faces are numbered
 once per complex, by size and then lexicographically, and a coface table
-gives each face G the entries (id of G + {v}, sign).  One walk up that
-table from tau gives its star, the faces containing it, level by level:
-each level is the sorted union of the cofaces of the level below.  One
-pass over the levels (`_pair_ranks`) then gives (dim C^k, rank delta^k)
-for every degree k >= |tau| - 1, one tuple per (face, field), which every
-degree of H^*(X, cost tau) reads.  The row of delta^k at a (k+1)-face H
-of the star gathers {-id of G: sign} from the coface lists of the k-faces
-G, a sparse row of +-1 whose columns run backwards through the
-lexicographic order, and `linalg.sparse_rank` eliminates the rows in the
-lexicographic order of H.  Over Q the pivots are mostly +-1 and the
+gives each face G the entries (id of G + {v}, sign), read off the sorted
+tuple of each face H: its boundary faces are its combinations of one
+vertex fewer, looked up by tuple.  One walk up that table from tau gives
+its star, the faces containing it, level by level: each level is the
+sorted union of the cofaces of the level below.  One pass over the levels
+(`_pair_ranks`) then gives (dim C^k, rank delta^k) for every degree
+k >= |tau| - 1, one tuple per (face, field), which every degree of
+H^*(X, cost tau) reads.  The link's first two levels need no elimination:
+rank delta^(|tau|-1) is 1 when lk tau has a vertex, and rank delta^|tau|
+is the link's vertex count minus its component count, over every field,
+counted by a union-find.  From the link's edges up, the row of delta^k at
+a (k+1)-face H of the star gathers {-id of G: sign} from the coface lists
+of the k-faces G, a sparse row of +-1 whose columns run backwards through
+the lexicographic order, and `linalg.sparse_rank` eliminates the rows in
+the lexicographic order of H.  Over Q the pivots are mostly +-1 and the
 entries stay integers; torsion, such as that of rp2_6, brings a leading
-entry other than +-1, which the same loop divides by exactly.  Since delta^k
-delta^(k-1) = 0, rank delta^k <= dim C^k - rank delta^(k-1), and the
-elimination stops there: on a face whose link has no cohomology in degree
-k, the rows past the rank are never reduced.
+entry other than +-1, which the same loop divides by exactly.  Since
+delta^k delta^(k-1) = 0, rank delta^k <= dim C^k - rank delta^(k-1), and
+the elimination stops there: on a face whose link has no cohomology in
+degree k, the rows past the rank are never reduced.
 
 Cocycle bases are built only for the contravariant maps induced by
 contrastar inclusions, a second route to the same dimensions: its sparse
@@ -61,6 +66,7 @@ indistinguishable from the first result.
 
 from __future__ import annotations
 
+from itertools import combinations
 from types import MappingProxyType
 
 from .complexes import SimplicialComplex, per_complex
@@ -83,12 +89,22 @@ def _face_ids(cx: SimplicialComplex) -> tuple[dict, list]:
 @per_complex
 def _cofaces(cx: SimplicialComplex) -> list:
     """For each face G, by id: (id of G + {v}, sign) for each coface, ascending,
-    with sign (-1)^(position of v in the sorted coface)."""
-    ids = _face_ids(cx)[0]
-    cofaces = [[] for _ in ids]
-    for H, h in ids.items():
-        for pos, v in enumerate(sorted(H)):
-            cofaces[ids[H - {v}]].append((h, -1 if pos & 1 else 1))
+    with sign (-1)^(position of v in the sorted coface).
+
+    Each face H is read as its sorted tuple t, held only while the table is
+    built: its boundary faces are combinations(t, |H| - 1), which omit the
+    positions |H| - 1, ..., 1, 0 in turn, and are looked up in a tuple -> id
+    index, so no frozenset H - {v} is built.
+    """
+    index = {tuple(sorted(H)): h for H, h in _face_ids(cx)[0].items()}
+    # odd[s]: the parities of the omitted positions s - 1, ..., 1, 0 in turn
+    odd = [[pos & 1 for pos in range(s - 1, -1, -1)] for s in range(cx.dim + 2)]
+    cofaces = [[] for _ in index]
+    for t, h in index.items():
+        if t:
+            entry = (h, 1), (h, -1)  # shared by the faces of H
+            for G, parity in zip(combinations(t, len(t) - 1), odd[len(t)]):
+                cofaces[index[G]].append(entry[parity])
     return cofaces
 
 
@@ -137,16 +153,27 @@ def coboundary_rows(cx: SimplicialComplex, tau: frozenset, k: int) -> list[dict]
 def _pair_ranks(cx: SimplicialComplex, tau: frozenset, field: FieldSpec) -> tuple:
     """(dim C^k, rank delta^k) of (X, cost tau) for k = |tau| - 1, |tau|, ..., dim X.
 
-    The row of delta^k at a (k+1)-face H of the star gathers {-id of G: sign}
+    The first two ranks need no elimination.  delta^(|tau|-1) sends the
+    one cochain dual to tau to its cofaces, so its rank is 1 when lk tau
+    has a vertex.  delta^|tau| goes from the link's vertices to its edges,
+    so over every field its rank is the number of vertices minus the
+    number of components (`_forest_rank`).  From the link's edges up, the
+    row of delta^k at a (k+1)-face H of the star gathers {-id of G: sign}
     from the coface lists of the k-faces G, and the rows go to `sparse_rank`
     in ascending H, at most dim C^k - rank delta^(k-1) of them eliminated
     (see the module docstring).
     """
     cofaces, levels = _cofaces(cx), _star(cx, tau)[len(tau):]
     ranks, rank = [], 0
-    for level, above in zip(levels, levels[1:] + [[]]):
-        most, rank = len(level) - rank, 0
-        if most and above:
+    for k, (level, above) in enumerate(zip(levels, levels[1:] + [[]])):
+        most = len(level) - rank
+        if not (most and above):
+            rank = 0
+        elif k == 0:  # tau to its cofaces
+            rank = 1
+        elif k == 1:  # the link's vertices to its edges
+            rank = _forest_rank(cofaces, level)
+        else:
             rows = {h: {} for h in above}
             for g in level:
                 for h, sign in cofaces[g]:
@@ -154,6 +181,28 @@ def _pair_ranks(cx: SimplicialComplex, tau: frozenset, field: FieldSpec) -> tupl
             rank = sparse_rank(field, rows.values(), most)
         ranks.append((len(level), rank))
     return tuple(ranks)
+
+
+def _forest_rank(cofaces: list, vertices: list) -> int:
+    """The number of edges of a spanning forest of the graph whose vertices
+    are the faces `vertices` and whose edges are their shared cofaces:
+    the vertex count minus the component count.
+
+    A union-find with path halving, so a long path stays linear.  Each
+    coface joins the tree of the first vertex that reached it to the tree of
+    the vertex g at hand, whose root stays g: every join hangs a root under g.
+    """
+    parent, first, joined = {}, {}, 0
+    for g in vertices:
+        parent[g] = g
+        for h, _ in cofaces[g]:
+            a = first.setdefault(h, g)
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            if a != g:
+                parent[a] = g
+                joined += 1
+    return joined
 
 
 def relative_cohomology_dim(cx: SimplicialComplex, tau, i: int, field: FieldSpec) -> int:

@@ -2,7 +2,12 @@
 
 Faces are frozensets of 1-based vertex labels.  Wherever faces are listed,
 they are ordered by the sorted tuple of their vertices (lexicographically),
-so every matrix built downstream has a reproducible layout.
+so every matrix built downstream has a reproducible layout.  The faces are
+closed as those sorted tuples, the combinations of each facet's sorted
+vertices, so a subface shared by many facets costs a duplicate tuple, not a
+new frozenset; one sort of the distinct tuples lists every size in lex
+order, and each distinct face becomes one frozenset.  The tuples are not
+kept.
 
 Two degenerate complexes are distinguished by an explicit flag: the complex
 {emptyset} (facet list empty, not void) and the void complex (no faces at
@@ -31,7 +36,7 @@ readers outside the library.
 from __future__ import annotations
 
 from functools import wraps
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 DEFAULT_BASIS_LIMIT = 200_000
@@ -115,12 +120,16 @@ class SimplicialComplex:
         return self.dim + 1
 
     def faces(self) -> frozenset:
-        """All faces; more than DEFAULT_BASIS_LIMIT of them raises SizeLimitError."""
+        """All faces; more than DEFAULT_BASIS_LIMIT of them raises SizeLimitError.
+
+        The faces are closed as sorted tuples (see the module docstring),
+        and the buckets of `faces_of_dim` are filled in the same pass over
+        their one sort.  The guard counts the empty face.
+        """
         if self._faces is None:
-            if self.is_void:
-                fs = frozenset()
-            else:
-                acc = {frozenset()}
+            buckets = {}
+            if not self.is_void:
+                acc = {()}
                 for f in self.facets:
                     if 2 ** len(f) > DEFAULT_BASIS_LIMIT:
                         raise SizeLimitError(
@@ -129,14 +138,16 @@ class SimplicialComplex:
                         )
                     members = sorted(f)
                     for k in range(1, len(members) + 1):
-                        acc.update(frozenset(c) for c in combinations(members, k))
+                        acc.update(combinations(members, k))
                     if len(acc) > DEFAULT_BASIS_LIMIT:
                         raise SizeLimitError(
                             f"the complex has more than {DEFAULT_BASIS_LIMIT} faces, "
                             "above the guard"
                         )
-                fs = frozenset(acc)
-            object.__setattr__(self, "_faces", fs)
+                for t in sorted(acc):
+                    buckets.setdefault(len(t), []).append(frozenset(t))
+            object.__setattr__(self, "_by_dim", buckets)
+            object.__setattr__(self, "_faces", frozenset(chain.from_iterable(buckets.values())))
         return self._faces
 
     def __contains__(self, F) -> bool:
@@ -145,15 +156,13 @@ class SimplicialComplex:
     def faces_of_dim(self, k: int) -> list:
         """All k-dimensional faces in lexicographic order; k = -1 gives [emptyset].
 
-        The faces are sorted once per complex; each call copies one bucket.
+        The buckets are filled by `faces`, from its one sort of the sorted
+        tuples; each call copies one bucket.
         """
         if k < -1:
             raise ValueError("dimension below -1")
         if self._by_dim is None:
-            buckets = {}
-            for f in sorted(self.faces(), key=face_key):
-                buckets.setdefault(len(f), []).append(f)
-            object.__setattr__(self, "_by_dim", buckets)
+            self.faces()
         return list(self._by_dim.get(k + 1, ()))
 
     def is_pure(self) -> bool:

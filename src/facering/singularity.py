@@ -8,24 +8,27 @@ Reisner's criterion).  Buchsbaumness (Schenzel) and the codimension-c
 Cohen-Macaulay conditions are expressed through links as well.
 
 No link complex is built: H~^i(lk F) = H^(i+|F|)(X, cost F), so every link
-condition is read from the parent's pair cohomology.  One table per (complex,
-field) holds, for each face H, its depth, the least k >= |H| - 1 with
-H^k(X, cost H) != 0 (capped at dim X), and the least depth of a face
-containing H, and top H, one less than the size of the largest facet over
-H.  It is filled from the largest faces down, each face reading the entries
-of its cofaces H + {v} from the coface table (`cohomology._cofaces`), with
-no scan of the facets: a face with no cofaces is a facet, and the facets
-over any other face are those over its cofaces.  So the vertices common to
-the facets over H are the intersection of its cofaces' (kept as bit masks,
-for the level above only), and when they include a vertex outside H, lk H
-is a cone, which is acyclic, so depth H = dim X with no elimination.  Every
-other depth reads one tuple of coboundary ranks per (face, field), from
-one pass up the star of H in the coface table (`cohomology._pair_ranks`),
-which holds every degree at once.  F is singular iff depth F < dim X.
-lk F is Cohen-Macaulay iff no face H containing F has depth below top F =
-dim lk F + |F|, since the link of H - F in lk F is lk H.  The link route
-lives only in the link-iso oracle of the verification ledger and in the
-tests.
+condition is read from the parent's pair cohomology.  One table per
+(complex, field) holds, for each face H, its depth, the least k >= |H| - 1
+with H^k(X, cost H) != 0 (capped at dim X), and the least depth of a face
+containing H, and top H, one less than the size of the largest facet over H.
+It is filled from the largest faces down, each face reading the entries of
+its cofaces H + {v} from the coface table (`cohomology._cofaces`), with no
+scan of the facets: a face with no cofaces is a facet, and the facets over
+any other face are those over its cofaces.  So the vertices common to the
+facets over H are the intersection of its cofaces' (kept as bit masks, for
+the level above only), and when they include a vertex outside H, lk H is a
+cone, which is acyclic, so depth H = dim X with no elimination.  The lowest
+degree is settled by the coface table too: H^(|H|-1)(X, cost H) =
+H~^-1(lk H) is nonzero exactly when H is a facet, so a facet has depth
+|H| - 1 (at most dim X), and the search for any other face starts at degree
+|H|, so a non-facet of size dim X reads no ranks at all.  Every other
+depth reads one tuple of coboundary ranks per (face, field), from one pass
+up the star of H in the coface table (`cohomology._pair_ranks`), which
+holds every degree at once.  F is singular iff depth F < dim X.  lk F is Cohen-Macaulay iff no
+face H containing F has depth below top F = dim lk F + |F|, since the link
+of H - F in lk F is lk H.  The link route lives only in the link-iso oracle
+of the verification ledger and in the tests.
 """
 
 from __future__ import annotations
@@ -56,16 +59,17 @@ def _depths(cx: SimplicialComplex, field: FieldSpec) -> dict:
         level, first = [], start[size + 1]
         for g, H in enumerate(cx.faces_of_dim(size - 1), start[size]):
             up = [above[h - first] for h, _ in cofaces[g]]
-            if up:
+            if not up:  # H is a facet: H^(|H|-1)(X, cost H) = H~^-1({emptyset}) != 0
+                top, common = size - 1, sum(1 << v for v in H)
+                depth = top  # at most r, with equality on the largest facets
+            else:
                 top = max(u[1] for u in up)
                 common = reduce(and_, (u[2] for u in up))
-            else:  # H is a facet
-                top, common = size - 1, sum(1 << v for v in H)
-            if common.bit_count() > size:
-                depth = r  # lk H is a cone, acyclic over every field
-            else:
-                depth = next((k for k in range(size - 1, r)
-                              if relative_cohomology_dim(cx, H, k, field)), r)
+                if common.bit_count() > size:
+                    depth = r  # lk H is a cone, acyclic over every field
+                else:  # H^(|H|-1)(X, cost H) = H~^-1(lk H) = 0, as lk H has a vertex
+                    depth = next((k for k in range(size, r)
+                                  if relative_cohomology_dim(cx, H, k, field)), r)
             least = min([depth, *(u[0] for u in up)])
             level.append((least, top, common))
             table[H] = depth, least, top

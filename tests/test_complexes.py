@@ -4,17 +4,20 @@ import gc
 import json
 import random
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from facering import cohomology
 from facering.complexes import (
     SimplicialComplex,
     SizeLimitError,
     count_degree_monomials,
     degree_monomials,
+    face_key,
+    mixed_face_key,
     monomial_supports,
     monomial_table,
 )
@@ -64,6 +67,54 @@ def test_faces_size_guard():
     # two facets of 2^17 faces each pass one by one but not together
     with pytest.raises(SizeLimitError, match="more than"):
         SimplicialComplex(34, [range(1, 18), range(18, 35)]).faces()
+
+
+def test_faces_size_guard_boundary(monkeypatch):
+    # the guard counts the empty face: the simplex on 3 vertices has 8 faces
+    monkeypatch.setattr("facering.complexes.DEFAULT_BASIS_LIMIT", 8)
+    assert len(SimplicialComplex(3, [range(1, 4)]).faces()) == 8
+    with pytest.raises(SizeLimitError, match="more than 8 faces"):
+        SimplicialComplex(4, [range(1, 4), [4]]).faces()
+
+
+def _faces_by_definition(cx):
+    """Every subset of every facet, the empty face included unless cx is void."""
+    if cx.is_void:
+        return set()
+    return {frozenset(c) for f in cx.facets for k in range(len(f) + 1)
+            for c in combinations(f, k)} | {frozenset()}
+
+
+def _check_face_layer(cx):
+    """faces, faces_of_dim, the face ids and the coface table against their definitions."""
+    faces = _faces_by_definition(cx)
+    assert cx.faces() == faces
+    top = max(map(len, faces), default=0)
+    for k in range(-1, top + 1):
+        assert cx.faces_of_dim(k) == sorted((F for F in faces if len(F) == k + 1), key=face_key)
+    if cx.is_void:
+        return
+    ids, start = cohomology._face_ids(cx)
+    by_id = sorted(faces, key=mixed_face_key)
+    assert ids == {F: g for g, F in enumerate(by_id)}
+    assert start == [sum(1 for F in faces if len(F) < s) for s in range(top + 2)]
+    # each coface H = G + {v} with (-1)^(position of v in sorted H), by ascending id
+    assert cohomology._cofaces(cx) == [
+        sorted((ids[H], (-1) ** sorted(H).index(min(H - G)))
+               for H in faces if G < H and len(H) == len(G) + 1)
+        for G in by_id]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(small_complexes())
+def test_generated_face_layer_matches_definition(cx):
+    _check_face_layer(cx)
+
+
+def test_face_layer_of_degenerate_complexes(complexes):
+    for cx in (SimplicialComplex(3, []), SimplicialComplex(3, [], is_void=True),
+               *complexes.values()):
+        _check_face_layer(cx)
 
 
 def test_faces_of_dim_ordering(cycle3, bowtie):

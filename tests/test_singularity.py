@@ -1,11 +1,12 @@
 """Singular face classification and the codimension Cohen-Macaulay criteria."""
 
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 
-from facering import linalg
+from facering import cohomology, linalg
 from facering.cohomology import reduced_cohomology_dim, relative_cohomology_dim
 from facering.complexes import SimplicialComplex
 from facering.linalg import GF, QQ, sparse_rank
@@ -138,20 +139,42 @@ def test_generated_pair_route_matches_links(cx):
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(small_complexes())
 def test_depth_table_matches_pair_cohomology(cx):
-    # the cone shortcut skips elimination; every entry must still be the least
-    # k >= |H| - 1 with H^k(X, cost H) != 0, capped at dim X.  top, built from
-    # the cofaces' entries, is the largest facet over H, found here by a scan
+    # the cone and facet shortcuts, and the search from degree |H| for a
+    # non-facet, skip elimination; every entry must still be the least
+    # k >= |H| - 1 with H^k(X, cost H) != 0, capped at dim X, found here by
+    # reading every degree.  top, built from the cofaces' entries, is the
+    # largest facet over H, found here by a scan
     r = cx.dim
     for field in (QQ, GF(2)):
-        depth = {H: next((k for k in range(len(H) - 1, r)
-                          if relative_cohomology_dim(cx, H, k, field)), r)
-                 for H in cx.faces()}
+        depth = {}
+        for H in cx.faces():
+            dims = [relative_cohomology_dim(cx, H, k, field) for k in range(len(H) - 1, r)]
+            if len(H) <= r:  # H^(|H|-1)(X, cost H) = H~^-1(lk H) != 0 exactly on facets
+                assert (dims[0] != 0) == (H in cx.facets)
+            depth[H] = next((len(H) - 1 + j for j, dim in enumerate(dims) if dim), r)
         table = _depths(cx, field)
         assert set(table) == set(depth)
         for H, (d, least, top) in table.items():
             assert d == depth[H]
             assert least == min(depth[G] for G in depth if H <= G)
             assert top == max((len(f) for f in cx.facets if H <= f), default=0) - 1
+
+
+def test_long_path_components_by_union_find(monkeypatch):
+    # H~^0 of a graph is read from its vertices and edges alone: a path on
+    # 3,000 shuffled labels is connected and acyclic, and cut in the middle
+    # it has two components
+    labels = list(range(1, 3001))
+    random.Random(0).shuffle(labels)
+    edges = list(zip(labels, labels[1:]))
+    path = SimplicialComplex(3000, edges)
+    cut = SimplicialComplex(3000, edges[:1500] + edges[1501:])
+    monkeypatch.setattr(cohomology, "sparse_rank", None)  # no elimination
+    for field in (QQ, GF(2)):
+        assert [reduced_cohomology_dim(path, i, field) for i in (-1, 0, 1)] == [0, 0, 0]
+        assert singular_faces(path, field) == []
+        assert [reduced_cohomology_dim(cut, i, field) for i in (-1, 0, 1)] == [0, 1, 0]
+        assert singular_faces(cut, field) == [frozenset()]
 
 
 def _count_gcds(monkeypatch):
