@@ -42,7 +42,7 @@ from .local_cohomology import GenericCoefficients, make_generic, vandermonde_coe
 
 # The guard on one reduction: cells summed over all degrees, where each degree
 # is also charged DEGREE_CELLS for its fixed Python cost, so no run passes
-# 5,000 degrees.  The benchmark's reductions reach 992,065 cells.
+# 5,000 degrees.
 REDUCTION_CELL_LIMIT = 5_000_000
 DEGREE_CELLS = 1_000
 

@@ -10,16 +10,12 @@ tau = emptyset gives the reduced (augmented) complex, including the
 {emptyset} is the field.
 
 Dimensions come from ranks alone: dim H^i = dim C^i - rank delta^i -
-rank delta^(i-1).  A rank never builds a Matrix.  The faces are numbered
-once per complex, by size and then lexicographically, and a coface table
-gives each face G the entries (id of G + {v}, sign), read off the sorted
-tuple of each face H: its boundary faces are its combinations of one
-vertex fewer, looked up by tuple.  One walk up that table from tau gives
-its star, the faces containing it, level by level: each level is the
-sorted union of the cofaces of the level below.  One pass over the levels
-(`_pair_ranks`) then gives (dim C^k, rank delta^k) for every degree
-k >= |tau| - 1, one tuple per (face, field), which every degree of
-H^*(X, cost tau) reads.  The link's first two levels need no elimination:
+rank delta^(i-1), and a rank never builds a Matrix.  The star of tau, the
+faces containing it by size, is one walk up the face table
+(`complexes.face_table`): each level is the sorted union of the cofaces of
+the level below.  One pass over the levels (`_pair_ranks`) gives
+(dim C^k, rank delta^k) for every degree k >= |tau| - 1, one tuple per
+(face, field).  The link's first two levels need no elimination:
 rank delta^(|tau|-1) is 1 when lk tau has a vertex, and rank delta^|tau|
 is the link's vertex count minus its component count, over every field,
 counted by a union-find.  From the link's edges up, the row of delta^k at
@@ -56,70 +52,34 @@ per (complex, k, field) holds each face's dimension (`cohomology_by_face`,
 filled by `relative_cohomology_dim`) and their sums h_s over the faces of
 size s (`cohomology_by_size`).
 
-Coboundary rows are not memoized; face ids, coface tables, stars,
-cochain bases, rank tuples, cohomology tables, class representatives (sparse
-vectors) with their reduced echelon forms, and induced maps (their rows)
-are memoized on the complex object (`per_complex`) and freed with it.
+Coboundary rows and stars are not memoized; cochain bases, rank tuples,
+cohomology tables, class representatives (sparse vectors) with their
+reduced echelon forms, and induced maps (their rows) are memoized on the
+complex object (`per_complex`) and freed with it.
 Outputs are immutable, so an entry recomputed under a race is
 indistinguishable from the first result.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from types import MappingProxyType
 
-from .complexes import SimplicialComplex, per_complex
+from .complexes import SimplicialComplex, face_table, per_complex
 from .linalg import (FieldSpec, Matrix, _clear_pivots, _echelon_insert, _kernel_vectors, _reduce,
                      sparse_rank)
 
 
-@per_complex
-def _face_ids(cx: SimplicialComplex) -> tuple[dict, list]:
-    """(face -> id, start): faces are numbered by size, then lexicographically,
-    so the faces of size s have the ids start[s] .. start[s + 1] - 1."""
-    ids, start = {}, [0]
-    for k in range(-1, cx.dim + 1):
-        for F in cx.faces_of_dim(k):
-            ids[F] = len(ids)
-        start.append(len(ids))
-    return ids, start
-
-
-@per_complex
-def _cofaces(cx: SimplicialComplex) -> list:
-    """For each face G, by id: (id of G + {v}, sign) for each coface, ascending,
-    with sign (-1)^(position of v in the sorted coface).
-
-    Each face H is read as its sorted tuple t, held only while the table is
-    built: its boundary faces are combinations(t, |H| - 1), which omit the
-    positions |H| - 1, ..., 1, 0 in turn, and are looked up in a tuple -> id
-    index, so no frozenset H - {v} is built.
-    """
-    index = {tuple(sorted(H)): h for H, h in _face_ids(cx)[0].items()}
-    # odd[s]: the parities of the omitted positions s - 1, ..., 1, 0 in turn
-    odd = [[pos & 1 for pos in range(s - 1, -1, -1)] for s in range(cx.dim + 2)]
-    cofaces = [[] for _ in index]
-    for t, h in index.items():
-        if t:
-            entry = (h, 1), (h, -1)  # shared by the faces of H
-            for G, parity in zip(combinations(t, len(t) - 1), odd[len(t)]):
-                cofaces[index[G]].append(entry[parity])
-    return cofaces
-
-
-@per_complex
 def _star(cx: SimplicialComplex, tau: frozenset) -> list:
     """The faces containing tau, by size: ascending ids.
 
     A walk up the coface table from tau: each level is the sorted union of
     the cofaces of the level below.
     """
-    ids, start = _face_ids(cx)
+    _, start, ids, cofaces = face_table(cx)
     tid = ids.get(tau)
     if tid is None:
         return []
-    cofaces, star, level = _cofaces(cx), [[] for _ in tau], [tid]
+    star, level = [[] for _ in tau], [tid]
     while level:
         star.append(level)
         level = sorted({h for g in level for h, _ in cofaces[g]})
@@ -130,11 +90,10 @@ def _star(cx: SimplicialComplex, tau: frozenset) -> list:
 def relative_cochain_basis(cx: SimplicialComplex, tau: frozenset, k: int) -> tuple:
     """k-dimensional faces containing tau, lexicographically ordered."""
     star = _star(cx, tau)
-    if not 0 <= k + 1 < len(star) or not star[k + 1]:
+    if not 0 <= k + 1 < len(star):
         return ()
-    first = _face_ids(cx)[1][k + 1]
-    faces = cx.faces_of_dim(k)
-    return tuple(faces[i - first] for i in star[k + 1])
+    faces = face_table(cx)[0]
+    return tuple(faces[g] for g in star[k + 1])
 
 
 def coboundary_rows(cx: SimplicialComplex, tau: frozenset, k: int) -> list[dict]:
@@ -163,7 +122,7 @@ def _pair_ranks(cx: SimplicialComplex, tau: frozenset, field: FieldSpec) -> tupl
     in ascending H, at most dim C^k - rank delta^(k-1) of them eliminated
     (see the module docstring).
     """
-    cofaces, levels = _cofaces(cx), _star(cx, tau)[len(tau):]
+    cofaces, levels = face_table(cx)[3], _star(cx, tau)[len(tau):]
     ranks, rank = [], 0
     for k, (level, above) in enumerate(zip(levels, levels[1:] + [[]])):
         most = len(level) - rank

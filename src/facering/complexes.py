@@ -1,13 +1,17 @@
 """Simplicial complexes on the vertex set {1, ..., n}, stored by their facets.
 
 Faces are frozensets of 1-based vertex labels.  Wherever faces are listed,
-they are ordered by the sorted tuple of their vertices (lexicographically),
-so every matrix built downstream has a reproducible layout.  The faces are
-closed as those sorted tuples, the combinations of each facet's sorted
-vertices, so a subface shared by many facets costs a duplicate tuple, not a
-new frozenset; one sort of the distinct tuples lists every size in lex
-order, and each distinct face becomes one frozenset.  The tuples are not
-kept.
+they are ordered by size and then by the sorted tuple of their vertices
+(lexicographically), so every matrix built downstream has a reproducible
+layout.  The faces are closed as those sorted tuples, the combinations of
+each facet's sorted vertices, so a subface shared by many facets costs a
+duplicate tuple, not a new frozenset; one sort per size fixes the order,
+and each distinct face becomes one frozenset.
+
+That order numbers the faces once per complex: the face table
+(`face_table`) gives each face its id and the signed entries of its
+cofaces.  The pair cohomology walks up this table from a face to its star,
+and the depth table of `singularity` reads it from the largest faces down.
 
 Two degenerate complexes are distinguished by an explicit flag: the complex
 {emptyset} (facet list empty, not void) and the void complex (no faces at
@@ -36,7 +40,7 @@ readers outside the library.
 from __future__ import annotations
 
 from functools import wraps
-from itertools import chain, combinations
+from itertools import accumulate, combinations
 from math import comb
 
 DEFAULT_BASIS_LIMIT = 200_000
@@ -44,10 +48,6 @@ DEFAULT_BASIS_LIMIT = 200_000
 
 class SizeLimitError(ValueError):
     """A requested basis enumeration exceeds the configured size guard."""
-
-
-def face_key(F) -> tuple:
-    return tuple(sorted(F))
 
 
 def mixed_face_key(F) -> tuple:
@@ -76,7 +76,7 @@ def per_complex(fn):
 
 
 class SimplicialComplex:
-    __slots__ = ("n", "facets", "is_void", "_faces", "_by_dim", "_memo", "_hash")
+    __slots__ = ("n", "facets", "is_void", "_faces", "_order", "_start", "_memo", "_hash")
 
     def __init__(self, n: int, facets, is_void: bool = False):
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
@@ -92,13 +92,20 @@ class SimplicialComplex:
             clean.add(fs)
         if is_void and clean:
             raise ValueError("the void complex has no facets")
-        # absorb inclusion-dominated entries
-        maximal = {f for f in clean if not any(f < g for g in clean)}
+        # absorb inclusion-dominated entries: a facet over f passes through
+        # every vertex of f, so f is tested against those through its rarest
+        through = {}
+        for f in clean:
+            for v in f:
+                through.setdefault(v, []).append(f)
+        maximal = [f for f in clean
+                   if not any(f < g for g in min((through[v] for v in f), key=len))]
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "facets", frozenset(maximal))
         object.__setattr__(self, "is_void", bool(is_void))
         object.__setattr__(self, "_faces", None)
-        object.__setattr__(self, "_by_dim", None)
+        object.__setattr__(self, "_order", None)
+        object.__setattr__(self, "_start", None)
         object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_hash", None)
 
@@ -122,32 +129,29 @@ class SimplicialComplex:
     def faces(self) -> frozenset:
         """All faces; more than DEFAULT_BASIS_LIMIT of them raises SizeLimitError.
 
-        The faces are closed as sorted tuples (see the module docstring),
-        and the buckets of `faces_of_dim` are filled in the same pass over
-        their one sort.  The guard counts the empty face.
+        The faces are closed as sorted tuples and kept in the order of the
+        face table (see the module docstring).  The guard counts the empty face.
         """
         if self._faces is None:
-            buckets = {}
-            if not self.is_void:
-                acc = {()}
-                for f in self.facets:
-                    if 2 ** len(f) > DEFAULT_BASIS_LIMIT:
-                        raise SizeLimitError(
-                            f"a facet on {len(f)} vertices has 2^{len(f)} faces, "
-                            f"above the guard of {DEFAULT_BASIS_LIMIT}"
-                        )
-                    members = sorted(f)
-                    for k in range(1, len(members) + 1):
-                        acc.update(combinations(members, k))
-                    if len(acc) > DEFAULT_BASIS_LIMIT:
-                        raise SizeLimitError(
-                            f"the complex has more than {DEFAULT_BASIS_LIMIT} faces, "
-                            "above the guard"
-                        )
-                for t in sorted(acc):
-                    buckets.setdefault(len(t), []).append(frozenset(t))
-            object.__setattr__(self, "_by_dim", buckets)
-            object.__setattr__(self, "_faces", frozenset(chain.from_iterable(buckets.values())))
+            by_size = [] if self.is_void else [{()}] + [set() for _ in range(self.d)]
+            for f in self.facets:
+                if 2 ** len(f) > DEFAULT_BASIS_LIMIT:
+                    raise SizeLimitError(
+                        f"a facet on {len(f)} vertices has 2^{len(f)} faces, "
+                        f"above the guard of {DEFAULT_BASIS_LIMIT}"
+                    )
+                members = sorted(f)
+                for k in range(1, len(members) + 1):
+                    by_size[k].update(combinations(members, k))
+                if sum(map(len, by_size)) > DEFAULT_BASIS_LIMIT:
+                    raise SizeLimitError(
+                        f"the complex has more than {DEFAULT_BASIS_LIMIT} faces, "
+                        "above the guard"
+                    )
+            order = tuple(frozenset(t) for level in by_size for t in sorted(level))
+            object.__setattr__(self, "_order", order)
+            object.__setattr__(self, "_start", tuple(accumulate(map(len, by_size), initial=0)))
+            object.__setattr__(self, "_faces", frozenset(order))
         return self._faces
 
     def __contains__(self, F) -> bool:
@@ -156,14 +160,13 @@ class SimplicialComplex:
     def faces_of_dim(self, k: int) -> list:
         """All k-dimensional faces in lexicographic order; k = -1 gives [emptyset].
 
-        The buckets are filled by `faces`, from its one sort of the sorted
-        tuples; each call copies one bucket.
+        A slice of the faces in the order of the face table.
         """
         if k < -1:
             raise ValueError("dimension below -1")
-        if self._by_dim is None:
-            self.faces()
-        return list(self._by_dim.get(k + 1, ()))
+        self.faces()
+        start = self._start
+        return list(self._order[start[k + 1]:start[k + 2]]) if k + 2 < len(start) else []
 
     def is_pure(self) -> bool:
         sizes = {len(f) for f in self.facets}
@@ -233,6 +236,33 @@ class SimplicialComplex:
         if type(is_void) is not bool:
             raise ValueError(f"'void' must be true or false, got {is_void!r}")
         return SimplicialComplex(data["n"], data["facets"], is_void=is_void)
+
+
+@per_complex
+def face_table(cx: SimplicialComplex) -> tuple[tuple, tuple, dict, list]:
+    """(faces, start, face -> id, cofaces), one pass over the faces by id.
+
+    faces lists every face by id, the faces of size s at start[s] ..
+    start[s + 1] - 1.  cofaces[g] holds (id of G + {v}, sign) for each
+    coface of the face G with id g, ascending, sign (-1)^(position of v in
+    the sorted coface).  Each face H is read as its sorted tuple t, held only
+    while the table is built: its boundary faces are combinations(t, |H| - 1),
+    which omit the positions |H| - 1, ..., 1, 0 in turn, and have smaller
+    ids, so they are already in the tuple -> id index.
+    """
+    cx.faces()
+    faces, ids, index = cx._order, {}, {}
+    # odd[s]: the parities of the omitted positions s - 1, ..., 1, 0 in turn
+    odd = [[pos & 1 for pos in range(s - 1, -1, -1)] for s in range(len(cx._start))]
+    cofaces = [[] for _ in faces]
+    for h, H in enumerate(faces):
+        t = tuple(sorted(H))
+        ids[H] = index[t] = h
+        if t:
+            entry = (h, 1), (h, -1)  # shared by the faces of H
+            for G, parity in zip(combinations(t, len(t) - 1), odd[len(t)]):
+                cofaces[index[G]].append(entry[parity])
+    return faces, cx._start, ids, cofaces
 
 
 @per_complex

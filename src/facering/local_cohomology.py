@@ -334,12 +334,7 @@ def _theta_rows(cx: SimplicialComplex, ell: int, i: int, thetas, field: FieldSpe
     column is no pivot, and it is stored after one or two reductions.  In
     lex order the last vertex leads instead, and the first rows of a block
     carry it to the highest powers: column after column is a pivot, each
-    reduction adds a pivot row's entries, and the echelon rows fill in.  On
-    the 2,964 x 1,168 stack of `rp2_6` suspended (l = 4, i = 6, F_32003), a
-    row of the second form that raises the rank meets about 2 pivot rows in
-    this order and about 60 in lex order, the echelon rows hold 6,579
-    entries against 29,406, and `block_pivots` takes 0.06 s against 0.42 s.
-    Largest exponent first, which does not follow the row order, takes 0.10 s.
+    reduction adds a pivot row's entries, and the echelon rows fill in.
 
     drop, when given, holds one set of row indices per form: those rows of
     its block are neither built nor listed, and the block lists the rest
@@ -416,25 +411,10 @@ def theta_stack(cx: SimplicialComplex, ell: int, i: int, coeffs: GenericCoeffici
     return stack
 
 
-def theta_ranks(cx: SimplicialComplex, ell: int, i: int,
-                coeffs: GenericCoefficients, field: FieldSpec) -> tuple[int, ...]:
-    """Ranks of the first 0, 1, ..., coeffs.m multiplication maps, stacked, at degree -(i+1).
-
-    The kernel of a stack is the common kernel of its maps, so kernel
-    dimensions and restricted ranks follow from these ranks by rank-nullity.
-    One elimination, block by block, gives all of them (`theta_stack`).  A
-    stack asked for after the one a degree below leaves out the rows that
-    commutation of the forms alone puts in the span of the rows before
-    them; no closed formula, `kernel_dim_formula` included, decides a row,
-    so these ranks stay an independent check of the formula.
-    """
-    return theta_stack(cx, ell, i, coeffs, field)[0]
-
-
 def kernel_dim_bruteforce(cx: SimplicialComplex, ell: int, m: int, i: int,
                           coeffs: GenericCoefficients, field: FieldSpec) -> int:
     """Dimension of the common kernel of the first m multiplication maps at degree -(i+1),
-    by exact elimination of the stacked maps (`theta_ranks`).  The rows left
+    by exact elimination of the stacked maps (`theta_stack`).  The rows left
     out of a stack are decided by commutation of the forms and the pivots of
     the stack one degree down, never by the closed formula, so this stays
     an independent check of `kernel_dim_formula`."""
@@ -445,7 +425,7 @@ def kernel_dim_bruteforce(cx: SimplicialComplex, ell: int, m: int, i: int,
     source_dim = graded_piece(cx, ell, i + 1, field).total_dim
     if m == 0:
         return source_dim
-    return source_dim - theta_ranks(cx, ell, i, coeffs, field)[m]
+    return source_dim - theta_stack(cx, ell, i, coeffs, field)[0][m]
 
 
 def kernel_dim_formula(cx: SimplicialComplex, ell: int, m: int, i: int, field: FieldSpec) -> int:
@@ -471,5 +451,5 @@ def restricted_theta_rank(cx: SimplicialComplex, ell: int, m: int, i: int,
     """
     if coeffs.m < m + 1:
         raise ValueError("coefficient matrix needs at least m+1 columns")
-    ranks = theta_ranks(cx, ell, i, coeffs, field)
+    ranks = theta_stack(cx, ell, i, coeffs, field)[0]
     return ranks[m + 1] - ranks[m]

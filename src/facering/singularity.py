@@ -10,25 +10,24 @@ Cohen-Macaulay conditions are expressed through links as well.
 No link complex is built: H~^i(lk F) = H^(i+|F|)(X, cost F), so every link
 condition is read from the parent's pair cohomology.  One table per
 (complex, field) holds, for each face H, its depth, the least k >= |H| - 1
-with H^k(X, cost H) != 0 (capped at dim X), and the least depth of a face
+with H^k(X, cost H) != 0 (capped at dim X), the least depth of a face
 containing H, and top H, one less than the size of the largest facet over H.
-It is filled from the largest faces down, each face reading the entries of
-its cofaces H + {v} from the coface table (`cohomology._cofaces`), with no
-scan of the facets: a face with no cofaces is a facet, and the facets over
-any other face are those over its cofaces.  So the vertices common to the
-facets over H are the intersection of its cofaces' (kept as bit masks, for
-the level above only), and when they include a vertex outside H, lk H is a
-cone, which is acyclic, so depth H = dim X with no elimination.  The lowest
-degree is settled by the coface table too: H^(|H|-1)(X, cost H) =
-H~^-1(lk H) is nonzero exactly when H is a facet, so a facet has depth
-|H| - 1 (at most dim X), and the search for any other face starts at degree
-|H|, so a non-facet of size dim X reads no ranks at all.  Every other
-depth reads one tuple of coboundary ranks per (face, field), from one pass
-up the star of H in the coface table (`cohomology._pair_ranks`), which
-holds every degree at once.  F is singular iff depth F < dim X.  lk F is Cohen-Macaulay iff no
-face H containing F has depth below top F = dim lk F + |F|, since the link
-of H - F in lk F is lk H.  The link route lives only in the link-iso oracle
-of the verification ledger and in the tests.
+It is filled from the largest faces down, over the id ranges of the face
+table (`complexes.face_table`), each face reading the entries of its
+cofaces, with no scan of the facets: a face with no cofaces is a facet, and
+the facets over any other face are those over its cofaces.  So the vertices
+common to the facets over H are the intersection of its cofaces' (kept as
+bit masks, for the level above only), and when they include a vertex
+outside H, lk H is a cone, which is acyclic, so depth H = dim X with no
+elimination.  H^(|H|-1)(X, cost H) = H~^-1(lk H) is nonzero exactly when H
+is a facet, so a facet has depth |H| - 1, and the search for any other face
+starts at degree |H|: a non-facet of size dim X reads no ranks at all.
+Every other depth reads the one rank tuple of H that holds every degree
+(`cohomology.relative_cohomology_dim`).  F is singular iff depth F < dim X.
+lk F is Cohen-Macaulay iff no face H containing F has depth below top F =
+dim lk F + |F|, since the link of H - F in lk F is lk H.  The link route
+lives only in the link-iso oracle of the verification ledger and in the
+tests.
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ import math
 from functools import reduce
 from operator import and_
 
-from .cohomology import _cofaces, _face_ids, relative_cohomology_dim
-from .complexes import SimplicialComplex, mixed_face_key, per_complex
+from .cohomology import relative_cohomology_dim
+from .complexes import SimplicialComplex, face_table, mixed_face_key, per_complex
 from .linalg import FieldSpec
 
 NEG_INFINITY = -math.inf
@@ -50,15 +49,15 @@ def _depths(cx: SimplicialComplex, field: FieldSpec) -> dict:
     if cx.is_void:
         return {}
     r = cx.dim
-    start, cofaces = _face_ids(cx)[1], _cofaces(cx)
+    faces, start, _, cofaces = face_table(cx)
     table, above = {}, []
     for size in range(r + 1, -1, -1):
         # level[g - start[size]] for the face with id g: (least depth over
         # it, top, the vertices common to the facets over it as a bit mask);
         # above is the level of size + 1
         level, first = [], start[size + 1]
-        for g, H in enumerate(cx.faces_of_dim(size - 1), start[size]):
-            up = [above[h - first] for h, _ in cofaces[g]]
+        for g in range(start[size], first):
+            H, up = faces[g], [above[h - first] for h, _ in cofaces[g]]
             if not up:  # H is a facet: H^(|H|-1)(X, cost H) = H~^-1({emptyset}) != 0
                 top, common = size - 1, sum(1 << v for v in H)
                 depth = top  # at most r, with equality on the largest facets

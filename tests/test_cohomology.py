@@ -20,7 +20,7 @@ from facering.cohomology import (
     relative_cohomology,
     relative_cohomology_dim,
 )
-from facering.complexes import SimplicialComplex, mixed_face_key
+from facering.complexes import SimplicialComplex, face_table, mixed_face_key
 from facering.linalg import GF, QQ, Matrix
 
 from complex_strategies import small_complexes
@@ -209,7 +209,7 @@ def test_generated_coboundary_rank_matches_independent_elimination(cx):
 @given(small_complexes())
 def test_generated_star_is_the_faces_containing_tau(cx):
     # the walk up the coface table against the brute-force set, by size
-    ids = cohomology._face_ids(cx)[0]
+    ids = face_table(cx)[2]
     for tau in cx.faces():
         assert cohomology._star(cx, tau) == [
             sorted(ids[G] for G in cx.faces() if tau <= G and len(G) == s)

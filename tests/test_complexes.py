@@ -10,13 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facering import cohomology
 from facering.complexes import (
     SimplicialComplex,
     SizeLimitError,
     count_degree_monomials,
     degree_monomials,
-    face_key,
+    face_table,
     mixed_face_key,
     monomial_supports,
     monomial_table,
@@ -42,6 +41,16 @@ def test_absorption_and_dedup():
     b = SimplicialComplex(3, [{1, 2, 3}])
     assert a == b
     assert SimplicialComplex(3, [{1, 2}, {1, 2}]).facets == frozenset({frozenset({1, 2})})
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(1, 7), min_size=1, max_size=5), max_size=12))
+def test_generated_absorption_keeps_the_maximal_facets(facets):
+    # repeated labels, repeated facets and facets inside others, in any
+    # order, leave the inclusion-maximal sets that the pairwise test finds
+    entries = facets + facets[::3] + [f[:len(f) // 2 + 1] for f in facets[1::2]]
+    sets = [frozenset(f) for f in entries]
+    assert SimplicialComplex(7, entries).facets == {f for f in sets if not any(f < g for g in sets)}
 
 
 def test_vertex_out_of_range_rejected():
@@ -91,15 +100,17 @@ def _check_face_layer(cx):
     assert cx.faces() == faces
     top = max(map(len, faces), default=0)
     for k in range(-1, top + 1):
-        assert cx.faces_of_dim(k) == sorted((F for F in faces if len(F) == k + 1), key=face_key)
+        assert cx.faces_of_dim(k) == sorted((F for F in faces if len(F) == k + 1), key=sorted)
+    table, start, ids, cofaces = face_table(cx)
     if cx.is_void:
+        assert (table, start, ids, cofaces) == ((), (0,), {}, [])
         return
-    ids, start = cohomology._face_ids(cx)
     by_id = sorted(faces, key=mixed_face_key)
+    assert list(table) == by_id
     assert ids == {F: g for g, F in enumerate(by_id)}
-    assert start == [sum(1 for F in faces if len(F) < s) for s in range(top + 2)]
+    assert list(start) == [sum(1 for F in faces if len(F) < s) for s in range(top + 2)]
     # each coface H = G + {v} with (-1)^(position of v in sorted H), by ascending id
-    assert cohomology._cofaces(cx) == [
+    assert cofaces == [
         sorted((ids[H], (-1) ** sorted(H).index(min(H - G)))
                for H in faces if G < H and len(H) == len(G) + 1)
         for G in by_id]

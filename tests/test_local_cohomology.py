@@ -30,7 +30,6 @@ from facering.local_cohomology import (
     lc_hilbert_series,
     make_generic,
     restricted_theta_rank,
-    theta_ranks,
     theta_stack,
     vandermonde_coefficients,
 )
@@ -460,7 +459,7 @@ def test_theta_rows_match_dense_induced_blocks(field, monkeypatch):
 
 @pytest.mark.parametrize("field", [QQ, GF(32003), GF(101)], ids=str)
 def test_theta_ranks_match_dense_stacks(complexes, field):
-    # theta_ranks[m] is the rank of the first m blocks written as one matrix
+    # the ranks of theta_stack: [m] is that of the first m blocks written as one matrix
     cases = list(complexes.values()) + seeded_complexes(12, seed=4)
     for k, cx in enumerate(cases):
         coeffs = make_generic(cx.n, min(cx.d + 1, cx.n), field, seed=k)
@@ -469,7 +468,7 @@ def test_theta_ranks_match_dense_stacks(complexes, field):
             for i in range(3):
                 want = [rank(dense_theta(cx, ell, i, thetas[:m], field))
                         for m in range(coeffs.m + 1)]
-                assert list(theta_ranks(cx, ell, i, coeffs, field)) == want, (k, ell, i)
+                assert list(theta_stack(cx, ell, i, coeffs, field)[0]) == want, (k, ell, i)
 
 
 def suspended_once(cx):
@@ -501,14 +500,14 @@ def test_pruned_theta_stacks_match_whole_stacks(complexes, rp2_6, field):
                 ncols = graded_piece(fresh, ell, i + 1, field).total_dim
                 ranks, pivots = block_pivots(field, _theta_rows(fresh, ell, i, thetas, field),
                                              ncols)
-                assert theta_ranks(fresh, ell, i, coeffs, field) == tuple(ranks), (k, ell, i)
+                assert theta_stack(fresh, ell, i, coeffs, field)[0] == tuple(ranks), (k, ell, i)
                 assert theta_stack(fresh, ell, i, coeffs, field) == (
                     tuple(ranks), tuple(map(tuple, pivots))), (k, ell, i)
                 pruned += below is not None and any(below[1:-1])
                 below = pivots
             for i in reversed(range(7)):
-                want = theta_ranks(fresh, ell, i, coeffs, field)
-                assert theta_ranks(cold, ell, i, coeffs, field) == want, (k, ell, i)
+                want = theta_stack(fresh, ell, i, coeffs, field)[0]
+                assert theta_stack(cold, ell, i, coeffs, field)[0] == want, (k, ell, i)
     assert pruned
 
 

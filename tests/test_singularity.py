@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 
-from facering import cohomology, linalg
+from facering import cli, cohomology, linalg
 from facering.cohomology import reduced_cohomology_dim, relative_cohomology_dim
 from facering.complexes import SimplicialComplex
 from facering.linalg import GF, QQ, sparse_rank
@@ -175,6 +175,18 @@ def test_long_path_components_by_union_find(monkeypatch):
         assert singular_faces(path, field) == []
         assert [reduced_cohomology_dim(cut, i, field) for i in (-1, 0, 1)] == [0, 1, 0]
         assert singular_faces(cut, field) == [frozenset()]
+
+
+def test_analyze_keeps_no_star_in_the_memo(monkeypatch, capsys, rp2_6):
+    # the star of a face is walked for its two readers, the rank tuples and
+    # the cochain bases, which are memoized themselves
+    cx = SimplicialComplex(rp2_6.n, rp2_6.facets)  # a fresh memo
+    monkeypatch.setattr(cli, "_load_single", lambda spec: ("rp2_6", cx))
+    for field in ("q", "fp:2"):
+        assert cli.main(["analyze", "rp2_6", "--field", field, "--format", "json"]) == 0
+    capsys.readouterr()
+    names = {fn.__name__ for fn, _ in cx._memo}
+    assert "_pair_ranks" in names and "_star" not in names
 
 
 def _count_gcds(monkeypatch):
