@@ -3,8 +3,8 @@
 The relative i-cochains of (X, cost tau) are spanned by the duals of the
 i-faces containing tau, in lexicographic order.  The coboundary of the
 cochain dual to a face G sends it to the sum of its cofaces G + {v} with
-sign (-1)^(position of v in the sorted coface); the matrix is written one
-row per coface H, from the faces H - {v} with v outside tau.  Taking
+sign (-1)^(position of v in the sorted coface), the sign its coface list
+in the face table holds (`complexes.face_table`).  Taking
 tau = emptyset gives the reduced (augmented) complex, including the
 (-1)-cochain dual to the empty face, so H^{-1} of the one-face complex
 {emptyset} is the field.
@@ -30,21 +30,23 @@ the elimination stops there: on a face whose link has no cohomology in
 degree k, the rows past the rank are never reduced.
 
 Cocycle bases are built only for the contravariant maps induced by
-contrastar inclusions, a second route to the same dimensions: its sparse
-coboundary rows (`coboundary_rows`) come from the faces and their sorted
-positions, not from the face ids of the rank route.  One echelon form per
-space (`_relative_cohomology`) takes the columns of delta^(i-1), then each
-kernel vector z of delta^i (`linalg.kernel_vectors`) with 1 at a tag
-column dim C^i + (representatives so far).  Stored at a cochain pivot, z
-is a representative; at a tag, z is a coboundary plus earlier
-representatives, and its row is dropped.  So each row (u, a) has u -
-sum a_t rep_t a coboundary.  Reduced, the rows give every map into the
-space with no elimination (`_induced_map`): a source representative
-extended by zero clears against them (`linalg._clear_pivots`) to tags
-alone, minus its coordinates in the target classes.  Each target class
-keeps its row as (source class, entry) pairs, which the θ stacks and the
-vertex maps read; only the public `relative_cohomology` and `induced_map`
-write a dense Matrix.
+contrastar inclusions, a second route to the same dimensions, on the same
+star: a cochain is numbered by its place in its star level, and the
+coboundaries are read off the coface lists (`coboundary_rows`).  One
+echelon form per space (`_relative_cohomology`) takes the columns of
+delta^(i-1), then each kernel vector z of delta^i
+(`linalg.kernel_vectors`) with 1 at a tag column dim C^i +
+(representatives so far).  Stored at a cochain pivot, z is a
+representative; at a tag, z is a coboundary plus earlier representatives,
+and its row is dropped.  So each row (u, a) has u - sum a_t rep_t a
+coboundary.  Reduced, the rows give every map into the space with no
+elimination (`_induced_map`): a source representative, moved through the
+ids to the positions of the target star and extended by zero, clears
+against them (`linalg._clear_pivots`) to tags alone, minus its
+coordinates in the target classes.  Each target class keeps its row as
+(source class, entry) pairs, which the θ stacks and the vertex maps read;
+only the public `relative_cohomology` and `induced_map` write a dense
+Matrix.
 
 The sums over faces of Hochster's count, the kernel and quotient formulas
 and the squarefree table weight dim H^k(X, cost F) by |F| alone, so one table
@@ -52,10 +54,10 @@ per (complex, k, field) holds each face's dimension (`cohomology_by_face`,
 filled by `relative_cohomology_dim`) and their sums h_s over the faces of
 size s (`cohomology_by_size`).
 
-Coboundary rows and stars are not memoized; cochain bases, rank tuples,
+Stars, cochain bases and coboundary rows are not memoized; rank tuples,
 cohomology tables, class representatives (sparse vectors) with their
-reduced echelon forms, and induced maps (their rows) are memoized on the
-complex object (`per_complex`) and freed with it.
+reduced echelon forms and row labels, and induced maps (their rows) are
+memoized on the complex object (`per_complex`) and freed with it.
 Outputs are immutable, so an entry recomputed under a race is
 indistinguishable from the first result.
 """
@@ -86,26 +88,32 @@ def _star(cx: SimplicialComplex, tau: frozenset) -> list:
     return star + [[] for _ in range(len(start) - 1 - len(star))]
 
 
-@per_complex
+def _cochains(star: list, k: int) -> list:
+    """The ids of the k-faces in the star: C^k(X, cost tau) has one row per id, ascending."""
+    return star[k + 1] if 0 <= k + 1 < len(star) else []
+
+
 def relative_cochain_basis(cx: SimplicialComplex, tau: frozenset, k: int) -> tuple:
     """k-dimensional faces containing tau, lexicographically ordered."""
-    star = _star(cx, tau)
-    if not 0 <= k + 1 < len(star):
-        return ()
     faces = face_table(cx)[0]
-    return tuple(faces[g] for g in star[k + 1])
+    return tuple(faces[g] for g in _cochains(_star(cx, tau), k))
 
 
 def coboundary_rows(cx: SimplicialComplex, tau: frozenset, k: int) -> list[dict]:
     """Sparse rows of delta: C^k(X, cost tau) -> C^{k+1}(X, cost tau), as new dicts.
 
-    The row of a (k+1)-face H holds (-1)^(position of v in sorted H) at the
-    column of H - {v}, for each v in H - tau.
+    The c-th k-face G of the star enters column c of the row of each coface,
+    with the sign of its coface list.
     """
-    index = {G: c for c, G in enumerate(relative_cochain_basis(cx, tau, k))}
-    return [{index[H - {v}]: -1 if pos & 1 else 1
-             for pos, v in enumerate(sorted(H)) if v not in tau}
-            for H in relative_cochain_basis(cx, tau, k + 1)]
+    return _coboundary_rows(_star(cx, tau), face_table(cx)[3], k)
+
+
+def _coboundary_rows(star: list, cofaces: list, k: int) -> list[dict]:
+    rows = {h: {} for h in _cochains(star, k + 1)}
+    for c, g in enumerate(_cochains(star, k)):
+        for h, sign in cofaces[g]:
+            rows[h][c] = sign
+    return list(rows.values())
 
 
 @per_complex
@@ -196,34 +204,32 @@ def relative_cohomology(cx: SimplicialComplex, tau, i: int, field: FieldSpec) ->
     The rows follow relative_cochain_basis(cx, tau, i); the columns are
     independent modulo coboundaries.  tau = emptyset is reduced cohomology.
     """
-    tau = frozenset(tau)
-    reps = _relative_cohomology(cx, tau, i, field)[0]
-    return Matrix.from_entries(field, len(relative_cochain_basis(cx, tau, i)), len(reps),
+    reps, _, labels = _relative_cohomology(cx, frozenset(tau), i, field)
+    return Matrix.from_entries(field, len(labels), len(reps),
                                ((r, j, x) for j, rep in enumerate(reps) for r, x in rep))
 
 
 @per_complex
 def _relative_cohomology(cx: SimplicialComplex, tau: frozenset, i: int, field: FieldSpec) -> tuple:
     """(representatives of relative_cohomology as (row, entry) pairs, the
-    reduced tagged echelon rows that chose them, read only)."""
+    reduced tagged echelon rows that chose them, the ids of the i-faces that
+    label the rows; read only)."""
     if tau not in cx:
         raise ValueError(f"{sorted(tau)} is not a face")
-    images = {}  # the columns of delta^(i-1)
-    for r, row in enumerate(coboundary_rows(cx, tau, i - 1)):
-        for c, x in row.items():
-            images.setdefault(c, {})[r] = x
-    echelon, p, reps = {}, field.p, []
-    for image in images.values():
-        _echelon_insert(echelon, image, p)
-    dim = len(relative_cochain_basis(cx, tau, i))
-    for z in _kernel_vectors(coboundary_rows(cx, tau, i), dim, p):
+    star, cofaces, p = _star(cx, tau), face_table(cx)[3], field.p
+    labels = _cochains(star, i)
+    row = {h: r for r, h in enumerate(labels)}
+    echelon, dim, reps = {}, len(row), []
+    for g in _cochains(star, i - 1):  # the columns of delta^(i-1)
+        _echelon_insert(echelon, {row[h]: sign for h, sign in cofaces[g]}, p)
+    for z in _kernel_vectors(_coboundary_rows(star, cofaces, i), dim, p):
         pivot = _echelon_insert(echelon, {**z, dim + len(reps): 1}, p)
         if pivot < dim:
             reps.append(tuple(sorted(z.items())))
         else:
             del echelon[pivot]
     _reduce(echelon, p)
-    return tuple(reps), echelon
+    return tuple(reps), echelon, labels
 
 
 def reduced_cohomology_dim(cx: SimplicialComplex, i: int, field: FieldSpec) -> int:
@@ -252,15 +258,15 @@ def _induced_map(cx: SimplicialComplex, f_big: frozenset, f_small: frozenset, i:
     """The rows of induced_map, one per target class, as (source class, nonzero entry) pairs."""
     if not f_small <= f_big:
         raise ValueError("the target face must be contained in the source face")
-    source = _relative_cohomology(cx, f_big, i, field)[0]
+    source, _, big = _relative_cohomology(cx, f_big, i, field)
     if f_big == f_small:
         return tuple(((s, 1),) for s in range(len(source)))
-    target, echelon = _relative_cohomology(cx, f_small, i, field)
-    index = {F: r for r, F in enumerate(relative_cochain_basis(cx, f_small, i))}
-    big, dim, p = relative_cochain_basis(cx, f_big, i), len(index), field.p
+    target, echelon, small = _relative_cohomology(cx, f_small, i, field)
+    at = {g: c for c, g in enumerate(small)}
+    dim, p = len(at), field.p
     rows = [[] for _ in target]
     for s, rep in enumerate(source):
-        w = {index[big[r]]: x for r, x in rep}
+        w = {at[big[r]]: x for r, x in rep}
         _clear_pivots(w, echelon, p)
         if any(c < dim for c in w):
             raise AssertionError("cocycle does not reduce against the stored bases")

@@ -10,8 +10,8 @@ and each distinct face becomes one frozenset.
 
 That order numbers the faces once per complex: the face table
 (`face_table`) gives each face its id and the signed entries of its
-cofaces.  The pair cohomology walks up this table from a face to its star,
-and the depth table of `singularity` reads it from the largest faces down.
+cofaces, and its size offsets give the f-vector.  The cochains of the pair
+cohomology and the depth table of `singularity` are indexed by those ids.
 
 Two degenerate complexes are distinguished by an explicit flag: the complex
 {emptyset} (facet list empty, not void) and the void complex (no faces at
@@ -190,10 +190,8 @@ class SimplicialComplex:
         """(f_{-1}, f_0, ..., f_{dim})."""
         if self.is_void:
             raise ValueError("the void complex has no f-vector")
-        counts = [0] * (self.dim + 2)
-        for f in self.faces():
-            counts[len(f)] += 1
-        return tuple(counts)
+        self.faces()
+        return tuple(b - a for a, b in zip(self._start, self._start[1:]))
 
     def h_vector(self) -> tuple[int, ...]:
         """Binomial transform of the f-vector: h_j = sum_i (-1)^{j-i} C(d-i, d-j) f_{i-1}."""
@@ -265,15 +263,15 @@ def face_table(cx: SimplicialComplex) -> tuple[tuple, tuple, dict, list]:
     return faces, cx._start, ids, cofaces
 
 
-@per_complex
 def count_degree_monomials(cx: SimplicialComplex, r: int) -> int:
-    """Number of degree-r monomials whose support is a face (compositions
-    count); each size guard reads it, so it is memoized."""
-    if r < 0:
+    """Number of degree-r monomials whose support is a face: the compositions
+    of r into s positive parts, C(r - 1, s - 1), times f_{s-1}, summed over s >= 1."""
+    if r < 0 or cx.is_void:
         return 0
     if r == 0:
-        return 0 if cx.is_void else 1
-    return sum(comb(r - 1, len(F) - 1) for F in cx.faces() if F)
+        return 1
+    f = cx.f_vector()
+    return sum(f[s] * comb(r - 1, s - 1) for s in range(1, len(f)))
 
 
 def degree_monomials(cx: SimplicialComplex, r: int) -> tuple:

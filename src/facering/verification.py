@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from . import artinian, quotient, singularity, squarefree
 from .cohomology import reduced_cohomology_dim, relative_cohomology_dim
-from .complexes import SimplicialComplex, mixed_face_key
+from .complexes import SimplicialComplex, face_table
 from .linalg import FieldSpec
 from .local_cohomology import (
     GenericCoefficients,
@@ -143,7 +143,7 @@ def _resampled(got, want, recompute, cx: SimplicialComplex, m: int, field: Field
 def check_link_iso(cx: SimplicialComplex, field: FieldSpec, run: Run) -> list:
     """Pair cohomology against link cohomology, all faces, all degrees up to d."""
     out = []
-    for F in sorted(cx.faces(), key=mixed_face_key):
+    for F in face_table(cx)[0]:
         link = cx.link(F)
         for i in range(0, cx.d + 1):
             lhs = relative_cohomology_dim(cx, F, i - 1, field)

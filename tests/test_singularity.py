@@ -1,14 +1,15 @@
 """Singular face classification and the codimension Cohen-Macaulay criteria."""
 
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 
-from facering import cli, cohomology, linalg
+from facering import cli, cohomology, linalg, singularity
 from facering.cohomology import reduced_cohomology_dim, relative_cohomology_dim
-from facering.complexes import SimplicialComplex
+from facering.complexes import SimplicialComplex, face_table
 from facering.linalg import GF, QQ, sparse_rank
 from facering.singularity import (
     NEG_INFINITY,
@@ -152,12 +153,51 @@ def test_depth_table_matches_pair_cohomology(cx):
             if len(H) <= r:  # H^(|H|-1)(X, cost H) = H~^-1(lk H) != 0 exactly on facets
                 assert (dims[0] != 0) == (H in cx.facets)
             depth[H] = next((len(H) - 1 + j for j, dim in enumerate(dims) if dim), r)
-        table = _depths(cx, field)
-        assert set(table) == set(depth)
-        for H, (d, least, top) in table.items():
+        faces, table = face_table(cx)[0], _depths(cx, field)
+        assert len(table) == len(faces) and set(faces) == set(depth)
+        for H, (d, least, top) in zip(faces, table):
             assert d == depth[H]
             assert least == min(depth[G] for G in depth if H <= G)
             assert top == max((len(f) for f in cx.facets if H <= f), default=0) - 1
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=str)
+def test_cone_links_read_no_rank(monkeypatch, rp2_6, field):
+    # a face whose link is a cone, when the facets over it share a vertex
+    # outside it, has depth dim X with no rank: no face of the 7-simplex
+    # reaches one, and on the cone over rp2_6 only the apex (two degrees,
+    # its link rp2_6) and the six edges through it (one degree, a hexagon)
+    reads = []
+    real = singularity.relative_cohomology_dim
+    monkeypatch.setattr(singularity, "relative_cohomology_dim",
+                        lambda cx, H, *args: reads.append(H) or real(cx, H, *args))
+    simplex = SimplicialComplex(8, [range(1, 9)])
+    cone = SimplicialComplex(7, [F | {7} for F in rp2_6.facets])
+    for cx, count in ((simplex, 0), (cone, 8)):
+        del reads[:]
+        singular_faces(cx, field)
+        assert len(reads) == count
+        for H in reads:  # brute force: the vertices of every facet over H lie in H
+            assert frozenset.intersection(*(f for f in cx.facets if H <= f)) == H
+
+
+def test_depth_table_grows_linearly():
+    # one entry per face, and while the table fills one face id per face for
+    # the face common to the facets over it: on isolated points and on a path,
+    # four times the labels take about four times the memory
+    def peak(cx):
+        face_table(cx)
+        tracemalloc.start()
+        try:
+            assert singular_faces(cx, GF(2)) == []
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for build in (lambda n: SimplicialComplex(n, [[v] for v in range(1, n + 1)]),
+                  lambda n: SimplicialComplex(n, list(zip(range(1, n), range(2, n + 1))))):
+        small, large = peak(build(5_000)), peak(build(20_000))
+        assert large <= 6 * small, (small, large)
 
 
 def test_long_path_components_by_union_find(monkeypatch):
@@ -178,8 +218,9 @@ def test_long_path_components_by_union_find(monkeypatch):
 
 
 def test_analyze_keeps_no_star_in_the_memo(monkeypatch, capsys, rp2_6):
-    # the star of a face is walked for its two readers, the rank tuples and
-    # the cochain bases, which are memoized themselves
+    # the star of a face is walked anew for each reader: the rank tuples and
+    # the cocycle bases (with their row labels, as face ids) are memoized
+    # themselves, while the cochain bases and coboundary rows are not
     cx = SimplicialComplex(rp2_6.n, rp2_6.facets)  # a fresh memo
     monkeypatch.setattr(cli, "_load_single", lambda spec: ("rp2_6", cx))
     for field in ("q", "fp:2"):
