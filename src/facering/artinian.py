@@ -33,7 +33,7 @@ the first one is built.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .complexes import (SimplicialComplex, SizeLimitError, count_degree_monomials, monomial_table,
                         per_complex)
@@ -47,13 +47,11 @@ REDUCTION_CELL_LIMIT = 5_000_000
 DEGREE_CELLS = 1_000
 
 
-@dataclass(frozen=True)
-class ReductionHilbert:
-    """Hilbert function of the quotient by the first m forms, degrees 0..cutoff."""
+class ReductionHilbert(namedtuple("ReductionHilbert", "m dims coefficients")):
+    """Hilbert function of the quotient by the first m forms, degrees 0..cutoff:
+    dims is a tuple of ints, coefficients the GenericCoefficients."""
 
-    m: int
-    dims: tuple[int, ...]
-    coefficients: GenericCoefficients
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

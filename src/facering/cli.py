@@ -25,7 +25,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 
 from . import quotient, singularity, verification
@@ -280,8 +279,8 @@ def cmd_reduce(args) -> int:
         coeffs = make_generic(cx.n, max(m, 1), field, seed=args.seed)
         # the quotient by the first m forms alone; the report shows the drawn
         # column for m = 0 too
-        red = replace(reduction_hilbert(cx, coeffs.prefix(m), m, args.cutoff, field),
-                      coefficients=coeffs)
+        red = reduction_hilbert(cx, coeffs.prefix(m), m, args.cutoff, field)._replace(
+            coefficients=coeffs)
         report = {
             "command": "reduce",
             "complex": name,

@@ -76,7 +76,8 @@ def per_complex(fn):
 
 
 class SimplicialComplex:
-    __slots__ = ("n", "facets", "is_void", "_faces", "_order", "_start", "_memo", "_hash")
+    __slots__ = ("n", "facets", "is_void", "_dim", "_faces", "_order", "_start", "_memo",
+                 "_hash")
 
     def __init__(self, n: int, facets, is_void: bool = False):
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
@@ -103,6 +104,7 @@ class SimplicialComplex:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "facets", frozenset(maximal))
         object.__setattr__(self, "is_void", bool(is_void))
+        object.__setattr__(self, "_dim", max(map(len, maximal), default=0) - 1)
         object.__setattr__(self, "_faces", None)
         object.__setattr__(self, "_order", None)
         object.__setattr__(self, "_start", None)
@@ -119,7 +121,7 @@ class SimplicialComplex:
         """Dimension; the complex {emptyset} has dimension -1."""
         if self.is_void:
             raise ValueError("the void complex has no dimension")
-        return max((len(f) for f in self.facets), default=0) - 1
+        return self._dim
 
     @property
     def d(self) -> int:

@@ -39,7 +39,7 @@ ranks and pivots after every block are those of the whole stack.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, combinations
 from math import comb
 
@@ -102,12 +102,11 @@ def _strip(coeffs: list[int]) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
-    """numerator(t) / (1 - t)^denom_power with integer numerator coefficients."""
+class HilbertSeries(namedtuple("HilbertSeries", "numerator denom_power")):
+    """numerator(t) / (1 - t)^denom_power with integer numerator coefficients
+    (a tuple) and an int power."""
 
-    numerator: tuple[int, ...]
-    denom_power: int
+    __slots__ = ()
 
     def reduce(self) -> "HilbertSeries":
         """Cancel all factors of (1 - t); the zero series reduces to 0/(1-t)^0."""
@@ -175,7 +174,6 @@ def lc_hilbert_series(cx: SimplicialComplex, i: int, field: FieldSpec) -> Hilber
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class GenericCoefficients:
     """n x m coefficient matrix of linear forms, certified generic.
 
@@ -185,7 +183,16 @@ class GenericCoefficients:
     not hash the matrix.
     """
 
-    matrix: Matrix
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: Matrix):
+        object.__setattr__(self, "matrix", matrix)
+
+    def __setattr__(self, *_):
+        raise AttributeError("GenericCoefficients is immutable")
+
+    def __repr__(self):
+        return f"GenericCoefficients(matrix={self.matrix!r})"
 
     @property
     def m(self) -> int:

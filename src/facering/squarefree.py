@@ -9,20 +9,34 @@ binomial sums over the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cohomology import cohomology_by_face
 from .complexes import SimplicialComplex
 from .linalg import FieldSpec
 from .local_cohomology import binom0
 
 
-@dataclass(frozen=True)
 class SqfreeData:
     """Map from squarefree degrees (subsets of [n]) to dimensions; zeros omitted."""
 
-    n: int
-    dims: tuple  # of (frozenset, int), sorted
+    __slots__ = ("n", "dims")
+
+    def __init__(self, n: int, dims: tuple):  # dims: of (frozenset, int), sorted
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "dims", dims)
+
+    def __setattr__(self, *_):
+        raise AttributeError("SqfreeData is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, SqfreeData):
+            return NotImplemented
+        return (self.n, self.dims) == (other.n, other.dims)
+
+    def __hash__(self):
+        return hash((self.n, self.dims))
+
+    def __repr__(self):
+        return f"SqfreeData(n={self.n!r}, dims={self.dims!r})"
 
     @staticmethod
     def from_dict(n: int, table: dict) -> "SqfreeData":

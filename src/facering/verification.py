@@ -28,7 +28,7 @@ a check's records are the same whichever other checks run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import artinian, quotient, singularity, squarefree
 from .cohomology import reduced_cohomology_dim, relative_cohomology_dim
@@ -52,14 +52,11 @@ I_EXTENT = 3  # lemma-equality: kernel degrees m..m+I_EXTENT unless i_values pin
 RESAMPLE_SEED_OFFSET = 7919  # a prime-field mismatch is redrawn with seed (seed or 0) + this
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check: str
-    complex_name: str
-    field: str
-    params: dict
-    values: dict
-    passed: bool
+class CheckResult(namedtuple("CheckResult", "check complex_name field params values passed")):
+    """One ledger record: the check, complex and field names (str), its
+    params and values (dicts), and whether it passed (bool)."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -112,17 +109,12 @@ def draw_size(cx: SimplicialComplex, m_values, field: FieldSpec) -> int:
     return forms
 
 
-@dataclass(frozen=True)
-class Run:
+class Run(namedtuple("Run", "m_values ell_values i_values seed draw")):
     """The parameters run_checks passes every check, and the complex's one
     draw.  Each check keeps the members of m_values in its own range;
     ell_values and i_values are None unless pinned."""
 
-    m_values: tuple[int, ...]
-    ell_values: tuple[int, ...] | None
-    i_values: tuple[int, ...] | None
-    seed: int | None
-    draw: Draw
+    __slots__ = ()
 
 
 def _resampled(got, want, recompute, cx: SimplicialComplex, m: int, field: FieldSpec,

@@ -197,6 +197,20 @@ def test_verify_exit_code_reflects_ledger():
     assert ledger_json([])["passed"] is False
 
 
+def test_check_results_differing_in_one_field_are_unequal():
+    fields = ("demo", "cx", "q", {"m": 1}, {"lhs": 1, "rhs": 1}, True)
+    other = ("other", "cy", "fp:2", {"m": 2}, {"lhs": 1, "rhs": 2}, False)
+    record = CheckResult(*fields)
+    assert record == CheckResult(*fields)
+    assert repr(record) == ("CheckResult(check='demo', complex_name='cx', field='q', "
+                            "params={'m': 1}, values={'lhs': 1, 'rhs': 1}, passed=True)")
+    for k in range(len(fields)):
+        changed = fields[:k] + other[k:k + 1] + fields[k + 1:]
+        assert record != CheckResult(*changed), k
+    with pytest.raises(AttributeError):
+        record.passed = False
+
+
 def test_verify_empty_ledger_fails(capsys):
     for extra in (
         ["--check", "lemma-equality", "--i", "5..1"],
@@ -520,6 +534,21 @@ def test_runs_without_numpy():
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # the records are namedtuples and __slots__ classes: importing the
+    # package and the CLI, without site, loads neither module
+    src = str(Path(facering.__file__).resolve().parents[1])
+    code = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {src!r})
+        import facering, facering.cli
+        loaded = sorted({{"dataclasses", "inspect"}} & set(sys.modules))
+        assert not loaded, loaded
+    """)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
 
 

@@ -205,8 +205,13 @@ def test_empty_and_void_complexes_roundtrip():
     assert empty.faces() == frozenset({frozenset()})
     assert void.faces() == frozenset()
     assert empty.f_vector() == (1,)
+    assert (empty.dim, empty.d) == (-1, 0)
     with pytest.raises(ValueError):
         void.f_vector()
+    with pytest.raises(ValueError):
+        void.dim
+    with pytest.raises(ValueError):
+        void.d
     for cx in (empty, void):
         copied = SimplicialComplex.from_json(json.loads(json.dumps(cx.to_json())))
         assert copied == cx

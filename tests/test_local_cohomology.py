@@ -209,6 +209,16 @@ def test_series_polynomial_part_coefficients():
     assert [s.coefficient(j) for j in range(4)] == [2, 5, 0, 0]
 
 
+def test_series_compare_hash_and_print_by_value():
+    s = HilbertSeries((1, 2), 3)
+    assert s == HilbertSeries((1, 2), 3) and hash(s) == hash(HilbertSeries((1, 2), 3))
+    assert s != HilbertSeries((1, 2), 2) and s != HilbertSeries((1, 3), 3)
+    assert len({s, HilbertSeries((1, 2), 3), HilbertSeries((), 0)}) == 2
+    assert repr(s) == "HilbertSeries(numerator=(1, 2), denom_power=3)"
+    with pytest.raises(AttributeError):
+        s.denom_power = 0
+
+
 @pytest.mark.parametrize("field", [QQ, GF(2)])
 def test_series_coefficients_match_coarse_dims(complexes, field):
     for cx in complexes.values():
@@ -317,6 +327,27 @@ def test_make_generic_redraws_zero_entries():
 def test_column_with_all_nonzero_entries():
     A = make_generic(3, 1, GF(32003), seed=1)
     assert all(x != 0 for x in A.matrix.column(0))
+
+
+def test_generic_coefficients_compare_and_hash_by_identity(cycle3):
+    # theta_stack and reduction_dims key their memos on the coefficients
+    # object: equal entries do not make a memo hit, and a prefix is a key of
+    # its own
+    C = vandermonde_coefficients([1, 2, 3], 2)
+    twin = vandermonde_coefficients([1, 2, 3], 2)
+    assert C.matrix.tolist() == twin.matrix.tolist()
+    assert C == C and C != twin and hash(C) != hash(twin)
+    P = C.prefix(1)
+    assert C.prefix(2) is C and P != C.prefix(1)
+    memo = {C: "C", P: "P"}
+    assert twin not in memo and memo[P] == "P"
+    stacks = local_cohomology._stacks
+    assert stacks(cycle3, 1, P, QQ) is stacks(cycle3, 1, P, QQ)
+    assert stacks(cycle3, 1, P, QQ) is not stacks(cycle3, 1, C, QQ)
+    assert stacks(cycle3, 1, C, QQ) is not stacks(cycle3, 1, twin, QQ)
+    assert repr(C).startswith("GenericCoefficients(matrix=")
+    with pytest.raises(AttributeError):
+        C.matrix = twin.matrix
 
 
 def test_rational_coefficients_map_exactly_into_prime_field():

@@ -89,6 +89,20 @@ def test_json_roundtrip(cycle3):
     assert again == data
 
 
+def test_data_compare_hash_and_count_by_value():
+    data = SqfreeData.from_dict(3, {frozenset({1, 2}): 2, frozenset(): 1})
+    again = SqfreeData(3, ((frozenset(), 1), (frozenset({1, 2}), 2)))
+    assert data == again and hash(data) == hash(again) and len(data) == 2
+    assert data != SqfreeData(4, data.dims)
+    assert data != SqfreeData.from_dict(3, {frozenset({1, 2}): 1, frozenset(): 1})
+    assert data != data.dims
+    empty = SqfreeData.from_dict(3, {})
+    assert len(empty) == 0 and not empty
+    assert repr(empty) == "SqfreeData(n=3, dims=())"
+    with pytest.raises(AttributeError):
+        data.n = 4
+
+
 def test_json_vector_encoding():
     data = SqfreeData.from_dict(3, {frozenset({1, 2}): 2})
     assert data.to_json() == {"n": 3, "dims": [{"F": [1, 1, 0], "dim": 2}]}
