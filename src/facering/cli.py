@@ -29,7 +29,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import quotient, singularity, verification
 from .artinian import REDUCTION_CELL_LIMIT, determinacy_probe, reduction_hilbert
-from .complexes import SimplicialComplex, SizeLimitError
+from .complexes import SimplicialComplex, SizeLimitError, face_table
 from .corpus import CORPUS_BUILDERS, corpus
 from .linalg import FieldSpec
 from .local_cohomology import lc_coarse_dim, lc_hilbert_series, make_generic
@@ -44,6 +44,16 @@ class InputError(ValueError):
     pass
 
 
+def _read_json(path: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+
+
 def _load_inputs(spec: str, allow_corpus: bool) -> dict[str, SimplicialComplex]:
     if spec == "corpus":
         if not allow_corpus:
@@ -51,13 +61,7 @@ def _load_inputs(spec: str, allow_corpus: bool) -> dict[str, SimplicialComplex]:
         return corpus()
     if spec in CORPUS_BUILDERS:
         return {spec: CORPUS_BUILDERS[spec]()}
-    try:
-        with open(spec, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {spec}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{spec}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    data = _read_json(spec)
     try:
         cx = SimplicialComplex.from_json(data)
     except (ValueError, TypeError) as exc:
@@ -199,7 +203,7 @@ def cmd_lc(args) -> int:
     name, cx = _load_single(args.input)
     field = FieldSpec.parse(args.field)
     cutoff = args.cutoff
-    _guard((cx.d + 1) * (cutoff + 1), len(cx.faces()))
+    _guard((cx.d + 1) * (cutoff + 1), len(face_table(cx)[0]))
     rows = []
     for i in range(0, cx.d + 1):
         series = lc_hilbert_series(cx, i, field)
@@ -224,7 +228,7 @@ def cmd_predict(args) -> int:
     m = args.m
     if not 0 <= m <= cx.d:
         raise InputError(f"--m must be between 0 and {cx.d} for this complex")
-    _guard((cx.d - m) * args.cutoff, len(cx.faces()))
+    _guard((cx.d - m) * args.cutoff, len(face_table(cx)[0]))
     entries = [
         {"l": ell, "i": i, "dim": quotient.quotient_lc_dim(cx, m, ell, i, field)}
         for ell in range(1, cx.d - m + 1)
@@ -301,7 +305,6 @@ def cmd_verify(args) -> int:
     inputs = _load_inputs(args.input, allow_corpus=True)
     field = FieldSpec.parse(args.field)
     checks = verification.SUITE_CHECKS if args.check is None else (args.check,)
-    i_values = _parse_range(args.i) if args.i else None
     ell_values = (args.l,) if args.l is not None else None
     records = []
     for name, cx in inputs.items():
@@ -309,7 +312,7 @@ def cmd_verify(args) -> int:
             verification.run_checks(
                 name, cx, field,
                 checks=checks, m_max=args.m_max, m_pin=args.m,
-                ell_values=ell_values, i_values=i_values,
+                ell_values=ell_values, i_values=args.i,
                 seed=args.seed,
             )
         )
@@ -340,12 +343,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sqfree(args) -> int:
+    raw = _read_json(args.input)
     try:
-        with open(args.input, encoding="utf-8") as fh:
-            data = SqfreeData.from_json(json.load(fh))
-    except OSError as exc:
-        raise InputError(f"cannot read {args.input}: {exc}") from None
-    except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+        data = SqfreeData.from_json(raw)
+    except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"{args.input}: {exc}") from None
     m = args.m
     cutoff = args.cutoff
@@ -373,13 +374,6 @@ def cmd_sqfree(args) -> int:
     return EXIT_OK
 
 
-def _parse_range(text: str):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return (int(text),)
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -395,6 +389,15 @@ def _positive_int(text: str) -> int:
     if not text.isdecimal() or not int(text):
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
+
+
+def _degree_range(text: str) -> tuple:
+    lo, dots, hi = text.partition("..")
+    try:
+        return tuple(range(int(lo), int(hi) + 1)) if dots else (int(text),)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer or a range like 1..4, got {text!r}") from None
 
 
 @functools.cache
@@ -446,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest number of forms exercised by the heavy checks (nonnegative)")
     p.add_argument("--l", type=_positive_int, default=None,
                    help="restrict to one cohomological degree (positive)")
-    p.add_argument("--i", default=None, help="restrict kernel degrees, e.g. 1..4")
+    p.add_argument("--i", type=_degree_range, default=None,
+                   help="restrict kernel degrees, e.g. 1..4")
 
     command("sqfree", cmd_sqfree,
             "Hilbert formulas on user-supplied squarefree data",

@@ -186,7 +186,8 @@ def relative_cohomology_dim(cx: SimplicialComplex, tau, i: int, field: FieldSpec
 @per_complex
 def cohomology_by_face(cx: SimplicialComplex, k: int, field: FieldSpec) -> MappingProxyType:
     """Face F -> dim H^k(X, cost F), for every face, from relative_cohomology_dim."""
-    return MappingProxyType({F: relative_cohomology_dim(cx, F, k, field) for F in cx.faces()})
+    return MappingProxyType({F: relative_cohomology_dim(cx, F, k, field)
+                             for F in face_table(cx)[0]})
 
 
 @per_complex

@@ -1,17 +1,21 @@
 """Simplicial complexes on the vertex set {1, ..., n}, stored by their facets.
 
+A complex keeps only n, its facets, the void flag and its dimension; its
+faces live in the face table (`face_table`), memoized on the complex like
+everything else derived from it.  The table closes the faces from the
+facets as sorted tuples, the combinations of each facet's sorted vertices,
+so a subface shared by many facets costs a duplicate tuple, not a new
+frozenset; one sort per size fixes the order, and each distinct face
+becomes one frozenset.
+
 Faces are frozensets of 1-based vertex labels.  Wherever faces are listed,
 they are ordered by size and then by the sorted tuple of their vertices
 (lexicographically), so every matrix built downstream has a reproducible
-layout.  The faces are closed as those sorted tuples, the combinations of
-each facet's sorted vertices, so a subface shared by many facets costs a
-duplicate tuple, not a new frozenset; one sort per size fixes the order,
-and each distinct face becomes one frozenset.
-
-That order numbers the faces once per complex: the face table
-(`face_table`) gives each face its id and the signed entries of its
-cofaces, and its size offsets give the f-vector.  The cochains of the pair
-cohomology and the depth table of `singularity` are indexed by those ids.
+layout.  That order numbers the faces once per complex: the table gives
+each face its id and the signed entries of its cofaces, and its size
+offsets give the f-vector.  Every face reader (`faces`, membership,
+`faces_of_dim`, `f_vector`, the cochains of the pair cohomology and the
+depth table of `singularity`) reads the table, in id order.
 
 Two degenerate complexes are distinguished by an explicit flag: the complex
 {emptyset} (facet list empty, not void) and the void complex (no faces at
@@ -76,8 +80,7 @@ def per_complex(fn):
 
 
 class SimplicialComplex:
-    __slots__ = ("n", "facets", "is_void", "_dim", "_faces", "_order", "_start", "_memo",
-                 "_hash")
+    __slots__ = ("n", "facets", "is_void", "_dim", "_memo")
 
     def __init__(self, n: int, facets, is_void: bool = False):
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
@@ -105,11 +108,7 @@ class SimplicialComplex:
         object.__setattr__(self, "facets", frozenset(maximal))
         object.__setattr__(self, "is_void", bool(is_void))
         object.__setattr__(self, "_dim", max(map(len, maximal), default=0) - 1)
-        object.__setattr__(self, "_faces", None)
-        object.__setattr__(self, "_order", None)
-        object.__setattr__(self, "_start", None)
         object.__setattr__(self, "_memo", {})
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *_):
         raise AttributeError("SimplicialComplex is immutable")
@@ -129,35 +128,15 @@ class SimplicialComplex:
         return self.dim + 1
 
     def faces(self) -> frozenset:
-        """All faces; more than DEFAULT_BASIS_LIMIT of them raises SizeLimitError.
+        """All faces, as a new frozenset on each call; more than
+        DEFAULT_BASIS_LIMIT of them raises SizeLimitError.
 
-        The faces are closed as sorted tuples and kept in the order of the
-        face table (see the module docstring).  The guard counts the empty face.
+        The face table closes and holds the faces (see `face_table`).
         """
-        if self._faces is None:
-            by_size = [] if self.is_void else [{()}] + [set() for _ in range(self.d)]
-            for f in self.facets:
-                if 2 ** len(f) > DEFAULT_BASIS_LIMIT:
-                    raise SizeLimitError(
-                        f"a facet on {len(f)} vertices has 2^{len(f)} faces, "
-                        f"above the guard of {DEFAULT_BASIS_LIMIT}"
-                    )
-                members = sorted(f)
-                for k in range(1, len(members) + 1):
-                    by_size[k].update(combinations(members, k))
-                if sum(map(len, by_size)) > DEFAULT_BASIS_LIMIT:
-                    raise SizeLimitError(
-                        f"the complex has more than {DEFAULT_BASIS_LIMIT} faces, "
-                        "above the guard"
-                    )
-            order = tuple(frozenset(t) for level in by_size for t in sorted(level))
-            object.__setattr__(self, "_order", order)
-            object.__setattr__(self, "_start", tuple(accumulate(map(len, by_size), initial=0)))
-            object.__setattr__(self, "_faces", frozenset(order))
-        return self._faces
+        return frozenset(face_table(self)[0])
 
     def __contains__(self, F) -> bool:
-        return frozenset(F) in self.faces()
+        return frozenset(F) in face_table(self)[2]
 
     def faces_of_dim(self, k: int) -> list:
         """All k-dimensional faces in lexicographic order; k = -1 gives [emptyset].
@@ -166,9 +145,8 @@ class SimplicialComplex:
         """
         if k < -1:
             raise ValueError("dimension below -1")
-        self.faces()
-        start = self._start
-        return list(self._order[start[k + 1]:start[k + 2]]) if k + 2 < len(start) else []
+        faces, start = face_table(self)[:2]
+        return list(faces[start[k + 1]:start[k + 2]]) if k + 2 < len(start) else []
 
     def is_pure(self) -> bool:
         sizes = {len(f) for f in self.facets}
@@ -192,8 +170,8 @@ class SimplicialComplex:
         """(f_{-1}, f_0, ..., f_{dim})."""
         if self.is_void:
             raise ValueError("the void complex has no f-vector")
-        self.faces()
-        return tuple(b - a for a, b in zip(self._start, self._start[1:]))
+        start = face_table(self)[1]
+        return tuple(b - a for a, b in zip(start, start[1:]))
 
     def h_vector(self) -> tuple[int, ...]:
         """Binomial transform of the f-vector: h_j = sum_i (-1)^{j-i} C(d-i, d-j) f_{i-1}."""
@@ -212,9 +190,7 @@ class SimplicialComplex:
         return (self.n, self.facets, self.is_void) == (other.n, other.facets, other.is_void)
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.n, self.facets, self.is_void)))
-        return self._hash
+        return hash((self.n, self.facets, self.is_void))
 
     def __repr__(self):
         if self.is_void:
@@ -240,29 +216,47 @@ class SimplicialComplex:
 
 @per_complex
 def face_table(cx: SimplicialComplex) -> tuple[tuple, tuple, dict, list]:
-    """(faces, start, face -> id, cofaces), one pass over the faces by id.
+    """(faces, start, face -> id, cofaces): the faces of cx, closed from its
+    facets and numbered once.  More than DEFAULT_BASIS_LIMIT faces raise
+    SizeLimitError; the guard counts the empty face.
 
     faces lists every face by id, the faces of size s at start[s] ..
-    start[s + 1] - 1.  cofaces[g] holds (id of G + {v}, sign) for each
-    coface of the face G with id g, ascending, sign (-1)^(position of v in
-    the sorted coface).  Each face H is read as its sorted tuple t, held only
-    while the table is built: its boundary faces are combinations(t, |H| - 1),
-    which omit the positions |H| - 1, ..., 1, 0 in turn, and have smaller
-    ids, so they are already in the tuple -> id index.
+    start[s + 1] - 1, in the order of the module docstring.  cofaces[g]
+    holds (id of G + {v}, sign) for each coface of the face G with id g,
+    ascending, sign (-1)^(position of v in the sorted coface).  Each face H
+    is read as its sorted tuple t, held only while the table is built: its
+    boundary faces are combinations(t, |H| - 1), which omit the positions
+    |H| - 1, ..., 1, 0 in turn, and have smaller ids, so they are already
+    in the tuple -> id index.
     """
-    cx.faces()
-    faces, ids, index = cx._order, {}, {}
+    by_size = [] if cx.is_void else [{()}] + [set() for _ in range(cx.d)]
+    for f in cx.facets:
+        if 2 ** len(f) > DEFAULT_BASIS_LIMIT:
+            raise SizeLimitError(
+                f"a facet on {len(f)} vertices has 2^{len(f)} faces, "
+                f"above the guard of {DEFAULT_BASIS_LIMIT}"
+            )
+        members = sorted(f)
+        for k in range(1, len(members) + 1):
+            by_size[k].update(combinations(members, k))
+        if sum(map(len, by_size)) > DEFAULT_BASIS_LIMIT:
+            raise SizeLimitError(
+                f"the complex has more than {DEFAULT_BASIS_LIMIT} faces, above the guard"
+            )
+    start = tuple(accumulate(map(len, by_size), initial=0))
+    tuples = [t for level in by_size for t in sorted(level)]
+    del by_size  # its hash tables, before the table's own are built
+    faces, ids, index = tuple(map(frozenset, tuples)), {}, {}
     # odd[s]: the parities of the omitted positions s - 1, ..., 1, 0 in turn
-    odd = [[pos & 1 for pos in range(s - 1, -1, -1)] for s in range(len(cx._start))]
+    odd = [[pos & 1 for pos in range(s - 1, -1, -1)] for s in range(len(start))]
     cofaces = [[] for _ in faces]
-    for h, H in enumerate(faces):
-        t = tuple(sorted(H))
+    for h, (t, H) in enumerate(zip(tuples, faces)):
         ids[H] = index[t] = h
         if t:
             entry = (h, 1), (h, -1)  # shared by the faces of H
             for G, parity in zip(combinations(t, len(t) - 1), odd[len(t)]):
                 cofaces[index[G]].append(entry[parity])
-    return faces, cx._start, ids, cofaces
+    return faces, start, ids, cofaces
 
 
 def count_degree_monomials(cx: SimplicialComplex, r: int) -> int:
@@ -303,7 +297,7 @@ def _monomial_tuples(cx: SimplicialComplex, r: int) -> tuple:
 
 def monomial_supports(cx: SimplicialComplex, r: int) -> tuple:
     """The support of each degree-r monomial, in the order of degree_monomials:
-    the face itself, as cx.faces() holds it, so monomials on one face share it."""
+    the face itself, as the face table holds it, so monomials on one face share it."""
     _guard(cx, r)
     return _coded(cx, r, _width(r))[1]
 
@@ -335,7 +329,7 @@ def _coded(cx: SimplicialComplex, r: int, w: int) -> tuple[tuple, tuple]:
     if r == 0:
         return (0,), (frozenset(),)
     support = {}
-    for F in cx.faces():
+    for F in face_table(cx)[0]:
         if F:
             places = [1 << w * (cx.n - v) for v in sorted(F)]
             support.update(dict.fromkeys(_compositions(r, places), F))

@@ -46,34 +46,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import index
-
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all 64-bit integers."""
-    if p < 2:
-        return False
-    for q in _MR_WITNESSES:
-        if p % q == 0:
-            return p == q
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division, which is fast below the 2^31 bound of FieldSpec."""
+    return p > 1 and all(p % q for q in range(2, isqrt(p) + 1))
 
 
 class FieldSpec:
@@ -88,10 +67,10 @@ class FieldSpec:
 
     def __new__(cls, p: int | None = None):
         if p is not None:
+            if isinstance(p, int) and p >= 2**31:
+                raise ValueError("prime moduli above 2^31 are not supported")
             if not isinstance(p, int) or not is_prime(p):
                 raise ValueError(f"modulus {p!r} is not prime")
-            if p >= 2**31:
-                raise ValueError("prime moduli above 2^31 are not supported")
         field = cls._instances.get(p)
         if field is None:
             field = cls._instances[p] = object.__new__(cls)

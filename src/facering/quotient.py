@@ -61,11 +61,11 @@ def _vertex_rows(cx: SimplicialComplex, i: int, theta, field: FieldSpec) -> tupl
         raise ValueError("degree out of range")
     rows = [{} for _ in range(relative_cohomology_dim(cx, frozenset(), i, field))]
     ncols = 0
-    for t in range(1, cx.n + 1):
-        if frozenset({t}) in cx:
-            for row, pairs in zip(rows, _induced_map(cx, frozenset({t}), frozenset(), i, field)):
-                row.update((ncols + s, theta[t - 1] * x) for s, x in pairs)
-            ncols += relative_cohomology_dim(cx, frozenset({t}), i, field)
+    for v in cx.faces_of_dim(0):
+        (t,) = v
+        for row, pairs in zip(rows, _induced_map(cx, v, frozenset(), i, field)):
+            row.update((ncols + s, theta[t - 1] * x) for s, x in pairs)
+        ncols += relative_cohomology_dim(cx, v, i, field)
     return rows, ncols
 
 
@@ -117,10 +117,9 @@ def is_homologically_isolated(cx: SimplicialComplex, field: FieldSpec) -> bool:
         raise ValueError("complex must have a singular set of dimension at most 0")
     for i in range(0, cx.d - 1):
         rows, ncols = _vertex_rows(cx, i, [1] * cx.n, field)
-        parts = sum(_rank(field, [dict(pairs) for pairs in
-                                  _induced_map(cx, frozenset({t}), frozenset(), i, field)],
-                          relative_cohomology_dim(cx, frozenset({t}), i, field))
-                    for t in range(1, cx.n + 1) if frozenset({t}) in cx)
+        parts = sum(_rank(field, [dict(row) for row in _induced_map(cx, v, frozenset(), i, field)],
+                          relative_cohomology_dim(cx, v, i, field))
+                    for v in cx.faces_of_dim(0))
         if _rank(field, rows, ncols) != parts:
             return False
     return True

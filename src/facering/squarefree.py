@@ -10,7 +10,7 @@ binomial sums over the table.
 from __future__ import annotations
 
 from .cohomology import cohomology_by_face
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, face_table
 from .linalg import FieldSpec
 from .local_cohomology import binom0
 
@@ -88,7 +88,7 @@ def sqfree_data_of_face_ring(cx: SimplicialComplex) -> SqfreeData:
     """The face ring's table: one in every face degree, zero elsewhere."""
     if cx.is_void:
         raise ValueError("void complex")
-    return SqfreeData.from_dict(cx.n, {F: 1 for F in cx.faces()})
+    return SqfreeData.from_dict(cx.n, dict.fromkeys(face_table(cx)[0], 1))
 
 
 def sqfree_lc_data(cx: SimplicialComplex, j: int, field: FieldSpec) -> SqfreeData:

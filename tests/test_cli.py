@@ -641,6 +641,15 @@ def test_bad_json_is_input_error(tmp_path, capsys):
     assert "line" in err
 
 
+def test_sqfree_bad_json_is_input_error(tmp_path, capsys):
+    # the same message as for a malformed complex file
+    path = tmp_path / "broken.json"
+    path.write_text('{"n": 2,\n')
+    code, out, err = run_cli(capsys, "sqfree", str(path), "--m", "1")
+    assert code == EXIT_INPUT_ERROR and not out
+    assert err.startswith(f"error: {path}: line 2, column 1: Expecting property name")
+
+
 def test_nonprime_field_rejected(capsys):
     code, _, err = run_cli(capsys, "analyze", "cycle3", "--field", "fp:6")
     assert code == EXIT_INPUT_ERROR
@@ -798,6 +807,9 @@ def test_negative_m_max_is_input_error(capsys):
     ("--m", "-3", "expected a nonnegative integer, got '-3'"),
     ("--l", "0", "expected a positive integer, got '0'"),
     ("--l", "-1", "expected a positive integer, got '-1'"),
+    ("--i", "a..b", "expected an integer or a range like 1..4, got 'a..b'"),
+    ("--i", "1..", "expected an integer or a range like 1..4, got '1..'"),
+    ("--i", "x", "expected an integer or a range like 1..4, got 'x'"),
 ])
 def test_verify_pins_are_range_checked(capsys, option, value, message):
     # --m -3 used to fail deep inside the ledger, and --l -1 passed with

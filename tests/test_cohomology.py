@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from facering import cohomology, linalg
 from facering.cohomology import (
     coboundary_rows,
+    cohomology_by_face,
     induced_map,
     reduced_cohomology_dim,
     relative_cochain_basis,
@@ -158,6 +159,13 @@ def test_rank_route_matches_basis_route(complexes, field):
                     relative_cohomology_dim(cx, F, i, field)
                     == relative_cohomology(cx, F, i, field).ncols
                 )
+
+
+def test_cohomology_by_face_lists_the_faces_by_id(complexes):
+    # the per-face table reads the faces in the order of the face table
+    for cx in complexes.values():
+        for k in range(-1, cx.d):
+            assert list(cohomology_by_face(cx, k, QQ)) == list(face_table(cx)[0])
 
 
 def _reference_coboundary_rows(cx, tau, k, p):

@@ -214,7 +214,19 @@ def test_empty_and_void_complexes_roundtrip():
         void.d
     for cx in (empty, void):
         copied = SimplicialComplex.from_json(json.loads(json.dumps(cx.to_json())))
-        assert copied == cx
+        assert copied == cx and hash(copied) == hash(cx)
+
+
+def test_complex_stores_only_its_facets():
+    # the faces live in the face table alone, memoized like everything else
+    # derived from the complex
+    assert SimplicialComplex.__slots__ == ("n", "facets", "is_void", "_dim", "_memo")
+    cx = SimplicialComplex(4, [[1, 2, 3], [3, 4]])
+    assert len(cx.faces()) == 10 and cx.faces() is not cx.faces()
+    assert [2, 3] in cx and [2, 4] not in cx
+    assert cx.faces_of_dim(1) == [frozenset(e) for e in ([1, 2], [1, 3], [2, 3], [3, 4])]
+    assert cx.f_vector() == (1, 4, 4, 1)
+    assert list(cx._memo) == [(face_table.__wrapped__, ())]
 
 
 def test_void_rejects_facets():

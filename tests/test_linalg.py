@@ -44,16 +44,29 @@ def test_field_copies_and_pickles_are_equal(field):
         GF(32003.0)
 
 
-@pytest.mark.parametrize("bad", ["fp:6", "fp:1", "fp:abc", "r", ""])
+@pytest.mark.parametrize("bad", ["fp:6", "fp:1", "fp:abc", "r", "",
+                                 "fp:2305843009213693951", "fp:" + str(10**30)])
 def test_field_parse_rejects(bad):
     with pytest.raises(ValueError):
         FieldSpec.parse(bad)
+
+
+@pytest.mark.parametrize("p", [2**31, 2**61 - 1, 10**30])
+def test_moduli_above_the_bound_are_refused_before_primality(p):
+    # trial division up to sqrt(2^61 - 1) would take minutes
+    with pytest.raises(ValueError, match="above 2\\^31 are not supported"):
+        FieldSpec(p)
 
 
 def test_is_prime_small():
     primes = [p for p in range(60) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
     assert is_prime(32003)
+    sieve = [False, False] + [True] * 9998
+    for q in range(2, 100):
+        if sieve[q]:
+            sieve[q * q::q] = [False] * len(range(q * q, 10_000, q))
+    assert [is_prime(p) for p in range(-3, 10_000)] == [False] * 3 + sieve
 
 
 def _sparse(rows, offset=0):
